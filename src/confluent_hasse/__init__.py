@@ -24,7 +24,6 @@ from .oracle import (
 from .poset import (
     CycleError,
     DuplicateLabelError,
-    Element,
     Extremes,
     Poset,
     UnknownLabelError,
@@ -61,4 +60,4 @@ __version__ = "0.1.0"
 
 def build_diagram(r: Realizer) -> Diagram:
     """Full pipeline from a realizer: place, complete, sweep."""
-    return sweep_cover_edges(insert_junctions(place_on_grid(r)))
+    return timed_pipeline(r)[0]

@@ -20,6 +20,7 @@ from .realizer import Realizer
 from .sp import SpLeaf, SpParallel, SpSeries, SpTree
 
 CSV_HEADER = "n,junctions,segments,ms_phase1,ms_phase2,ms_phase3,ms_total"
+_CSV_TIMES = ("phase1", "phase2", "phase3", "total")
 
 
 def gen_random(n: int, seed: int) -> Realizer:
@@ -95,6 +96,13 @@ def timed_pipeline(r: Realizer) -> tuple[Diagram, dict[str, float]]:
     return diagram, times
 
 
+def csv_row(d: Diagram, times: dict[str, float]) -> str:
+    """One row under CSV_HEADER; a phase missing from ``times`` (the
+    series-parallel layout has one phase) reads 0."""
+    ms = ",".join(f"{times.get(key, 0.0):.3f}" for key in _CSV_TIMES)
+    return f"{d.scene.n},{d.junction_count()},{len(d.segments)},{ms}"
+
+
 def scaling_report(
     sizes: list[int],
     trials: int = 3,
@@ -115,13 +123,6 @@ def scaling_report(
             else:
                 raise ValueError(f"unknown family {family!r}")
             runs = [timed_pipeline(r) for _ in range(max(1, trials))]
-            diagram = runs[0][0]
-            med = {
-                key: median(t[key] for _, t in runs)
-                for key in ("phase1", "phase2", "phase3", "total")
-            }
-            lines.append(
-                f"{r.n},{diagram.junction_count()},{len(diagram.segments)},"
-                f"{med['phase1']:.3f},{med['phase2']:.3f},{med['phase3']:.3f},{med['total']:.3f}"
-            )
+            med = {key: median(t[key] for _, t in runs) for key in _CSV_TIMES}
+            lines.append(csv_row(runs[0][0], med))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import bench, oracle, render
@@ -34,39 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    input_path: str = "-"
-    input_format: str = "edges"
-    emit: str = "svg"
-    out: str = "-"
-    bezier_offset: float = 0.5
-    show_invisible: bool = False
-    verify: bool = False
-    bench_sizes: tuple[int, ...] | None = None
-    seed: int = 0
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    sizes = None
-    if args.bench is not None:
-        try:
-            sizes = tuple(int(tok) for tok in args.bench.split(",") if tok.strip())
-        except ValueError:
-            raise _ArgumentError(
-                f"--bench expects comma-separated integers, got {args.bench!r}"
-            ) from None
-    return CliConfig(
-        input_path=args.input,
-        input_format=args.input_format,
-        emit=args.emit,
-        out=args.out,
-        bezier_offset=args.bezier_offset,
-        show_invisible=args.show_invisible,
-        verify=args.verify,
-        bench_sizes=sizes,
-        seed=args.seed,
-    )
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> _Parser:
@@ -110,6 +83,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--bench",
+        type=_sizes,
         metavar="SIZES",
         help="comma-separated sizes: run the scaling benchmark instead of drawing",
     )
@@ -132,17 +106,20 @@ def _write_output(path: str, payload: str) -> None:
             fh.write(payload)
 
 
-def _pipeline(text: str, fmt: str) -> tuple[Diagram, Poset, dict[str, float]]:
+def _pipeline(
+    text: str, fmt: str, verify: bool
+) -> tuple[Diagram, Poset | None, dict[str, float]]:
+    """The diagram, the input order when --verify reads it, and stage
+    milliseconds. Only edge-list input needs the order to draw."""
     if fmt == "sp":
         tree = parse_sp(text)
         t0 = time.perf_counter()
         diagram = sp_layout(tree)
         ms = (time.perf_counter() - t0) * 1000.0
-        times = {"phase1": ms, "phase2": 0.0, "phase3": 0.0, "total": ms}
-        return diagram, sp_to_poset(tree), times
+        return diagram, sp_to_poset(tree) if verify else None, {"phase1": ms, "total": ms}
     if fmt == "realizer":
         r = parse_realizer(text)
-        p = poset_from_realizer(r)
+        p = poset_from_realizer(r) if verify else None
     else:
         p = parse_edge_list(text)
         r = realizer_of(p)
@@ -152,37 +129,33 @@ def _pipeline(text: str, fmt: str) -> tuple[Diagram, Poset, dict[str, float]]:
 
 def _run_verify(diagram: Diagram, p: Poset) -> bool:
     report = validate_diagram(diagram, p)
-    sys.stderr.write(report.summary() + "\n")
-    ok = report.ok
     try:
-        matches = oracle.scene_matches_completion(diagram.scene, p)
-        sys.stderr.write(f"{'PASS' if matches else 'FAIL'} completion\n")
-        ok = ok and matches
+        report.add("completion", oracle.scene_matches_completion(diagram.scene, p))
     except oracle.TooLargeForOracle:
-        sys.stderr.write("WARN completion check skipped: instance exceeds oracle size limit\n")
-    return ok
+        report.skip("completion", "instance exceeds oracle size limit")
+    sys.stderr.write(report.summary() + "\n")
+    return report.ok
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        cfg = _config_from_args(parser.parse_args(argv))
+        args = _build_parser().parse_args(argv)
     except _ArgumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 
-    if cfg.bench_sizes is not None:
-        _write_output(cfg.out, bench.scaling_report(list(cfg.bench_sizes), seed=cfg.seed))
+    if args.bench is not None:
+        _write_output(args.out, bench.scaling_report(list(args.bench), seed=args.seed))
         return EXIT_OK
 
     try:
-        text = _read_input(cfg.input_path)
+        text = _read_input(args.input)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot read {cfg.input_path!r}: {exc}\n")
+        sys.stderr.write(f"error: cannot read {args.input!r}: {exc}\n")
         return EXIT_INPUT
 
     try:
-        diagram, p, times = _pipeline(text, cfg.input_format)
+        diagram, p, times = _pipeline(text, args.input_format, args.verify)
     except DimensionExceedsTwo:
         sys.stderr.write(
             "error: this order has dimension greater than two; an upward "
@@ -193,26 +166,23 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 
-    if cfg.verify and not _run_verify(diagram, p):
+    if args.verify and not _run_verify(diagram, p):
         return EXIT_VERIFY
 
-    if cfg.emit == "svg":
+    if args.emit == "svg":
         try:
             opts = render.RenderOptions(
-                bezier_offset=cfg.bezier_offset, show_invisible=cfg.show_invisible
+                bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
             )
         except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INPUT
         payload = render.to_svg(render.rotate45(diagram), opts)
-    elif cfg.emit == "json":
+    elif args.emit == "json":
         payload = render.to_json(diagram)
     else:
-        payload = bench.CSV_HEADER + "\n" + (
-            f"{diagram.scene.n},{diagram.junction_count()},{len(diagram.segments)},"
-            f"{times['phase1']:.3f},{times['phase2']:.3f},{times['phase3']:.3f},{times['total']:.3f}\n"
-        )
-    _write_output(cfg.out, payload)
+        payload = bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"
+    _write_output(args.out, payload)
     return EXIT_OK
 
 

@@ -31,6 +31,12 @@ class GridPoint:
     y: int
     label: str | None = None
 
+    @property
+    def rot(self) -> tuple[int, int]:
+        """(x - y, x + y): the 45-degree rotation that turns dominance
+        into plain "higher second coordinate", so tracks run upward."""
+        return (self.x - self.y, self.x + self.y)
+
 
 @dataclass(slots=True)
 class GridScene:

@@ -25,11 +25,6 @@ class CycleError(ValueError):
     """The input relations imply x <= y and y <= x for distinct x, y."""
 
 
-class Element(NamedTuple):
-    label: str
-    index: int
-
-
 class Extremes(NamedTuple):
     minimal: frozenset[str]
     maximal: frozenset[str]
@@ -71,10 +66,6 @@ class Poset:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(Element(lab, i) for i, lab in enumerate(self.labels))
 
     def index(self, label: str) -> int:
         try:

@@ -130,56 +130,25 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _topo_order(n: int, succ: list[int]) -> list[int] | None:
-    """Topological order of a successor-bitmask digraph; ties broken by
-    smallest index. None when a cycle blocks."""
-    indeg = [0] * n
-    for u in range(n):
-        for v in _bits(succ[u]):
-            indeg[v] += 1
-    order = []
-    done = [False] * n
-    for _ in range(n):
-        pick = -1
-        for v in range(n):
-            if not done[v] and indeg[v] == 0:
-                pick = v
-                break
-        if pick < 0:
-            return None
-        done[pick] = True
-        order.append(pick)
-        for v in _bits(succ[pick]):
-            indeg[v] -= 1
-    return order
-
-
 def realizer_of(p: Poset) -> Realizer:
     """Extract two linear orders whose intersection is p.
 
     Succeeds exactly when dim(p) <= 2; chains (and the empty poset)
     return identical orders. Raises DimensionExceedsTwo otherwise.
     """
-    n = p.n
-    strict = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and p.leq[i, j]:
-                strict[i] |= 1 << j
-
     orient = _forced_orientation(p)
     if orient is None:
         raise DimensionExceedsTwo("the incomparability graph has no transitive orientation")
 
-    rev = [0] * n
-    for u in range(n):
-        for v in _bits(orient[u]):
-            rev[v] |= 1 << u
-
-    first = _topo_order(n, [strict[i] | orient[i] for i in range(n)])
-    second = _topo_order(n, [strict[i] | rev[i] for i in range(n)])
-    if first is None or second is None:
-        raise DimensionExceedsTwo("oriented incomparabilities do not extend to a linear order")
+    # p plus the orientation (or its reverse) is a linear order when the
+    # orientation is transitive, and an element's rank is then fixed by
+    # how many elements lie above it; verify_realizer catches the rest
+    n = p.n
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in orient), np.uint8)
+    o = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
+    first = np.argsort(-(p.leq | o).sum(axis=1), kind="stable")
+    second = np.argsort(-(p.leq | o.T).sum(axis=1), kind="stable")
     r = Realizer(
         tuple(p.labels[i] for i in first),
         tuple(p.labels[i] for i in second),

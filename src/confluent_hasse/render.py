@@ -34,13 +34,16 @@ class RotatedDiagram:
     segments: list[tuple[int, int]]
 
 
+# radii in rotated grid units; CANVAS_SCALE is SVG pixels per unit
+NODE_RADIUS = 0.32
+JUNCTION_RADIUS = 0.11
+CANVAS_SCALE = 28.0
+
+
 @dataclass(frozen=True)
 class RenderOptions:
     bezier_offset: float = 0.5  # rotated grid units; must stay in (0, 1)
-    node_radius: float = 0.32
-    junction_radius: float = 0.11
     show_invisible: bool = False
-    canvas_scale: float = 28.0
 
     def __post_init__(self) -> None:
         if not 0 < self.bezier_offset < 1:
@@ -49,10 +52,7 @@ class RenderOptions:
 
 def rotate45(d: Diagram) -> RotatedDiagram:
     """Rotate the diagram so dominance points straight up."""
-    pts = tuple(
-        RotatedPoint(p.id, p.kind, p.x - p.y, p.x + p.y, p.label)
-        for p in d.scene.points
-    )
+    pts = tuple(RotatedPoint(p.id, p.kind, *p.rot, p.label) for p in d.scene.points)
     return RotatedDiagram(d.scene.n, pts, list(d.segments))
 
 
@@ -87,7 +87,7 @@ def to_svg(rd: RotatedDiagram, opts: RenderOptions = RenderOptions()) -> str:
     points = {p.id: p for p in rd.points}
     vis_pts, vis_segs = _visible(rd, opts)
 
-    s = opts.canvas_scale
+    s = CANVAS_SCALE
     margin = 1.2 * s
     if vis_pts:
         umin = min(p.u for p in vis_pts)
@@ -128,7 +128,7 @@ def to_svg(rd: RotatedDiagram, opts: RenderOptions = RenderOptions()) -> str:
         cx, cy = fx(p.u), fy(p.v)
         if p.kind == VERTEX:
             out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{opts.node_radius * s:.2f}" '
+                f'  <circle cx="{cx}" cy="{cy}" r="{NODE_RADIUS * s:.2f}" '
                 'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>'
             )
             out.append(
@@ -137,11 +137,11 @@ def to_svg(rd: RotatedDiagram, opts: RenderOptions = RenderOptions()) -> str:
             )
         elif p.kind == JUNCTION:
             out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{opts.junction_radius * s:.2f}" fill="#222222"/>'
+                f'  <circle cx="{cx}" cy="{cy}" r="{JUNCTION_RADIUS * s:.2f}" fill="#222222"/>'
             )
         else:
             out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{opts.junction_radius * s:.2f}" '
+                f'  <circle cx="{cx}" cy="{cy}" r="{JUNCTION_RADIUS * s:.2f}" '
                 'fill="none" stroke="#999999" stroke-width="1.0" stroke-dasharray="2,2"/>'
             )
     out.append("</svg>")
@@ -160,7 +160,7 @@ def to_json(d: Diagram) -> str:
             "id": p.id,
             "kind": p.kind,
             "grid": [p.x, p.y],
-            "rot": [p.x - p.y, p.x + p.y],
+            "rot": list(p.rot),
         }
         if p.label is not None:
             node["label"] = p.label

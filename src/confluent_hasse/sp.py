@@ -75,60 +75,58 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+_PRECEDENCE = {";": 1, "|": 2}
+
+
 def parse_sp(text: str) -> SpTree:
     """Parse a series-parallel expression.
 
     ';' is series composition (lowest precedence), '|' parallel; both
     associate to the left, parentheses group, whitespace is ignored.
     Leaf names are any tokens free of whitespace and punctuation.
+    Operator precedence with explicit stacks, so nesting depth is
+    bounded by memory only.
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, int]:
-        return tokens[pos] if pos < len(tokens) else ("", len(text))
-
-    def parse_expr() -> SpTree:
-        nonlocal pos
-        node = parse_term()
-        while peek()[0] == ";":
-            pos += 1
-            node = SpSeries(node, parse_term())
-        return node
-
-    def parse_term() -> SpTree:
-        nonlocal pos
-        node = parse_factor()
-        while peek()[0] == "|":
-            pos += 1
-            node = SpParallel(node, parse_factor())
-        return node
-
-    def parse_factor() -> SpTree:
-        nonlocal pos
-        tok, at = peek()
-        if tok == "(":
-            pos += 1
-            node = parse_expr()
-            tok, at = peek()
-            if tok != ")":
-                raise SpSyntaxError(f"expected ')', found {tok!r}" if tok else "expected ')'", at)
-            pos += 1
-            return node
-        if not tok or tok in _PUNCT:
-            raise SpSyntaxError(
-                f"expected element name or '(', found {tok!r}" if tok else "expected element name or '('",
-                at,
-            )
-        pos += 1
-        return SpLeaf(tok)
-
     if not tokens:
         raise SpSyntaxError("empty expression", 0)
-    tree = parse_expr()
-    tok, at = peek()
-    if tok:
-        raise SpSyntaxError(f"unexpected {tok!r} after complete expression", at)
+    operands: list[SpTree] = []
+    ops: list[str] = []  # pending ';' and '|', and '(' for each open group
+
+    def reduce() -> None:
+        right = operands.pop()
+        left = operands.pop()
+        operands.append(SpSeries(left, right) if ops.pop() == ";" else SpParallel(left, right))
+
+    want_operand = True
+    for tok, at in tokens + [("", len(text))]:
+        if want_operand:
+            if tok == "(":
+                ops.append(tok)
+            elif tok and tok not in _PUNCT:
+                operands.append(SpLeaf(tok))
+                want_operand = False
+            else:
+                found = f", found {tok!r}" if tok else ""
+                raise SpSyntaxError(f"expected element name or '('{found}", at)
+        elif tok in _PRECEDENCE:
+            while ops and ops[-1] != "(" and _PRECEDENCE[ops[-1]] >= _PRECEDENCE[tok]:
+                reduce()
+            ops.append(tok)
+            want_operand = True
+        else:
+            # an operand ends here: the innermost open group must close,
+            # or the whole expression must end
+            while ops and ops[-1] != "(":
+                reduce()
+            if tok == ")" and ops:
+                ops.pop()
+            elif ops:
+                found = f", found {tok!r}" if tok else ""
+                raise SpSyntaxError(f"expected ')'{found}", at)
+            elif tok:
+                raise SpSyntaxError(f"unexpected {tok!r} after complete expression", at)
+    tree = operands[0]
     seen: set[str] = set()
     for lab in sp_leaves(tree):
         if lab in seen:

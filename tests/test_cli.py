@@ -143,3 +143,39 @@ def test_csv_stats_emission(tmp_path, capsys):
     assert len(lines) == 2
     row = lines[1].split(",")
     assert row[0] == "4" and row[1] == "1" and row[2] == "8"
+
+
+def test_order_is_built_only_under_verify(tmp_path, capsys, monkeypatch):
+    from confluent_hasse import cli
+
+    def refuse(_):
+        raise ValueError("the order was built")
+
+    monkeypatch.setattr(cli, "sp_to_poset", refuse)
+    monkeypatch.setattr(cli, "poset_from_realizer", refuse)
+    sp = write(tmp_path, "k22.sp", "(a|b);(c|d)\n")
+    rz = write(tmp_path, "k22.txt", "a b c d\nb a d c\n")
+    assert run([sp, "--input-format", "sp"]) == EXIT_OK
+    assert run([rz, "--input-format", "realizer", "--emit", "json"]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+    assert run([sp, "--input-format", "sp", "--verify"]) == EXIT_INPUT
+    assert run([rz, "--input-format", "realizer", "--verify"]) == EXIT_INPUT
+    assert capsys.readouterr().err.count("error: the order was built") == 2
+
+
+def test_deeply_nested_sp_input(tmp_path, capsys):
+    deep = "(" * 400 + "a" + ")" * 400
+    assert run([write(tmp_path, "deep.sp", deep), "--input-format", "sp"]) == EXIT_OK
+    assert capsys.readouterr().out.count("<text") == 1
+    unclosed = "(" * 400 + "a" + ")" * 399
+    assert run([write(tmp_path, "bad.sp", unclosed), "--input-format", "sp"]) == EXIT_INPUT
+    assert "expected ')'" in capsys.readouterr().err
+
+
+def test_verify_reports_skip_beyond_the_completion_oracle(tmp_path, capsys):
+    chain = " ".join(f"e{i}" for i in range(21))
+    src = write(tmp_path, "chain.txt", f"{chain}\n{chain}\n")
+    assert run([src, "--input-format", "realizer", "--verify", "--emit", "json"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "SKIP completion: instance exceeds oracle size limit" in err
+    assert "PASS" in err and "FAIL" not in err and "WARN" not in err

@@ -127,6 +127,16 @@ def test_validate_chain_all_pass():
     assert report.ok, report.summary()
 
 
+def test_validate_skips_segments_beyond_the_cover_oracle(monkeypatch):
+    import confluent_hasse.diagram as diagram_module
+
+    monkeypatch.setattr(diagram_module, "COVERS_CHECK_LIMIT", 2)
+    r = Realizer(("x", "y", "z"), ("x", "y", "z"))
+    report = validate_diagram(build_diagram(r), poset_from_realizer(r))
+    assert report.ok
+    assert report.summary().splitlines()[0] == "SKIP segments: too many points for the cover oracle"
+
+
 def test_validate_flags_spurious_segment():
     d = k22_diagram()
     verts = d.scene.vertex_by_label()
