@@ -52,6 +52,7 @@ from .sp import (
     parse_sp,
     sp_layout,
     sp_leaves,
+    sp_realizer,
     sp_to_poset,
 )
 

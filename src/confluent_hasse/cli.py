@@ -42,6 +42,13 @@ def _sizes(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _bezier_offset(text: str) -> float:
+    try:
+        return render.RenderOptions(bezier_offset=float(text)).bezier_offset
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="confluent-hasse",
@@ -66,7 +73,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", default="-", help="output file, or '-' for stdout")
     parser.add_argument(
         "--bezier-offset",
-        type=float,
+        type=_bezier_offset,
         default=0.5,
         metavar="DELTA",
         help="vertical control-point offset at junctions, in rotated grid units (0 < DELTA < 1)",
@@ -170,13 +177,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_VERIFY
 
     if args.emit == "svg":
-        try:
-            opts = render.RenderOptions(
-                bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
-            )
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INPUT
+        opts = render.RenderOptions(
+            bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
+        )
         payload = render.to_svg(render.rotate45(diagram), opts)
     elif args.emit == "json":
         payload = render.to_json(diagram)

@@ -105,15 +105,23 @@ def insert_junctions(s: GridScene) -> GridScene:
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
-    taken = set()
-    if not has_least:
-        points.append(GridPoint(next_id, INVISIBLE, 1, 1))
-        taken.add((1, 1))
-        next_id += 1
-    if not has_greatest and (side, side) not in taken:
-        points.append(GridPoint(next_id, INVISIBLE, side, side))
-        next_id += 1
+    points.extend(q for q in bound_points(n, has_least, has_greatest, next_id) if q)
     return GridScene(n, tuple(points))
+
+
+def bound_points(
+    n: int, has_least: bool, has_greatest: bool, first_id: int
+) -> tuple[GridPoint | None, GridPoint | None]:
+    """The invisible (bottom, top) bounds that cap the diagonal of an
+    n-element order's grid, numbered from ``first_id``: one at (1, 1)
+    unless the order has a least element, one at (side, side) unless it
+    has a greatest; the empty order gets only (1, 1). None stands for a
+    bound the order does not need."""
+    side = 2 * n + 1
+    bottom = None if has_least else GridPoint(first_id, INVISIBLE, 1, 1)
+    top_id = first_id if bottom is None else first_id + 1
+    top = None if has_greatest or n == 0 else GridPoint(top_id, INVISIBLE, side, side)
+    return bottom, top
 
 
 def vertex_dominance_poset(s: GridScene) -> Poset:

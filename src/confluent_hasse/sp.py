@@ -1,13 +1,18 @@
 """Series-parallel orders: expression parser, decomposition trees, and
 the linear-time confluent layout.
 
-The layout composes children's bounding boxes corner to corner: a
-series composition stacks the second box up-and-right of the first
-(everything in it dominates the first box), a parallel composition
-stacks it down-and-right (nothing comparable). A series step inserts a
-junction at the shared corner exactly when the lower part has several
-maximal elements and the upper part several minimal ones; otherwise the
-unique extreme vertex fans out directly.
+The layout places the tree's realizer with the general pipeline's
+``place_on_grid``. Each subtree's vertices then fill one box, and the
+boxes compose corner to corner: a series composition has the second
+box up-and-right of the first (everything in it dominates the first
+box), a parallel composition has it down-and-right (nothing
+comparable). One postorder pass adds the segments. A series step
+inserts a junction at the cell up-and-right of the lower box's corner
+exactly when the lower part has several maximal elements and the upper
+part several minimal ones; otherwise the unique extreme vertex fans out
+directly. Invisible bounds come from ``grid.bound_points``, as in the
+general pipeline, so the result is that pipeline's diagram of the same
+realizer without its quadratic scan of the grid.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-import numpy as np
-
 from .diagram import Diagram
-from .grid import GridPoint, GridScene, JUNCTION, VERTEX
+from .grid import GridPoint, GridScene, JUNCTION, bound_points, place_on_grid
 from .poset import Poset
+from .realizer import Realizer, poset_from_realizer
 
 
 class SpSyntaxError(ValueError):
@@ -152,41 +156,31 @@ def sp_leaves(t: SpTree) -> list[str]:
     return [node.label for node in _postorder(t) if isinstance(node, SpLeaf)]
 
 
-def _leaf_counts(t: SpTree) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for node in _postorder(t):
+def sp_realizer(t: SpTree) -> Realizer:
+    """The tree's realizer: the leaves left to right, and the leaves
+    left to right with the two parts of every parallel composition
+    swapped. Series puts the left part before the right one in both
+    orders, parallel in one order only, so the two intersect to the
+    tree's order (Valdes, Tarjan & Lawler, SIAM J. Comput. 1982)."""
+    l2: list[str] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if isinstance(node, SpLeaf):
-            counts[id(node)] = 1
+            l2.append(node.label)
+        elif isinstance(node, SpSeries):
+            stack.append(node.right)
+            stack.append(node.left)
         else:
-            counts[id(node)] = counts[id(node.left)] + counts[id(node.right)]
-    return counts
+            stack.append(node.left)
+            stack.append(node.right)
+    return Realizer(sp_leaves(t), l2)
 
 
 def sp_to_poset(t: SpTree) -> Poset:
     """The order the tree denotes: series puts the whole left part
     below the whole right part, parallel makes the parts incomparable."""
-    labels = sp_leaves(t)
-    if len(set(labels)) != len(labels):
-        raise DuplicateLeafError("leaf labels must be unique")
-    n = len(labels)
-    counts = _leaf_counts(t)
-    # leaf intervals follow the left-to-right order
-    start: dict[int, int] = {}
-    stack: list[tuple[SpTree, int]] = [(t, 0)]
-    while stack:
-        node, s = stack.pop()
-        start[id(node)] = s
-        if not isinstance(node, SpLeaf):
-            stack.append((node.left, s))
-            stack.append((node.right, s + counts[id(node.left)]))
-    leq = np.eye(n, dtype=bool)
-    for node in _postorder(t):
-        if isinstance(node, SpSeries):
-            s = start[id(node)]
-            mid = s + counts[id(node.left)]
-            end = s + counts[id(node)]
-            leq[s:mid, mid:end] = True
-    return Poset(labels, leq)
+    return poset_from_realizer(sp_realizer(t))
 
 
 class _Chain:
@@ -215,57 +209,33 @@ class _Chain:
 
 def sp_layout(t: SpTree) -> Diagram:
     """Confluent diagram of the tree's order, in time linear in the
-    tree size, on the same (2n+1)-sided grid as the general pipeline
-    but without invisible bound points."""
-    labels = sp_leaves(t)
-    if len(set(labels)) != len(labels):
-        raise DuplicateLeafError("leaf labels must be unique")
-    n = len(labels)
-    counts = _leaf_counts(t)
-
-    # box origins in cell units; leaves then occupy even grid coords
-    col: dict[int, int] = {}
-    row: dict[int, int] = {}
-    stack: list[tuple[SpTree, int, int]] = [(t, 0, 0)]
-    while stack:
-        node, c0, r0 = stack.pop()
-        col[id(node)] = c0
-        row[id(node)] = r0
-        if isinstance(node, SpSeries):
-            k = counts[id(node.left)]
-            stack.append((node.left, c0, r0))
-            stack.append((node.right, c0 + k, r0 + k))
-        elif isinstance(node, SpParallel):
-            kl = counts[id(node.left)]
-            kr = counts[id(node.right)]
-            stack.append((node.left, c0, r0 + kr))
-            stack.append((node.right, c0 + kl, r0))
-
-    points: list[GridPoint] = [None] * n  # type: ignore[list-item]
+    tree size: the vertices, junctions and invisible bounds the general
+    pipeline puts on the (2n+1)-sided grid for ``sp_realizer(t)``, and
+    their cover segments, without scanning the grid."""
+    scene = place_on_grid(sp_realizer(t))
+    points = list(scene.points)
     segments: list[tuple[int, int]] = []
-    next_id = n
-    state: dict[int, tuple[_Chain, _Chain]] = {}
+    # per finished subtree: its minima, its maxima, and the top-right
+    # corner of the box its vertices fill
+    done: list[tuple[_Chain, _Chain, int, int]] = []
+    leaf = 0  # postorder meets the leaves left to right, i.e. by point id
 
     for node in _postorder(t):
         if isinstance(node, SpLeaf):
-            c = col[id(node)]
-            pid = c  # column order equals leaf order
-            points[pid] = GridPoint(pid, VERTEX, 2 * (c + 1), 2 * (row[id(node)] + 1), node.label)
-            state[id(node)] = (_Chain(pid), _Chain(pid))
+            p = points[leaf]
+            done.append((_Chain(leaf), _Chain(leaf), p.x, p.y))
+            leaf += 1
             continue
-        min_l, max_l = state.pop(id(node.left))
-        min_r, max_r = state.pop(id(node.right))
+        min_r, max_r, xr, yr = done.pop()
+        min_l, max_l, xl, yl = done.pop()
         if isinstance(node, SpParallel):
-            state[id(node)] = (min_l.splice(min_r), max_l.splice(max_r))
+            # the right box sits down-and-right of the left one
+            done.append((min_l.splice(min_r), max_l.splice(max_r), xr, yl))
             continue
         # series: connect left maxima to right minima
         if max_l.size > 1 and min_r.size > 1:
-            k = counts[id(node.left)]
-            jx = 2 * (col[id(node)] + k) + 1
-            jy = 2 * (row[id(node)] + k) + 1
-            jid = next_id
-            next_id += 1
-            points.append(GridPoint(jid, JUNCTION, jx, jy))
+            jid = len(points)
+            points.append(GridPoint(jid, JUNCTION, xl + 1, yl + 1))
             for q in max_l:
                 segments.append((q, jid))
             for q in min_r:
@@ -278,7 +248,14 @@ def sp_layout(t: SpTree) -> Diagram:
             b = min_r.head[0]
             for q in max_l:
                 segments.append((q, b))
-        state[id(node)] = (min_l, max_r)
+        done.append((min_l, max_r, xr, yr))
 
-    scene = GridScene(n, tuple(points))
-    return Diagram(scene, segments)
+    minima, maxima, _, _ = done.pop()
+    bottom, top = bound_points(scene.n, minima.size == 1, maxima.size == 1, len(points))
+    if bottom is not None:
+        points.append(bottom)
+        segments.extend((bottom.id, q) for q in minima)
+    if top is not None:
+        points.append(top)
+        segments.extend((q, top.id) for q in maxima)
+    return Diagram(GridScene(scene.n, tuple(points)), segments)

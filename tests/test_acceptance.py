@@ -82,9 +82,10 @@ def test_criterion_1_completion_equivalence(realizer_suite, sp_suite):
     for r, p, diagram in realizer_suite:
         if not scene_matches_completion(diagram.scene, p):
             bad += 1
-    for tree, p, _sp, general in sp_suite:
-        if not scene_matches_completion(general.scene, p):
-            bad += 1
+    for tree, p, sp_diag, general in sp_suite:
+        for diagram in (sp_diag, general):
+            if not scene_matches_completion(diagram.scene, p):
+                bad += 1
     total = len(realizer_suite) + len(sp_suite)
     ok = bad == 0
     report(1, "completion equivalence", ok, f"{total} instances, {time.time()-t0:.1f}s")

@@ -98,11 +98,29 @@ def test_bad_bezier_offset_exit_1(tmp_path, capsys):
     assert run([src, "--bezier-offset", "1.5"]) == EXIT_INPUT
 
 
+def test_bad_bezier_offset_is_a_flag_error(capsys):
+    # rejected with the flags, before any input is read, for every output kind
+    for emit in ("svg", "json"):
+        assert run(["/no/such/file.edges", "--bezier-offset", "2", "--emit", emit]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "argument --bezier-offset" in err and "cannot read" not in err
+
+
 def test_verify_passes_on_k22(tmp_path, capsys):
     src = write(tmp_path, "k22.edges", K22_EDGES)
     assert run([src, "--verify", "--emit", "json"]) == EXIT_OK
     err = capsys.readouterr().err
     assert "PASS completion" in err
+
+
+def test_sp_verify_passes_without_least_or_greatest(tmp_path, capsys):
+    # the layout caps the diagonal with invisible bounds, so the points
+    # match the completion's cuts
+    for expr in ("(a|b);(c|d)", "a;(b|c)", "(a;b)|c"):
+        src = write(tmp_path, "order.sp", expr + "\n")
+        assert run([src, "--input-format", "sp", "--verify", "--emit", "json"]) == EXIT_OK, expr
+        err = capsys.readouterr().err
+        assert "PASS completion" in err and "FAIL" not in err, expr
 
 
 def test_verify_flags_junction_chain_semantics(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,18 +12,23 @@ from confluent_hasse import (
     SpSyntaxError,
     build_diagram,
     dominance_covers,
+    extremes,
     gen_random_sp,
     parse_sp,
     poset_from_relations,
     realizer_of,
+    rotate45,
     smooth_adjacency,
     sp_layout,
     sp_leaves,
+    sp_realizer,
     sp_to_poset,
+    to_svg,
     transitive_reduction,
     verify_realizer,
 )
-from confluent_hasse.grid import JUNCTION, VERTEX
+from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from suites import all_sp_trees
 
 
 def sp_trees(max_leaves=8):
@@ -108,8 +115,16 @@ def test_sp_to_poset_chain_and_antichain():
 def test_layout_k22_junction_and_segments():
     d = sp_layout(parse_sp("(a|b);(c|d)"))
     assert d.junction_count() == 1
-    assert len(d.segments) == 4  # no invisible bounds in the fast path
+    assert len(d.segments) == 8  # the 4 tracks, and both minima and maxima to their bounds
+    pts = d.scene.points
+    visible = [(lo, hi) for lo, hi in d.segments if INVISIBLE not in (pts[lo].kind, pts[hi].kind)]
+    assert sorted(visible) == [(0, 4), (1, 4), (4, 2), (4, 3)]
     assert smooth_adjacency(d) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+
+
+def test_layout_k22_matches_golden_svg():
+    d = sp_layout(parse_sp("(a|b);(c|d)"))
+    assert to_svg(rotate45(d)) == (Path(__file__).parent / "data" / "k22.svg").read_text()
 
 
 def test_layout_chain_has_no_junction():
@@ -178,10 +193,14 @@ def test_layout_grid_bounds_and_kinds(t):
         if p.kind == VERTEX:
             assert p.x % 2 == 0 and p.y % 2 == 0
         else:
-            assert p.kind == JUNCTION
+            assert p.kind in (JUNCTION, INVISIBLE)
             assert p.x % 2 == 1 and p.y % 2 == 1
     cells = [(p.x, p.y) for p in d.scene.points]
     assert len(cells) == len(set(cells))
+    # one invisible bound per missing least or greatest element
+    ext = extremes(sp_to_poset(t))
+    expected = ([] if ext.least else [(1, 1)]) + ([] if ext.greatest else [(side, side)])
+    assert [(p.x, p.y) for p in d.scene.points if p.kind == INVISIBLE] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,6 +210,29 @@ def test_layout_passes_full_validation(t):
 
     report = validate_diagram(sp_layout(t), sp_to_poset(t))
     assert report.ok, report.summary()
+
+
+def _drawing(d):
+    pts = d.scene.points
+    return (
+        sorted((q.kind, q.x, q.y, q.label or "") for q in pts),
+        sorted(((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in d.segments),
+        to_svg(rotate45(d)),
+    )
+
+
+def test_layout_equals_general_pipeline_on_the_tree_realizer():
+    # the linear-time layout must draw exactly what place, complete and
+    # sweep draw for the same realizer; only point ids may differ
+    trees = all_sp_trees(5) + [gen_random_sp(1 + s % 40, s) for s in range(300)]
+    for t in trees:
+        assert _drawing(sp_layout(t)) == _drawing(build_diagram(sp_realizer(t))), t
+
+
+def test_sp_realizer_swaps_parallel_parts_in_the_second_order():
+    r = sp_realizer(parse_sp("(a|b);((c;d)|e)"))
+    assert r.l1 == ("a", "b", "c", "d", "e")
+    assert r.l2 == ("b", "a", "e", "c", "d")
 
 
 def test_gen_random_sp_is_deterministic():
