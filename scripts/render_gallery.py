@@ -16,7 +16,6 @@ from confluent_hasse import (
     gen_random,
     gen_worstcase,
     parse_sp,
-    rotate45,
     sp_layout,
     to_svg,
 )
@@ -41,7 +40,7 @@ def main() -> None:
     opts = RenderOptions(show_invisible=args.show_invisible)
     for name, make in EXAMPLES.items():
         path = out_dir / f"{name}.svg"
-        path.write_text(to_svg(rotate45(make()), opts))
+        path.write_text(to_svg(make(), opts))
         print(f"wrote {path}")
 
 

@@ -41,7 +41,7 @@ from .realizer import (
     realizer_of,
     verify_realizer,
 )
-from .render import RenderOptions, RotatedDiagram, bezier_controls, rotate45, to_json, to_svg
+from .render import RenderOptions, bezier_controls, rotate45, to_json, to_svg
 from .sp import (
     DuplicateLeafError,
     SpLeaf,

@@ -103,26 +103,19 @@ def csv_row(d: Diagram, times: dict[str, float]) -> str:
     return f"{d.scene.n},{d.junction_count()},{len(d.segments)},{ms}"
 
 
-def scaling_report(
-    sizes: list[int],
-    trials: int = 3,
-    families: tuple[str, ...] = ("worstcase", "random"),
-    seed: int = 0,
-) -> str:
-    """CSV scaling table; one row per size per family, median over
-    ``trials`` runs of the same input. Sizes are family indices for the
-    worst-case family and element counts for the random one; the n
-    column always reports the element count."""
+# runs of the same input behind each scaling_report row's median
+TRIALS = 3
+
+
+def scaling_report(sizes: list[int], seed: int) -> str:
+    """CSV scaling table: per size, a worst-case row and then a random
+    row, each the median over TRIALS runs of the same input. Sizes are
+    family indices for the worst-case family and element counts for the
+    random one; the n column always reports the element count."""
     lines = [CSV_HEADER]
     for size in sizes:
-        for family in families:
-            if family == "worstcase":
-                r = gen_worstcase(size)
-            elif family == "random":
-                r = gen_random(size, seed)
-            else:
-                raise ValueError(f"unknown family {family!r}")
-            runs = [timed_pipeline(r) for _ in range(max(1, trials))]
+        for r in (gen_worstcase(size), gen_random(size, seed)):
+            runs = [timed_pipeline(r) for _ in range(TRIALS)]
             med = {key: median(t[key] for _, t in runs) for key in _CSV_TIMES}
             lines.append(csv_row(runs[0][0], med))
     return "\n".join(lines) + "\n"

@@ -32,6 +32,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # keep exit codes ours
         raise _ArgumentError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        # argparse gives "--flag=--" the value [] without calling the
+        # flag's type or checking its choices; no flag here takes a list
+        for name, value in vars(ns).items():
+            if value == []:
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return ns
+
 
 def _sizes(text: str) -> tuple[int, ...]:
     try:
@@ -180,7 +189,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         opts = render.RenderOptions(
             bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
         )
-        payload = render.to_svg(render.rotate45(diagram), opts)
+        payload = render.to_svg(diagram, opts)
     elif args.emit == "json":
         payload = render.to_json(diagram)
     else:

@@ -31,6 +31,15 @@ class Diagram:
     def junction_count(self) -> int:
         return sum(1 for p in self.scene.points if p.kind == JUNCTION)
 
+    def drawn_segments(self) -> list[Segment]:
+        """The segments a drawing shows: those with no invisible end."""
+        points = self.scene.points
+        return [
+            seg
+            for seg in self.segments
+            if points[seg[0]].kind != INVISIBLE and points[seg[1]].kind != INVISIBLE
+        ]
+
 
 def sweep_cover_edges(s: GridScene) -> Diagram:
     """Generate all direct dominance pairs among the scene's points.
@@ -45,8 +54,8 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     t_row = [0] * (side + 1)
     t_id = [-1] * (side + 1)
     rows: list[list[tuple[int, int]]] = [[] for _ in range(side + 1)]
-    for p in s.points:
-        rows[p.y].append((p.x, p.id))
+    for pid, p in enumerate(s.points):
+        rows[p.y].append((p.x, pid))
     segments: list[Segment] = []
     emit = segments.append
 
@@ -100,10 +109,10 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
         out.setdefault(lo, []).append(hi)
     points = d.scene.points
     result: set[tuple[str, str]] = set()
-    for start in points:
+    for sid, start in enumerate(points):
         if start.kind != VERTEX:
             continue
-        stack = list(out.get(start.id, ()))
+        stack = list(out.get(sid, ()))
         seen: set[int] = set()
         while stack:
             node = stack.pop()
@@ -193,11 +202,7 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
     )
 
-    rendered = [
-        seg
-        for seg in d.segments
-        if points[seg[0]].kind != INVISIBLE and points[seg[1]].kind != INVISIBLE
-    ]
+    rendered = d.drawn_segments()
     coords_of = [(q.x, q.y) for q in points]
     conflicts = 0
     boxes = []
@@ -227,9 +232,9 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         outdeg[lo] = outdeg.get(lo, 0) + 1
         indeg[hi] = indeg.get(hi, 0) + 1
     bad_junctions = [
-        q.id
-        for q in points
-        if q.kind == JUNCTION and (indeg.get(q.id, 0) < 2 or outdeg.get(q.id, 0) < 2)
+        qid
+        for qid, q in enumerate(points)
+        if q.kind == JUNCTION and (indeg.get(qid, 0) < 2 or outdeg.get(qid, 0) < 2)
     ]
     report.add(
         "degrees",

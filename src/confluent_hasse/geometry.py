@@ -111,29 +111,11 @@ def hulls_intersect(pts_a: list[Point], pts_b: list[Point]) -> bool:
         return True
     if any(_point_in_hull(p, ha) for p in hb):
         return True
+    # two closed edges touch iff they conflict or share an endpoint
     for ea in _hull_edges(ha):
         for eb in _hull_edges(hb):
-            if _segments_touch(*ea, *eb):
+            if segments_conflict(*ea, *eb) or set(ea) & set(eb):
                 return True
-    return False
-
-
-def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Closed segments share at least one point."""
-    o1 = _cross(a, b, c)
-    o2 = _cross(a, b, d)
-    o3 = _cross(c, d, a)
-    o4 = _cross(c, d, b)
-    if ((o1 > 0) != (o2 > 0) or o1 == 0 or o2 == 0) and (
-        (o3 > 0) != (o4 > 0) or o3 == 0 or o4 == 0
-    ):
-        # bounding-interval confirmation handles the collinear cases
-        return (
-            min(a[0], b[0]) <= max(c[0], d[0])
-            and min(c[0], d[0]) <= max(a[0], b[0])
-            and min(a[1], b[1]) <= max(c[1], d[1])
-            and min(c[1], d[1]) <= max(a[1], b[1])
-        )
     return False
 
 

@@ -4,9 +4,11 @@ Elements go to even grid cells, one per even row and even column, with
 coordinates twice their ranks in the two realizing orders. Junction
 points then fill odd cells wherever the four neighbour conditions hold,
 and invisible bound points cap the diagonal when the order lacks a
-least or greatest element. The dominance order on the resulting point
-set is the smallest complete lattice containing the input order; the
-test suite certifies this against the cut-enumeration oracle.
+least or greatest element. A point's id is its index in the scene's
+``points``; segments and the renderers refer to points by it. The
+dominance order on the resulting point set is the smallest complete
+lattice containing the input order; the test suite certifies this
+against the cut-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ INVISIBLE = "invisible"
 
 @dataclass(slots=True)
 class GridPoint:
-    id: int
     kind: str
     x: int
     y: int
@@ -40,7 +41,8 @@ class GridPoint:
 
 @dataclass(slots=True)
 class GridScene:
-    """Points on the (2n+1) x (2n+1) grid; ids index into ``points``."""
+    """Points on the (2n+1) x (2n+1) grid; a point's id is its index
+    in ``points``."""
 
     n: int
     points: tuple[GridPoint, ...]
@@ -60,7 +62,7 @@ def place_on_grid(r: Realizer) -> GridScene:
     """One vertex per element at (2 * rank1, 2 * rank2)."""
     pos2 = {lab: i + 1 for i, lab in enumerate(r.l2)}
     points = tuple(
-        GridPoint(i, VERTEX, 2 * (i + 1), 2 * pos2[lab], lab)
+        GridPoint(VERTEX, 2 * (i + 1), 2 * pos2[lab], lab)
         for i, lab in enumerate(r.l1)
     )
     return GridScene(r.n, points)
@@ -87,7 +89,6 @@ def insert_junctions(s: GridScene) -> GridScene:
             xrow[p.y] = p.x
 
     points = list(s.points)
-    next_id = len(points)
     for i in range(3, side - 1, 2):
         below = ycol[i - 1]
         above = ycol[i + 1]
@@ -100,27 +101,25 @@ def insert_junctions(s: GridScene) -> GridScene:
                 and xrow[j - 1] < i_lo
                 and xrow[j + 1] > i_hi
             ):
-                points.append(GridPoint(next_id, JUNCTION, i, j))
-                next_id += 1
+                points.append(GridPoint(JUNCTION, i, j))
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
-    points.extend(q for q in bound_points(n, has_least, has_greatest, next_id) if q)
+    points.extend(q for q in bound_points(n, has_least, has_greatest) if q)
     return GridScene(n, tuple(points))
 
 
 def bound_points(
-    n: int, has_least: bool, has_greatest: bool, first_id: int
+    n: int, has_least: bool, has_greatest: bool
 ) -> tuple[GridPoint | None, GridPoint | None]:
     """The invisible (bottom, top) bounds that cap the diagonal of an
-    n-element order's grid, numbered from ``first_id``: one at (1, 1)
-    unless the order has a least element, one at (side, side) unless it
-    has a greatest; the empty order gets only (1, 1). None stands for a
-    bound the order does not need."""
+    n-element order's grid: one at (1, 1) unless the order has a least
+    element, one at (side, side) unless it has a greatest; the empty
+    order gets only (1, 1). None stands for a bound the order does not
+    need."""
     side = 2 * n + 1
-    bottom = None if has_least else GridPoint(first_id, INVISIBLE, 1, 1)
-    top_id = first_id if bottom is None else first_id + 1
-    top = None if has_greatest or n == 0 else GridPoint(top_id, INVISIBLE, side, side)
+    bottom = None if has_least else GridPoint(INVISIBLE, 1, 1)
+    top = None if has_greatest or n == 0 else GridPoint(INVISIBLE, side, side)
     return bottom, top
 
 

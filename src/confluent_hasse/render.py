@@ -1,8 +1,10 @@
 """Rotation to upward orientation and SVG / JSON emission.
 
 The grid diagram lives in dominance orientation (up and to the right);
-mapping (x, y) to (x - y, x + y) turns dominance into plain "higher v"
-so every track runs upward. Tracks are cubic Bezier curves; at a
+mapping (x, y) to (x - y, x + y) (``GridPoint.rot``) turns dominance
+into plain "higher v" so every track runs upward. Both writers read the
+``Diagram`` itself; ``rotate45`` gives its points' rotated coordinates
+by id for the SVG canvas. Tracks are cubic Bezier curves; at a
 junction endpoint the control point sits a fixed small distance
 directly above or below the junction so that all tracks through it
 share a vertical tangent, and at vertex endpoints the control point
@@ -15,23 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .diagram import Diagram
-from .grid import INVISIBLE, JUNCTION, VERTEX
-
-
-@dataclass(slots=True)
-class RotatedPoint:
-    id: int
-    kind: str
-    u: int
-    v: int
-    label: str | None = None
-
-
-@dataclass(slots=True)
-class RotatedDiagram:
-    n: int
-    points: tuple[RotatedPoint, ...]
-    segments: list[tuple[int, int]]
+from .grid import GridPoint, INVISIBLE, JUNCTION, VERTEX
 
 
 # radii in rotated grid units; CANVAS_SCALE is SVG pixels per unit
@@ -50,50 +36,44 @@ class RenderOptions:
             raise ValueError("bezier offset must lie strictly between 0 and 1")
 
 
-def rotate45(d: Diagram) -> RotatedDiagram:
-    """Rotate the diagram so dominance points straight up."""
-    pts = tuple(RotatedPoint(p.id, p.kind, *p.rot, p.label) for p in d.scene.points)
-    return RotatedDiagram(d.scene.n, pts, list(d.segments))
+def rotate45(d: Diagram) -> list[tuple[int, int]]:
+    """Each point's rotated (u, v), by id: dominance points straight up."""
+    return [p.rot for p in d.scene.points]
 
 
-def bezier_controls(lo: RotatedPoint, hi: RotatedPoint, delta):
-    """Control points (p0, c1, c2, p3) for the track from lo up to hi.
+def bezier_controls(lo: GridPoint, hi: GridPoint, delta):
+    """Rotated control points (p0, c1, c2, p3) for the track from lo up
+    to hi.
 
     ``delta`` may be a float for drawing or a Fraction for exact
     checks; junction endpoints push their control straight up/down by
     delta, vertex and invisible endpoints keep degenerate controls.
     """
-    p0 = (lo.u, lo.v)
-    p3 = (hi.u, hi.v)
-    c1 = (lo.u, lo.v + delta) if lo.kind == JUNCTION else p0
-    c2 = (hi.u, hi.v - delta) if hi.kind == JUNCTION else p3
+    p0 = lo.rot
+    p3 = hi.rot
+    c1 = (p0[0], p0[1] + delta) if lo.kind == JUNCTION else p0
+    c2 = (p3[0], p3[1] - delta) if hi.kind == JUNCTION else p3
     return p0, c1, c2, p3
 
 
-def _visible(rd: RotatedDiagram, opts: RenderOptions):
-    points = rd.points
+def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
+    """Deterministic standalone SVG of the diagram, turned upward."""
+    points = d.scene.points
+    rot = rotate45(d)
     if opts.show_invisible:
-        vis_pts = list(points)
-        vis_segs = list(rd.segments)
+        vis_ids = range(len(points))
+        vis_segs = d.segments
     else:
-        vis_pts = [p for p in points if p.kind != INVISIBLE]
-        keep = {p.id for p in vis_pts}
-        vis_segs = [s for s in rd.segments if s[0] in keep and s[1] in keep]
-    return vis_pts, vis_segs
-
-
-def to_svg(rd: RotatedDiagram, opts: RenderOptions = RenderOptions()) -> str:
-    """Deterministic standalone SVG of the rotated diagram."""
-    points = {p.id: p for p in rd.points}
-    vis_pts, vis_segs = _visible(rd, opts)
+        vis_ids = [i for i, p in enumerate(points) if p.kind != INVISIBLE]
+        vis_segs = d.drawn_segments()
 
     s = CANVAS_SCALE
     margin = 1.2 * s
-    if vis_pts:
-        umin = min(p.u for p in vis_pts)
-        umax = max(p.u for p in vis_pts)
-        vmin = min(p.v for p in vis_pts)
-        vmax = max(p.v for p in vis_pts)
+    if vis_ids:
+        umin = min(rot[i][0] for i in vis_ids)
+        umax = max(rot[i][0] for i in vis_ids)
+        vmin = min(rot[i][1] for i in vis_ids)
+        vmax = max(rot[i][1] for i in vis_ids)
     else:
         umin = umax = vmin = vmax = 0
     width = (umax - umin) * s + 2 * margin
@@ -112,20 +92,20 @@ def to_svg(rd: RotatedDiagram, opts: RenderOptions = RenderOptions()) -> str:
     ]
 
     def seg_key(seg: tuple[int, int]):
-        lo, hi = points[seg[0]], points[seg[1]]
-        return (lo.v, lo.u, lo.id, hi.v, hi.u, hi.id)
+        (lu, lv), (hu, hv) = rot[seg[0]], rot[seg[1]]
+        return (lv, lu, seg[0], hv, hu, seg[1])
 
-    for seg in sorted(vis_segs, key=seg_key):
-        lo, hi = points[seg[0]], points[seg[1]]
-        p0, c1, c2, p3 = bezier_controls(lo, hi, opts.bezier_offset)
+    for lo, hi in sorted(vis_segs, key=seg_key):
+        p0, c1, c2, p3 = bezier_controls(points[lo], points[hi], opts.bezier_offset)
         out.append(
             f'  <path d="M {fx(p0[0])} {fy(p0[1])} '
             f"C {fx(c1[0])} {fy(c1[1])}, {fx(c2[0])} {fy(c2[1])}, "
             f'{fx(p3[0])} {fy(p3[1])}" fill="none" stroke="#222222" stroke-width="1.6"/>'
         )
 
-    for p in sorted(vis_pts, key=lambda q: (q.v, q.u, q.id)):
-        cx, cy = fx(p.u), fy(p.v)
+    for i in sorted(vis_ids, key=lambda q: (rot[q][1], rot[q][0], q)):
+        p = points[i]
+        cx, cy = fx(rot[i][0]), fy(rot[i][1])
         if p.kind == VERTEX:
             out.append(
                 f'  <circle cx="{cx}" cy="{cy}" r="{NODE_RADIUS * s:.2f}" '
@@ -155,9 +135,9 @@ def _esc(text: str) -> str:
 def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
     nodes = []
-    for p in d.scene.points:
+    for pid, p in enumerate(d.scene.points):
         node = {
-            "id": p.id,
+            "id": pid,
             "kind": p.kind,
             "grid": [p.x, p.y],
             "rot": list(p.rot),

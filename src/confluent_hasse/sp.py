@@ -235,7 +235,7 @@ def sp_layout(t: SpTree) -> Diagram:
         # series: connect left maxima to right minima
         if max_l.size > 1 and min_r.size > 1:
             jid = len(points)
-            points.append(GridPoint(jid, JUNCTION, xl + 1, yl + 1))
+            points.append(GridPoint(JUNCTION, xl + 1, yl + 1))
             for q in max_l:
                 segments.append((q, jid))
             for q in min_r:
@@ -251,11 +251,11 @@ def sp_layout(t: SpTree) -> Diagram:
         done.append((min_l, max_r, xr, yr))
 
     minima, maxima, _, _ = done.pop()
-    bottom, top = bound_points(scene.n, minima.size == 1, maxima.size == 1, len(points))
+    bottom, top = bound_points(scene.n, minima.size == 1, maxima.size == 1)
     if bottom is not None:
+        segments.extend((len(points), q) for q in minima)
         points.append(bottom)
-        segments.extend((bottom.id, q) for q in minima)
     if top is not None:
+        segments.extend((q, len(points)) for q in maxima)
         points.append(top)
-        segments.extend((q, top.id) for q in maxima)
     return Diagram(GridScene(scene.n, tuple(points)), segments)

@@ -21,7 +21,6 @@ from confluent_hasse import (
     order_dimension_le2,
     poset_from_realizer,
     realizer_of,
-    rotate45,
     scene_matches_completion,
     smooth_adjacency,
     sp_layout,
@@ -182,8 +181,8 @@ def test_criterion_5_planarity_and_degrees(medium_suite, realizer_suite):
     for lo, hi in wc.segments:
         outdeg[lo] = outdeg.get(lo, 0) + 1
         indeg[hi] = indeg.get(hi, 0) + 1
-    for q in wc.scene.points:
-        if q.kind == JUNCTION and (indeg.get(q.id, 0) < 2 or outdeg.get(q.id, 0) < 2):
+    for qid, q in enumerate(wc.scene.points):
+        if q.kind == JUNCTION and (indeg.get(qid, 0) < 2 or outdeg.get(qid, 0) < 2):
             bad.append(q)
     ok = not bad
     report(5, "planarity and junction degrees", ok, f"{time.time()-t0:.1f}s")
@@ -339,12 +338,9 @@ def test_criterion_11_rendering_invariants(medium_suite, realizer_suite):
     violations = 0
     diagrams = [d for _r, _p, d in realizer_suite[:40]] + [d for _r, _p, d in medium_suite]
     for diagram in diagrams:
-        rd = rotate45(diagram)
-        pts = {p.id: p for p in rd.points}
-        hidden = {p.id for p in rd.points if p.kind == INVISIBLE}
-        rendered = [s for s in rd.segments if s[0] not in hidden and s[1] not in hidden]
+        pts = diagram.scene.points
         hulls = []
-        for lo, hi in rendered:
+        for lo, hi in diagram.drawn_segments():
             p0, c1, c2, p3 = bezier_controls(pts[lo], pts[hi], delta)
             if not (p0[1] <= c1[1] <= c2[1] <= p3[1] and p0[1] < p3[1]):
                 violations += 1

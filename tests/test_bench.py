@@ -68,21 +68,21 @@ def test_segment_growth_is_at_most_quadratic():
 
 
 def test_scaling_report_shape():
-    report = scaling_report([1], trials=1, families=("worstcase",))
+    report = scaling_report([1], seed=0)
     lines = report.strip().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 2
+    assert len(lines) == 3
     n, junctions, segments, *_ = lines[1].split(",")
     assert n == "6"
     assert junctions == str(build_diagram(gen_worstcase(1)).junction_count())
 
 
 def test_scaling_report_empty_sizes():
-    assert scaling_report([], trials=1) == CSV_HEADER + "\n"
+    assert scaling_report([], seed=0) == CSV_HEADER + "\n"
 
 
 def test_scaling_report_both_families():
-    report = scaling_report([6], trials=1, seed=3)
+    report = scaling_report([6], seed=3)
     lines = report.strip().splitlines()
     assert len(lines) == 3  # header + worstcase row + random row
     assert lines[1].split(",")[0] == "26"  # 4*6+2 elements

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from confluent_hasse.cli import EXIT_DIMENSION, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, run
 
 K22_EDGES = "a c\na d\nb c\nb d\n"
@@ -96,6 +98,29 @@ def test_bad_flag_exit_1(capsys):
 def test_bad_bezier_offset_exit_1(tmp_path, capsys):
     src = write(tmp_path, "k22.edges", K22_EDGES)
     assert run([src, "--bezier-offset", "1.5"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bezier-offset=--"],
+        ["--out=--"],
+        ["--seed=--", "--bench", "1"],
+        ["--emit=--"],
+        ["--input-format=--"],
+        ["--bench=--"],
+    ],
+    ids=lambda flags: flags[0],
+)
+def test_double_dash_as_a_flag_value_is_a_flag_error(tmp_path, capsys, flags):
+    # argparse gives "--flag=--" an empty list without calling type= or
+    # checking choices; each such flag must still fail like a bad value
+    src = write(tmp_path, "k22.edges", K22_EDGES)
+    assert run([src, *flags]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument " + flags[0].split("=")[0])
+    assert err.count("\n") == 1
 
 
 def test_bad_bezier_offset_is_a_flag_error(capsys):

@@ -69,7 +69,7 @@ def test_antichain_smooth_adjacency_empty():
     d = build_diagram(Realizer(("a", "b"), ("b", "a")))
     assert smooth_adjacency(d) == frozenset()
     # all segments touch only the invisible bounds
-    kinds = {q.id: q.kind for q in d.scene.points}
+    kinds = [q.kind for q in d.scene.points]
     assert all(
         kinds[a] == "invisible" or kinds[b] == "invisible" for a, b in d.segments
     )
@@ -109,9 +109,9 @@ def test_junction_degrees(n, seed):
     for lo, hi in d.segments:
         outdeg[lo] = outdeg.get(lo, 0) + 1
         indeg[hi] = indeg.get(hi, 0) + 1
-    for q in d.scene.points:
+    for qid, q in enumerate(d.scene.points):
         if q.kind == JUNCTION:
-            assert indeg.get(q.id, 0) >= 2 and outdeg.get(q.id, 0) >= 2
+            assert indeg.get(qid, 0) >= 2 and outdeg.get(qid, 0) >= 2
 
 
 def test_validate_k22_all_pass():
@@ -139,8 +139,8 @@ def test_validate_skips_segments_beyond_the_cover_oracle(monkeypatch):
 
 def test_validate_flags_spurious_segment():
     d = k22_diagram()
-    verts = d.scene.vertex_by_label()
-    spiked = Diagram(d.scene, d.segments + [(verts["a"].id, verts["c"].id)])
+    ids = {q.label: i for i, q in enumerate(d.scene.points)}
+    spiked = Diagram(d.scene, d.segments + [(ids["a"], ids["c"])])
     p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
     report = validate_diagram(spiked, p)
     assert not report.ok
@@ -196,8 +196,8 @@ def test_forced_comparison_rejects_an_unforced_smooth_pair():
     forced = forced_smooth_pairs(p)
     assert forced == transitive_reduction(p)
     assert smooth_adjacency(d) == forced
-    (junction,) = [q.id for q in d.scene.points if q.kind == JUNCTION]
-    x = d.scene.vertex_by_label()["x"].id
+    (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
+    x = {q.label: i for i, q in enumerate(d.scene.points)}["x"]
     spliced = Diagram(d.scene, d.segments + [(x, junction)])
     assert smooth_adjacency(spliced) - forced == {("x", "b"), ("x", "b2")}
 

@@ -56,12 +56,17 @@ def test_hulls_disjoint():
     a = [(0, 0), (0, 2), (2, 0)]
     b = [(5, 5), (6, 5), (5, 6)]
     assert not hulls_intersect(a, b)
+    # bounding boxes overlap, hulls miss
+    assert not hulls_intersect([(0, 0), (4, 0), (0, 4)], [(3, 3), (5, 3), (5, 5)])
 
 
 def test_hulls_touching_counts():
     a = [(0, 0), (0, 2), (2, 0)]
     b = [(1, 1), (3, 3), (3, 1)]
     assert hulls_intersect(a, b)
+    # meeting only at a shared corner
+    assert hulls_intersect([(0, 0), (2, 0), (0, 2)], [(2, 0), (4, 0), (4, 2)])
+    assert hulls_intersect([(0, 0), (2, 0)], [(2, 0), (5, 0)])
 
 
 def test_hull_inside_other():
@@ -73,6 +78,11 @@ def test_hull_inside_other():
 def test_segment_hulls_crossing():
     assert hulls_intersect([(0, 0), (4, 4)], [(0, 4), (4, 0)])
     assert not hulls_intersect([(0, 0), (1, 1)], [(3, 0), (4, 1)])
+
+
+def test_hulls_crossing_with_no_corner_inside_the_other():
+    # two triangles in a star: only their edges cross
+    assert hulls_intersect([(3, 0), (0, 5), (6, 5)], [(3, 7), (0, 2), (6, 2)])
 
 
 def test_downward_ray():

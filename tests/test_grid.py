@@ -60,12 +60,6 @@ def test_empty_realizer_collapses_bounds_to_one_point():
     assert [(p.kind, p.x, p.y) for p in s.points] == [(INVISIBLE, 1, 1)]
 
 
-def test_point_ids_index_points():
-    s = scene_for(("a", "b", "c", "d"), ("b", "a", "d", "c"))
-    for i, p in enumerate(s.points):
-        assert p.id == i
-
-
 def test_junction_conditions_reevaluated_independently():
     # scan the full odd grid and re-check the four clearance conditions
     for seed in (1, 5, 11, 17):

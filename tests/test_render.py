@@ -24,33 +24,34 @@ def k22_diagram():
 
 
 def test_rotation_coordinates():
-    rd = rotate45(k22_diagram())
-    by_label = {p.label: (p.u, p.v) for p in rd.points if p.label}
+    d = k22_diagram()
+    rot = rotate45(d)
+    by_label = {p.label: rot[i] for i, p in enumerate(d.scene.points) if p.label}
     assert by_label["a"] == (-2, 6)
     assert by_label["c"] == (-2, 14)
-    junction = [p for p in rd.points if p.kind == JUNCTION][0]
-    assert (junction.u, junction.v) == (0, 10)
-    bottom = min(p.v for p in rd.points)
+    (junction,) = [i for i, p in enumerate(d.scene.points) if p.kind == JUNCTION]
+    assert rot[junction] == (0, 10)
+    bottom = min(v for _u, v in rot)
     assert bottom == 2  # the (1,1) bound lands at (0, 2)
 
 
 def test_rotation_makes_every_segment_ascend():
-    rd = rotate45(k22_diagram())
-    pts = {p.id: p for p in rd.points}
-    assert len(rd.segments) == 8
-    for lo, hi in rd.segments:
-        assert pts[hi].v > pts[lo].v
+    d = k22_diagram()
+    rot = rotate45(d)
+    assert len(d.segments) == 8
+    for lo, hi in d.segments:
+        assert rot[hi][1] > rot[lo][1]
 
 
 def test_single_vertex_svg():
-    svg = to_svg(rotate45(build_diagram(Realizer(("x",), ("x",)))))
+    svg = to_svg(build_diagram(Realizer(("x",), ("x",))))
     assert svg.count("<path") == 0
     assert svg.count("<circle") == 1
     assert ">x</text>" in svg
 
 
 def test_chain_svg_paths_are_degenerate_lines():
-    svg = to_svg(rotate45(build_diagram(Realizer(("x", "y"), ("x", "y")))))
+    svg = to_svg(build_diagram(Realizer(("x", "y"), ("x", "y"))))
     (path_line,) = [ln for ln in svg.splitlines() if "<path" in ln]
     # with no junction endpoints both controls coincide with endpoints
     d = path_line.split('d="')[1].split('"')[0]
@@ -62,47 +63,48 @@ def test_chain_svg_paths_are_degenerate_lines():
 
 
 def test_k22_svg_matches_frozen_snapshot():
-    svg = to_svg(rotate45(k22_diagram()))
+    svg = to_svg(k22_diagram())
     assert svg == (DATA / "k22.svg").read_text()
 
 
 def test_k22_svg_visible_content():
-    svg = to_svg(rotate45(k22_diagram()))
+    svg = to_svg(k22_diagram())
     assert svg.count("<path") == 4  # invisible-incident tracks are hidden
     assert svg.count("<circle") == 5  # four labelled vertices plus the junction dot
 
 
 def test_show_invisible_adds_their_tracks():
-    svg = to_svg(rotate45(k22_diagram()), RenderOptions(show_invisible=True))
+    svg = to_svg(k22_diagram(), RenderOptions(show_invisible=True))
     assert svg.count("<path") == 8
     assert svg.count("<circle") == 7
 
 
 def test_svg_determinism():
-    a = to_svg(rotate45(k22_diagram()))
-    b = to_svg(rotate45(k22_diagram()))
+    a = to_svg(k22_diagram())
+    b = to_svg(k22_diagram())
     assert a == b
 
 
 def test_junction_controls_share_vertical_tangent():
-    rd = rotate45(k22_diagram())
-    pts = {p.id: p for p in rd.points}
-    junction = [p for p in rd.points if p.kind == JUNCTION][0]
+    d = k22_diagram()
+    pts = d.scene.points
+    (junction,) = [i for i, p in enumerate(pts) if p.kind == JUNCTION]
+    ju, jv = rotate45(d)[junction]
     delta = Fraction(1, 2)
-    for lo, hi in rd.segments:
+    for lo, hi in d.segments:
         p0, c1, c2, p3 = bezier_controls(pts[lo], pts[hi], delta)
-        if lo == junction.id:
-            assert c1 == (junction.u, junction.v + delta)
-        if hi == junction.id:
-            assert c2 == (junction.u, junction.v - delta)
+        if lo == junction:
+            assert c1 == (ju, jv + delta)
+        if hi == junction:
+            assert c2 == (ju, jv - delta)
 
 
 def test_controls_are_v_monotone():
     for n, seed in ((9, 0), (20, 1)):
-        rd = rotate45(build_diagram(gen_random(n, seed)))
-        pts = {p.id: p for p in rd.points}
+        d = build_diagram(gen_random(n, seed))
+        pts = d.scene.points
         delta = Fraction(1, 2)
-        for lo, hi in rd.segments:
+        for lo, hi in d.segments:
             p0, c1, c2, p3 = bezier_controls(pts[lo], pts[hi], delta)
             assert p0[1] <= c1[1] <= c2[1] <= p3[1]
             assert p0[1] < p3[1]
