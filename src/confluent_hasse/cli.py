@@ -44,11 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expects comma-separated integers, got {text!r}"
         ) from None
+    if any(size < 1 for size in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be at least 1, got {text!r}")
+    return sizes
 
 
 def _bezier_offset(text: str) -> float:

@@ -2,8 +2,8 @@
 
 Elements are identified by unique string labels; the matrix entry
 ``leq[i, j]`` holds exactly when element i is less than or equal to
-element j. Matrices are small (desk-scale inputs), so the dense
-representation keeps every query O(1) and closure/reduction simple.
+element j. The dense representation keeps every query O(1) and
+closure/reduction simple.
 """
 
 from __future__ import annotations

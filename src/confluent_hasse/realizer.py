@@ -2,9 +2,13 @@
 
 A poset has dimension at most two exactly when its incomparability
 graph admits a transitive orientation. Orientation is found by the
-classic forcing procedure: pick an unoriented incomparable pair, orient
-it, and propagate every orientation this forces; a contradiction during
-propagation certifies that no transitive orientation exists. The two
+classic forcing procedure (implication classes, Golumbic 1980, ch. 5):
+pick an unoriented incomparable pair, orient it, and propagate every
+orientation this forces; a contradiction during propagation certifies
+that no transitive orientation exists. The unoriented graph and the
+orientation are int bitmasks per element; the orientation keeps both
+successor and predecessor masks, so a contradiction is one AND per
+side and only newly forced pairs are visited one by one. The two
 output orders are the poset united with the orientation and with its
 reverse. The result is always re-checked with verify_realizer, so an
 accepted realizer is correct by construction *and* by checking.
@@ -67,55 +71,66 @@ def verify_realizer(p: Poset, r: Realizer) -> bool:
     return poset_from_realizer(r) == p
 
 
+def _rows_to_masks(mat: np.ndarray) -> list[int]:
+    """Each row of an n x n bool matrix as an int bitmask (bit j = column j)."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _masks_to_rows(masks: list[int], n: int) -> np.ndarray:
+    """Inverse of _rows_to_masks: n int bitmasks as an n x n bool matrix."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
+
+
 def _forced_orientation(p: Poset) -> list[int] | None:
     """Transitive orientation of the incomparability graph, or None.
 
     Returns per-element successor bitmasks of the orientation. Forcing
     classes are computed against the still-unoriented graph, which lets
     earlier classes merge later ones exactly when transitivity demands.
+    A pop costs a few mask operations plus one step per pair it newly
+    orients, and each incomparable pair is oriented once.
     """
     n = p.n
-    rem = []  # adjacency of the not-yet-oriented incomparability graph
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i != j and not p.leq[i, j] and not p.leq[j, i]:
-                mask |= 1 << j
-        rem.append(mask)
+    # adjacency of the not-yet-oriented incomparability graph; leq is
+    # reflexive, so the diagonal is already clear
+    rem = _rows_to_masks(~(p.leq | p.leq.T))
 
     succ = [0] * n  # chosen orientation, as successor bitmasks
+    pred = [0] * n  # its reverse: bit w of pred[u] iff succ[w] has u
 
     for a in range(n):
-        for b in range(n):
-            if not (rem[a] >> b) & 1:
-                continue
+        while rem[a]:
+            b = (rem[a] & -rem[a]).bit_length() - 1
             # start a new implication class at a -> b
-            cls: list[tuple[int, int]] = []
             succ[a] |= 1 << b
-            cls.append((a, b))
-            queue = deque([(a, b)])
+            pred[b] |= 1 << a
+            cls = [(a, b)]
+            queue = deque(cls)
             while queue:
                 u, v = queue.popleft()
+                # orienting u->v forces u->w for every w incomparable to
+                # u and comparable to v; w->u already chosen is a conflict
                 shared_tail = rem[u] & ~rem[v] & ~(1 << v)
-                for w in _bits(shared_tail):
-                    # orienting u->v forces u->w (w incomparable to u,
-                    # comparable to v)
-                    if (succ[w] >> u) & 1:
-                        return None
-                    if not (succ[u] >> w) & 1:
-                        succ[u] |= 1 << w
-                        cls.append((u, w))
-                        queue.append((u, w))
+                if shared_tail & pred[u]:
+                    return None
+                for w in _bits(shared_tail & ~succ[u]):
+                    succ[u] |= 1 << w
+                    pred[w] |= 1 << u
+                    cls.append((u, w))
+                    queue.append((u, w))
+                # and w->v for every w incomparable to v and comparable
+                # to u; v->w already chosen is a conflict
                 shared_head = rem[v] & ~rem[u] & ~(1 << u)
-                for w in _bits(shared_head):
-                    # orienting u->v forces w->v (w incomparable to v,
-                    # comparable to u)
-                    if (succ[v] >> w) & 1:
-                        return None
-                    if not (succ[w] >> v) & 1:
-                        succ[w] |= 1 << v
-                        cls.append((w, v))
-                        queue.append((w, v))
+                if shared_head & succ[v]:
+                    return None
+                for w in _bits(shared_head & ~pred[v]):
+                    succ[w] |= 1 << v
+                    pred[v] |= 1 << w
+                    cls.append((w, v))
+                    queue.append((w, v))
             # the class is fully oriented; retire its edges
             for u, v in cls:
                 rem[u] &= ~(1 << v)
@@ -143,10 +158,7 @@ def realizer_of(p: Poset) -> Realizer:
     # p plus the orientation (or its reverse) is a linear order when the
     # orientation is transitive, and an element's rank is then fixed by
     # how many elements lie above it; verify_realizer catches the rest
-    n = p.n
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in orient), np.uint8)
-    o = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
+    o = _masks_to_rows(orient, p.n)
     first = np.argsort(-(p.leq | o).sum(axis=1), kind="stable")
     second = np.argsort(-(p.leq | o.T).sum(axis=1), kind="stable")
     r = Realizer(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 
@@ -103,3 +104,67 @@ def forced_smooth_pairs(p: Poset) -> frozenset[tuple[str, str]]:
             else:
                 stack.extend(above.get(cut, ()))
     return frozenset(forced)
+
+
+def reference_orientation(p: Poset) -> list[int] | None:
+    """The per-bit forcing loop that ``realizer._forced_orientation``
+    must match exactly: successor bitmasks of the orientation, or None.
+
+    Every pop walks every bit of ``shared_tail`` and ``shared_head``,
+    which is slow but plainly the textbook procedure. Test-only; the
+    package never imports it.
+    """
+    n = p.n
+    rem = []  # adjacency of the not-yet-oriented incomparability graph
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if i != j and not p.leq[i, j] and not p.leq[j, i]:
+                mask |= 1 << j
+        rem.append(mask)
+
+    succ = [0] * n  # chosen orientation, as successor bitmasks
+
+    for a in range(n):
+        for b in range(n):
+            if not (rem[a] >> b) & 1:
+                continue
+            # start a new implication class at a -> b
+            cls: list[tuple[int, int]] = []
+            succ[a] |= 1 << b
+            cls.append((a, b))
+            queue = deque([(a, b)])
+            while queue:
+                u, v = queue.popleft()
+                shared_tail = rem[u] & ~rem[v] & ~(1 << v)
+                for w in _bits(shared_tail):
+                    # orienting u->v forces u->w (w incomparable to u,
+                    # comparable to v)
+                    if (succ[w] >> u) & 1:
+                        return None
+                    if not (succ[u] >> w) & 1:
+                        succ[u] |= 1 << w
+                        cls.append((u, w))
+                        queue.append((u, w))
+                shared_head = rem[v] & ~rem[u] & ~(1 << u)
+                for w in _bits(shared_head):
+                    # orienting u->v forces w->v (w incomparable to v,
+                    # comparable to u)
+                    if (succ[v] >> w) & 1:
+                        return None
+                    if not (succ[w] >> v) & 1:
+                        succ[w] |= 1 << v
+                        cls.append((w, v))
+                        queue.append((w, v))
+            # the class is fully oriented; retire its edges
+            for u, v in cls:
+                rem[u] &= ~(1 << v)
+                rem[v] &= ~(1 << u)
+    return succ
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -171,6 +171,15 @@ def test_bench_bad_sizes(capsys):
     assert run(["--bench", "1,x"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flags", [["--bench", "0"], ["--bench", "1,0"], ["--bench=-3"]])
+def test_bench_sizes_below_one_are_a_flag_error(capsys, flags):
+    assert run(flags) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument --bench: ")
+    assert err.count("\n") == 1
+
+
 def test_empty_input_is_fine(tmp_path, capsys):
     src = write(tmp_path, "empty.edges", "# nothing here\n")
     assert run([src, "--emit", "json"]) == EXIT_OK

@@ -26,7 +26,8 @@ DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize(
     "key",
     [
-        "edges/n256/s0",  # edge list, recognition, SVG
+        # edge list, recognition, SVG: every input edges-random draws
+        *(f"edges/n256/s{i}" for i in range(16)),
         "worst/k124",  # worst-case realizer, JSON
         "sp/n10000/s0",  # series-parallel layout, SVG
         "verify-worst/k2",  # --verify passes, JSON

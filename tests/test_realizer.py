@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +6,10 @@ from hypothesis import strategies as st
 from confluent_hasse import (
     DimensionExceedsTwo,
     MismatchedElementsError,
+    Poset,
     Realizer,
+    gen_random,
+    gen_worstcase,
     order_dimension_le2,
     parse_realizer,
     poset_from_realizer,
@@ -13,7 +17,8 @@ from confluent_hasse import (
     realizer_of,
     verify_realizer,
 )
-from suites import random_poset
+from confluent_hasse.realizer import _forced_orientation
+from suites import random_poset, reference_orientation
 
 
 @st.composite
@@ -64,12 +69,49 @@ def test_k22_realizer_round_trips():
     assert verify_realizer(p, r)
 
 
+def _disjoint_union(first: Poset, second: Poset) -> Poset:
+    n1, n2 = first.n, second.n
+    leq = np.zeros((n1 + n2, n1 + n2), dtype=bool)
+    leq[:n1, :n1] = first.leq
+    leq[n1:, n1:] = second.leq
+    return Poset(first.labels + second.labels, leq)
+
+
 def test_standard_example_is_rejected():
     labels = ["a1", "a2", "a3", "b1", "b2", "b3"]
     pairs = [(f"a{i}", f"b{j}") for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
     p = poset_from_relations(labels, pairs)
     with pytest.raises(DimensionExceedsTwo):
         realizer_of(p)
+    # the same conflict inside a 156-element order, so that the forcing
+    # masks are wider than one machine word, with S3 first and last
+    big = poset_from_realizer(gen_random(150, 11))
+    assert verify_realizer(big, realizer_of(big))
+    for q in (_disjoint_union(big, p), _disjoint_union(p, big)):
+        with pytest.raises(DimensionExceedsTwo):
+            realizer_of(q)
+
+
+def test_orientation_matches_reference_loop():
+    # seeded orders of up to 40 elements at several densities, both of
+    # dimension two and above
+    outcomes = set()
+    for density in (0.05, 0.15, 0.3, 0.5, 0.8):
+        for n in range(0, 41, 4):
+            for seed in range(3):
+                p = random_poset(n, 1000 * seed + n, density)
+                got = _forced_orientation(p)
+                assert got == reference_orientation(p), (density, n, seed)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_orientation_matches_reference_loop_on_worst_case(k):
+    # k = 20 has 82 elements: masks wider than one machine word
+    p = poset_from_realizer(gen_worstcase(k))
+    got = _forced_orientation(p)
+    assert got is not None and got == reference_orientation(p)
 
 
 def test_verify_realizer_examples():
