@@ -10,7 +10,7 @@ oracles certify every construction on small instances.
 
 from .bench import gen_random, gen_random_sp, gen_worstcase, scaling_report, timed_pipeline
 from .diagram import Diagram, smooth_adjacency, sweep_cover_edges, validate_diagram
-from .grid import GridPoint, GridScene, insert_junctions, place_on_grid, vertex_dominance_poset
+from .grid import GridPoint, GridScene, insert_junctions, place_on_grid
 from .oracle import (
     Completion,
     Cut,

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input or format problem, 2 when the input
+Exit codes: 0 success, 1 input, output or format problem (an
+unreadable or non-UTF-8 input, an unwritable --out), 2 when the input
 order has dimension greater than two (no upward confluent diagram
 exists in that case), 3 when --verify finds a failed check.
 """
@@ -117,12 +118,19 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _write_output(path: str, payload: str) -> None:
-    if path == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+def _write_output(path: str, payload: str) -> int:
+    """Write the payload and return the exit code: 1, with one error
+    line, when the path cannot be written."""
+    try:
+        if path == "-":
+            sys.stdout.write(payload)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {path!r}: {exc}\n")
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 def _pipeline(
@@ -164,12 +172,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
 
     if args.bench is not None:
-        _write_output(args.out, bench.scaling_report(list(args.bench), seed=args.seed))
-        return EXIT_OK
+        return _write_output(args.out, bench.scaling_report(list(args.bench), seed=args.seed))
 
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read {args.input!r}: {exc}\n")
         return EXIT_INPUT
 
@@ -197,8 +204,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         payload = render.to_json(diagram)
     else:
         payload = bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"
-    _write_output(args.out, payload)
-    return EXIT_OK
+    return _write_output(args.out, payload)
 
 
 def main() -> None:

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .poset import Poset
 from .realizer import Realizer
 
 VERTEX = "vertex"
@@ -50,9 +47,6 @@ class GridScene:
     @property
     def side(self) -> int:
         return 2 * self.n + 1
-
-    def of_kind(self, kind: str) -> list[GridPoint]:
-        return [p for p in self.points if p.kind == kind]
 
     def vertex_by_label(self) -> dict[str, GridPoint]:
         return {p.label: p for p in self.points if p.kind == VERTEX}
@@ -122,12 +116,3 @@ def bound_points(
     top = None if has_greatest or n == 0 else GridPoint(INVISIBLE, side, side)
     return bottom, top
 
-
-def vertex_dominance_poset(s: GridScene) -> Poset:
-    """Dominance order restricted to the scene's vertices (a <= b iff
-    both coordinates of a are <= those of b)."""
-    verts = s.of_kind(VERTEX)
-    xs = np.array([v.x for v in verts])
-    ys = np.array([v.y for v in verts])
-    leq = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
-    return Poset([v.label for v in verts], leq)

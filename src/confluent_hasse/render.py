@@ -9,12 +9,22 @@ junction endpoint the control point sits a fixed small distance
 directly above or below the junction so that all tracks through it
 share a vertical tangent, and at vertex endpoints the control point
 degenerates onto the endpoint.
+
+Both writers fill fixed text templates and do little work per track.
+``to_svg`` formats each visible point's coordinates once, and a
+junction's two control heights once, then sorts tracks by the ranks of
+their ends. ``to_json`` writes one ``%``-template per node and per
+segment in place of ``json.dumps(indent=2)``, whose indenting encoder
+runs in pure Python. Their bytes are pinned by the reference writers in
+``tests/suites.py`` and by the output digests in
+``perfbench/digests.json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .diagram import Diagram
 from .grid import GridPoint, INVISIBLE, JUNCTION, VERTEX
@@ -41,19 +51,26 @@ def rotate45(d: Diagram) -> list[tuple[int, int]]:
     return [p.rot for p in d.scene.points]
 
 
+def _control_shift(kind: str, delta):
+    """How far a track's control point sits from its endpoint of this
+    kind: straight above the lower end, straight below the upper end.
+    A junction pushes it by delta, so that all tracks through the
+    junction share a vertical tangent; at a vertex or an invisible
+    point the control degenerates onto the endpoint (0)."""
+    return delta if kind == JUNCTION else 0
+
+
 def bezier_controls(lo: GridPoint, hi: GridPoint, delta):
     """Rotated control points (p0, c1, c2, p3) for the track from lo up
     to hi.
 
     ``delta`` may be a float for drawing or a Fraction for exact
-    checks; junction endpoints push their control straight up/down by
-    delta, vertex and invisible endpoints keep degenerate controls.
+    checks; ``to_svg`` draws every track by the same rule.
     """
-    p0 = lo.rot
-    p3 = hi.rot
-    c1 = (p0[0], p0[1] + delta) if lo.kind == JUNCTION else p0
-    c2 = (p3[0], p3[1] - delta) if hi.kind == JUNCTION else p3
-    return p0, c1, c2, p3
+    (u0, v0), (u3, v3) = lo.rot, hi.rot
+    c1 = (u0, v0 + _control_shift(lo.kind, delta))
+    c2 = (u3, v3 - _control_shift(hi.kind, delta))
+    return (u0, v0), c1, c2, (u3, v3)
 
 
 def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
@@ -79,11 +96,31 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     width = (umax - umin) * s + 2 * margin
     height = (vmax - vmin) * s + 2 * margin
 
-    def fx(u: float) -> str:
-        return f"{(u - umin) * s + margin:.2f}"
-
-    def fy(v: float) -> str:
-        return f"{(vmax - v) * s + margin:.2f}"
+    # Points in drawing order, bottom to top; the lists below are
+    # indexed by this rank. Each point's coordinates are formatted once,
+    # and so are the control-point y values above and below it (those of
+    # the tracks leaving it upward and arriving from below). A control y
+    # keeps the expression (vmax - (v +- shift)) * s + margin: any other
+    # grouping of the arithmetic can change a .2f rounding.
+    order = sorted(vis_ids, key=lambda q: (rot[q][1], rot[q][0], q))
+    shifts = {
+        kind: _control_shift(kind, opts.bezier_offset) for kind in (VERTEX, JUNCTION, INVISIBLE)
+    }
+    xs: list[str] = []
+    ys: list[str] = []
+    above: list[str] = []
+    below: list[str] = []
+    for i in order:
+        u, v = rot[i]
+        xs.append(f"{(u - umin) * s + margin:.2f}")
+        ys.append(y := f"{(vmax - v) * s + margin:.2f}")
+        shift = shifts[points[i].kind]
+        if shift:
+            above.append(f"{(vmax - (v + shift)) * s + margin:.2f}")
+            below.append(f"{(vmax - (v - shift)) * s + margin:.2f}")
+        else:
+            above.append(y)
+            below.append(y)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -91,68 +128,100 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
         f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
     ]
 
-    def seg_key(seg: tuple[int, int]):
-        (lu, lv), (hu, hv) = rot[seg[0]], rot[seg[1]]
-        return (lv, lu, seg[0], hv, hu, seg[1])
-
-    for lo, hi in sorted(vis_segs, key=seg_key):
-        p0, c1, c2, p3 = bezier_controls(points[lo], points[hi], opts.bezier_offset)
+    # tracks in order of (rank of the lower end, rank of the upper end)
+    rank = [0] * len(points)
+    for r, i in enumerate(order):
+        rank[i] = r
+    m = len(order)
+    for key in sorted([rank[lo] * m + rank[hi] for lo, hi in vis_segs]):
+        a, b = divmod(key, m)
         out.append(
-            f'  <path d="M {fx(p0[0])} {fy(p0[1])} '
-            f"C {fx(c1[0])} {fy(c1[1])}, {fx(c2[0])} {fy(c2[1])}, "
-            f'{fx(p3[0])} {fy(p3[1])}" fill="none" stroke="#222222" stroke-width="1.6"/>'
+            f'  <path d="M {xs[a]} {ys[a]} C {xs[a]} {above[a]}, {xs[b]} {below[b]}, '
+            f'{xs[b]} {ys[b]}" fill="none" stroke="#222222" stroke-width="1.6"/>'
         )
 
-    for i in sorted(vis_ids, key=lambda q: (rot[q][1], rot[q][0], q)):
+    node_r = f"{NODE_RADIUS * s:.2f}"
+    junction_r = f"{JUNCTION_RADIUS * s:.2f}"
+    font_size = f"{0.3 * s:.2f}"
+    for i, cx, cy in zip(order, xs, ys):
         p = points[i]
-        cx, cy = fx(rot[i][0]), fy(rot[i][1])
         if p.kind == VERTEX:
             out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{NODE_RADIUS * s:.2f}" '
+                f'  <circle cx="{cx}" cy="{cy}" r="{node_r}" '
                 'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>'
             )
             out.append(
                 f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
-                f'font-family="Helvetica,sans-serif" font-size="{0.3 * s:.2f}">{_esc(p.label or "")}</text>'
+                f'font-family="Helvetica,sans-serif" font-size="{font_size}">{_esc(p.label or "")}</text>'
             )
         elif p.kind == JUNCTION:
-            out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{JUNCTION_RADIUS * s:.2f}" fill="#222222"/>'
-            )
+            out.append(f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" fill="#222222"/>')
         else:
             out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{JUNCTION_RADIUS * s:.2f}" '
+                f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" '
                 'fill="none" stroke="#999999" stroke-width="1.0" stroke-dasharray="2,2"/>'
             )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)
 
 
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+# The text json.dumps(doc, sort_keys=True, indent=2) gives, one
+# template per piece: keys in sorted order, one list element per line,
+# an empty list as [], and strings escaped as json.dumps escapes them
+# (encode_basestring_ascii).
+_NODE = """    {
+      "grid": [
+        %d,
+        %d
+      ],
+      "id": %d,
+      "kind": %s,
+%s      "rot": [
+        %d,
+        %d
+      ]
+    }"""
+_LABEL = '      "label": %s,\n'
+_SEGMENT = """    {
+      "from": %d,
+      "to": %d
+    }"""
+_DOCUMENT = """{
+  "n": %d,
+  "nodes": %s,
+  "segments": %s,
+  "stats": {
+    "gridSide": %d,
+    "junctions": %d,
+    "segments": %d
+  }
+}
+"""
+
+
+def _json_list(body: str) -> str:
+    return "[\n%s\n  ]" % body if body else "[]"
+
+
 def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
     nodes = []
     for pid, p in enumerate(d.scene.points):
-        node = {
-            "id": pid,
-            "kind": p.kind,
-            "grid": [p.x, p.y],
-            "rot": list(p.rot),
-        }
-        if p.label is not None:
-            node["label"] = p.label
-        nodes.append(node)
-    doc = {
-        "n": d.scene.n,
-        "nodes": nodes,
-        "segments": [{"from": lo, "to": hi} for lo, hi in sorted(d.segments)],
-        "stats": {
-            "junctions": d.junction_count(),
-            "segments": len(d.segments),
-            "gridSide": d.scene.side,
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        label = "" if p.label is None else _LABEL % encode_basestring_ascii(p.label)
+        u, v = p.rot
+        nodes.append(_NODE % (p.x, p.y, pid, encode_basestring_ascii(p.kind), label, u, v))
+    # the segment template repeated once per segment, filled by one call
+    segments = sorted(d.segments)
+    segment_text = ",\n".join([_SEGMENT] * len(segments)) % tuple(chain.from_iterable(segments))
+    return _DOCUMENT % (
+        d.scene.n,
+        _json_list(",\n".join(nodes)),
+        _json_list(segment_text),
+        d.scene.side,
+        d.junction_count(),
+        len(d.segments),
+    )

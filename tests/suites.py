@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 
 import numpy as np
 
 from confluent_hasse import (
+    Diagram,
+    GridPoint,
+    GridScene,
     Poset,
+    RenderOptions,
     SpLeaf,
     SpParallel,
     SpSeries,
     dm_completion,
     gen_random,
+    rotate45,
     transitive_reduction,
 )
+from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import SpTree
 
 
@@ -56,6 +64,21 @@ def all_sp_trees(max_leaves: int = 6) -> list[SpTree]:
         for shape in shapes(k):
             trees.append(realize(shape, [0]))
     return trees
+
+
+def of_kind(s: GridScene, kind: str) -> list[GridPoint]:
+    """The scene's points of one kind, in id order."""
+    return [p for p in s.points if p.kind == kind]
+
+
+def vertex_dominance_poset(s: GridScene) -> Poset:
+    """Dominance order restricted to the scene's vertices (a <= b iff
+    both coordinates of a are <= those of b)."""
+    verts = of_kind(s, VERTEX)
+    xs = np.array([v.x for v in verts])
+    ys = np.array([v.y for v in verts])
+    leq = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
+    return Poset([v.label for v in verts], leq)
 
 
 def random_poset(n: int, seed: int, density: float = 0.3) -> Poset:
@@ -168,3 +191,117 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def reference_to_json(d: Diagram) -> str:
+    """The dict document plus ``json.dumps(sort_keys=True, indent=2)``
+    that ``render.to_json`` must match byte for byte. Test-only; the
+    package never imports it."""
+    nodes = []
+    for pid, p in enumerate(d.scene.points):
+        node = {
+            "id": pid,
+            "kind": p.kind,
+            "grid": [p.x, p.y],
+            "rot": list(p.rot),
+        }
+        if p.label is not None:
+            node["label"] = p.label
+        nodes.append(node)
+    doc = {
+        "n": d.scene.n,
+        "nodes": nodes,
+        "segments": [{"from": lo, "to": hi} for lo, hi in sorted(d.segments)],
+        "stats": {
+            "junctions": d.junction_count(),
+            "segments": len(d.segments),
+            "gridSide": d.scene.side,
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_bezier_controls(lo: GridPoint, hi: GridPoint, delta):
+    p0 = lo.rot
+    p3 = hi.rot
+    c1 = (p0[0], p0[1] + delta) if lo.kind == JUNCTION else p0
+    c2 = (p3[0], p3[1] - delta) if hi.kind == JUNCTION else p3
+    return p0, c1, c2, p3
+
+
+def reference_to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
+    """The per-segment writer that ``render.to_svg`` must match byte for
+    byte: it formats all eight coordinates of every track and sorts
+    tracks by a 6-tuple key. Test-only; the package never imports it."""
+    points = d.scene.points
+    rot = rotate45(d)
+    if opts.show_invisible:
+        vis_ids = range(len(points))
+        vis_segs = d.segments
+    else:
+        vis_ids = [i for i, p in enumerate(points) if p.kind != INVISIBLE]
+        vis_segs = d.drawn_segments()
+
+    s = CANVAS_SCALE
+    margin = 1.2 * s
+    if vis_ids:
+        umin = min(rot[i][0] for i in vis_ids)
+        umax = max(rot[i][0] for i in vis_ids)
+        vmin = min(rot[i][1] for i in vis_ids)
+        vmax = max(rot[i][1] for i in vis_ids)
+    else:
+        umin = umax = vmin = vmax = 0
+    width = (umax - umin) * s + 2 * margin
+    height = (vmax - vmin) * s + 2 * margin
+
+    def fx(u: float) -> str:
+        return f"{(u - umin) * s + margin:.2f}"
+
+    def fy(v: float) -> str:
+        return f"{(vmax - v) * s + margin:.2f}"
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+    ]
+
+    def seg_key(seg: tuple[int, int]):
+        (lu, lv), (hu, hv) = rot[seg[0]], rot[seg[1]]
+        return (lv, lu, seg[0], hv, hu, seg[1])
+
+    for lo, hi in sorted(vis_segs, key=seg_key):
+        p0, c1, c2, p3 = _reference_bezier_controls(points[lo], points[hi], opts.bezier_offset)
+        out.append(
+            f'  <path d="M {fx(p0[0])} {fy(p0[1])} '
+            f"C {fx(c1[0])} {fy(c1[1])}, {fx(c2[0])} {fy(c2[1])}, "
+            f'{fx(p3[0])} {fy(p3[1])}" fill="none" stroke="#222222" stroke-width="1.6"/>'
+        )
+
+    for i in sorted(vis_ids, key=lambda q: (rot[q][1], rot[q][0], q)):
+        p = points[i]
+        cx, cy = fx(rot[i][0]), fy(rot[i][1])
+        if p.kind == VERTEX:
+            out.append(
+                f'  <circle cx="{cx}" cy="{cy}" r="{NODE_RADIUS * s:.2f}" '
+                'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>'
+            )
+            out.append(
+                f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
+                f'font-family="Helvetica,sans-serif" font-size="{0.3 * s:.2f}">{_reference_esc(p.label or "")}</text>'
+            )
+        elif p.kind == JUNCTION:
+            out.append(
+                f'  <circle cx="{cx}" cy="{cy}" r="{JUNCTION_RADIUS * s:.2f}" fill="#222222"/>'
+            )
+        else:
+            out.append(
+                f'  <circle cx="{cx}" cy="{cy}" r="{JUNCTION_RADIUS * s:.2f}" '
+                'fill="none" stroke="#999999" stroke-width="1.0" stroke-dasharray="2,2"/>'
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _reference_esc(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -91,6 +91,34 @@ def test_missing_file_exit_1(capsys):
     assert run(["/no/such/file.edges"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("bench", [False, True])
+def test_unwritable_out_exit_1(tmp_path, capsys, bench):
+    src = write(tmp_path, "k22.edges", K22_EDGES)
+    # a missing directory, then a directory
+    for out in (str(tmp_path / "no" / "such" / "dir" / "x.out"), str(tmp_path)):
+        argv = ["--bench", "1", "--out", out] if bench else [src, "--out", out]
+        assert run(argv) == EXIT_INPUT
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err.startswith(f"error: cannot write {out!r}: ")
+        assert err.count("\n") == 1
+
+
+def test_non_utf8_input_exit_1(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "utf16.edges"
+    path.write_bytes(b"\xff\xfea\x00 \x00b\x00\n\x00")
+    bad_stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", bad_stdin)
+    for src in (str(path), "-"):
+        assert run([src]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {src!r}: ")
+        assert err.count("\n") == 1
+
+
 def test_bad_flag_exit_1(capsys):
     assert run(["--no-such-flag"]) == EXIT_INPUT
 

@@ -28,8 +28,10 @@ DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
     [
         # edge list, recognition, SVG: every input edges-random draws
         *(f"edges/n256/s{i}" for i in range(16)),
-        "worst/k124",  # worst-case realizer, JSON
-        "sp/n10000/s0",  # series-parallel layout, SVG
+        # worst-case realizer, JSON: every input realizer-worst draws
+        *(f"worst/k{k}" for k in range(124, 133)),
+        # series-parallel layout, SVG
+        *(f"sp/n10000/s{i}" for i in range(4)),
         "verify-worst/k2",  # --verify passes, JSON
         "verify-random/n12/s0",  # --verify fails: exit 3, no output
     ],

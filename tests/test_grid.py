@@ -9,9 +9,9 @@ from confluent_hasse import (
     place_on_grid,
     poset_from_realizer,
     scene_matches_completion,
-    vertex_dominance_poset,
 )
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from suites import of_kind, vertex_dominance_poset
 
 
 def scene_for(l1, l2):
@@ -37,8 +37,8 @@ def test_placement_two_element_antichain():
 
 def test_k22_junction_and_invisibles():
     s = scene_for(("a", "b", "c", "d"), ("b", "a", "d", "c"))
-    junctions = [(p.x, p.y) for p in s.of_kind(JUNCTION)]
-    invisibles = sorted((p.x, p.y) for p in s.of_kind(INVISIBLE))
+    junctions = [(p.x, p.y) for p in of_kind(s, JUNCTION)]
+    invisibles = sorted((p.x, p.y) for p in of_kind(s, INVISIBLE))
     assert junctions == [(5, 5)]
     assert invisibles == [(1, 1), (9, 9)]
 
@@ -46,13 +46,13 @@ def test_k22_junction_and_invisibles():
 def test_chain_scene_has_no_extra_points():
     s = scene_for(("x", "y", "z"), ("x", "y", "z"))
     assert len(s.points) == 3
-    assert s.of_kind(JUNCTION) == [] and s.of_kind(INVISIBLE) == []
+    assert of_kind(s, JUNCTION) == [] and of_kind(s, INVISIBLE) == []
 
 
 def test_antichain_scene_only_invisible_bounds():
     s = scene_for(("a", "b"), ("b", "a"))
-    assert s.of_kind(JUNCTION) == []
-    assert sorted((p.x, p.y) for p in s.of_kind(INVISIBLE)) == [(1, 1), (5, 5)]
+    assert of_kind(s, JUNCTION) == []
+    assert sorted((p.x, p.y) for p in of_kind(s, INVISIBLE)) == [(1, 1), (5, 5)]
 
 
 def test_empty_realizer_collapses_bounds_to_one_point():
@@ -65,9 +65,9 @@ def test_junction_conditions_reevaluated_independently():
     for seed in (1, 5, 11, 17):
         s = scene_for(*_random_orders(8, seed))
         side = s.side
-        ycol = {p.x: p.y for p in s.of_kind(VERTEX)}
-        xrow = {p.y: p.x for p in s.of_kind(VERTEX)}
-        junctions = {(p.x, p.y) for p in s.of_kind(JUNCTION)}
+        ycol = {p.x: p.y for p in of_kind(s, VERTEX)}
+        xrow = {p.y: p.x for p in of_kind(s, VERTEX)}
+        junctions = {(p.x, p.y) for p in of_kind(s, JUNCTION)}
         for i in range(3, side - 1, 2):
             for j in range(3, side - 1, 2):
                 expected = (
@@ -98,8 +98,8 @@ def test_scene_is_completion_of_the_order(n, seed):
     p = poset_from_realizer(r)
     assert scene_matches_completion(s, p)
     comp = dm_completion(p)
-    invis = len(s.of_kind(INVISIBLE))
-    assert len(s.of_kind(JUNCTION)) == len(comp.cuts) - n - invis
+    invis = len(of_kind(s, INVISIBLE))
+    assert len(of_kind(s, JUNCTION)) == len(comp.cuts) - n - invis
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,11 +10,15 @@ from confluent_hasse import (
     bezier_controls,
     build_diagram,
     gen_random,
+    gen_random_sp,
+    gen_worstcase,
     rotate45,
+    sp_layout,
     to_json,
     to_svg,
 )
 from confluent_hasse.grid import JUNCTION
+from suites import reference_to_json, reference_to_svg
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,3 +151,38 @@ def test_json_determinism_and_sorted_keys():
     assert to_json(d) == to_json(d)
     doc = json.loads(to_json(d))
     assert list(doc) == sorted(doc)
+
+
+def _writer_cases():
+    yield "empty", build_diagram(Realizer((), ()))
+    yield "single", build_diagram(Realizer(("x",), ("x",)))
+    yield "chain", build_diagram(Realizer(("x", "y", "z"), ("x", "y", "z")))
+    yield "k22", k22_diagram()
+    odd = ('q"uote', "back\\slash", "&<>", "ctl\x01", "é→漢")
+    yield "labels", build_diagram(Realizer(odd, odd[::-1]))
+    yield "labels-k22", build_diagram(Realizer(odd[:4], (odd[1], odd[0], odd[3], odd[2])))
+    for k in (1, 5, 20):
+        yield f"worst{k}", build_diagram(gen_worstcase(k))
+    for seed in range(50):
+        yield f"random{seed}", build_diagram(gen_random(seed % 13, seed))
+    for seed in range(50):
+        yield f"sp{seed}", sp_layout(gen_random_sp(1 + seed % 17, seed))
+
+
+WRITER_CASES = list(_writer_cases())
+
+SVG_OPTIONS = [
+    RenderOptions(),
+    RenderOptions(show_invisible=True),
+    RenderOptions(bezier_offset=0.25),
+    # control y values at this offset fall on .2f rounding ties, so any
+    # regrouping of the control-point arithmetic changes the text
+    RenderOptions(bezier_offset=0.34625),
+]
+
+
+@pytest.mark.parametrize("name, d", WRITER_CASES, ids=[name for name, _d in WRITER_CASES])
+def test_writers_match_the_reference_writers(name, d):
+    assert to_json(d) == reference_to_json(d)
+    for opts in SVG_OPTIONS:
+        assert to_svg(d, opts) == reference_to_svg(d, opts), opts
