@@ -123,7 +123,15 @@ def _write_output(path: str, payload: str) -> int:
     line, when the path cannot be written."""
     try:
         if path == "-":
-            sys.stdout.write(payload)
+            # UTF-8 bytes, as a file gets, whatever stdout's text encoding
+            # is; a replaced stdout with no byte buffer takes the text
+            buffer = getattr(sys.stdout, "buffer", None)
+            if buffer is None:
+                sys.stdout.write(payload)
+            else:
+                sys.stdout.flush()
+                buffer.write(payload.encode("utf-8"))
+                buffer.flush()
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload)

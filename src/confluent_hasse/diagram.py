@@ -8,11 +8,26 @@ dominates) before edges are emitted, so the stack holds exactly the
 points the current point covers. Emitting before that pop would also
 report points hidden behind an earlier point in the same column, which
 are not covers; the cubic-time oracle pins the contract either way.
+
+The checks of ``validate_diagram`` run in array passes, so that
+``--verify`` scales with the drawing:
+
+- smooth adjacency propagates one int bitset of reachable vertices per
+  junction, in the order the junction-to-junction segments give, and
+  ORs them per vertex: one pass over the segments;
+- planarity pairs the segments whose boxes overlap, by a sort and
+  ``searchsorted`` within strips of rows, counts proper crossings with
+  four integer orientations per pair, and leaves only collinear pairs
+  and endpoint touches to ``geometry.segments_conflict``;
+- visibility tests each extreme vertex's ray against the segments with
+  one integer mask over the arrays of their rotated endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import geometry
 from .grid import GridScene, INVISIBLE, JUNCTION, VERTEX
@@ -103,28 +118,65 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     (a, b) is reported iff the segment DAG has a path from vertex a to
     vertex b whose internal nodes are all junctions; invisible bound
     points terminate a track and never appear inside one.
+
+    Each point gets an int bitset over the vertices: a vertex its own
+    bit, an invisible point none, and a junction the OR of what its
+    out-segments reach. Junctions are settled sinks first, in the order
+    of the junction-to-junction segments (Kahn's algorithm); junctions
+    on or below a cycle of such segments, which no drawing has, are
+    iterated to the least fixed point instead. A vertex's pairs are the
+    OR over its out-segments.
     """
-    out: dict[int, list[int]] = {}
-    for lo, hi in d.segments:
-        out.setdefault(lo, []).append(hi)
     points = d.scene.points
+    kinds = [q.kind for q in points]
+    out: list[list[int]] = [[] for _ in points]
+    reach = [0] * len(points)
+    vertices = [pid for pid, kind in enumerate(kinds) if kind == VERTEX]
+    for bit, pid in enumerate(vertices):
+        reach[pid] = 1 << bit
+    # per junction: its junction predecessors, and its junction
+    # successors not yet settled
+    preds: dict[int, list[int]] = {}
+    pending = [0] * len(points)
+    for lo, hi in d.segments:
+        out[lo].append(hi)
+        if kinds[lo] == JUNCTION and kinds[hi] == JUNCTION:
+            pending[lo] += 1
+            preds.setdefault(hi, []).append(lo)
+    junctions = [pid for pid, kind in enumerate(kinds) if kind == JUNCTION]
+    ready = [j for j in junctions if not pending[j]]
+    while ready:
+        j = ready.pop()
+        acc = 0
+        for t in out[j]:
+            acc |= reach[t]
+        reach[j] = acc
+        for q in preds.get(j, ()):
+            pending[q] -= 1
+            if not pending[q]:
+                ready.append(q)
+    cyclic = [j for j in junctions if pending[j]]
+    changed = bool(cyclic)
+    while changed:
+        changed = False
+        for j in cyclic:
+            acc = reach[j]
+            for t in out[j]:
+                acc |= reach[t]
+            if acc != reach[j]:
+                reach[j] = acc
+                changed = True
+
+    labels = [points[pid].label for pid in vertices]
     result: set[tuple[str, str]] = set()
-    for sid, start in enumerate(points):
-        if start.kind != VERTEX:
-            continue
-        stack = list(out.get(sid, ()))
-        seen: set[int] = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            target = points[node]
-            if target.kind == VERTEX:
-                result.add((start.label, target.label))
-            elif target.kind == JUNCTION:
-                stack.extend(out.get(node, ()))
-            # invisibles: dead end
+    for bit, pid in enumerate(vertices):
+        acc = 0
+        for t in out[pid]:
+            acc |= reach[t]
+        while acc:
+            low = acc & -acc
+            result.add((labels[bit], labels[low.bit_length() - 1]))
+            acc ^= low
     return frozenset(result)
 
 
@@ -167,13 +219,23 @@ class ValidationReport:
 def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     """Check the diagram against its defining properties.
 
-    Reported, never raised: (segments) segment set equals the cover
-    pairs of the dominance order, skipped above COVERS_CHECK_LIMIT
-    points; (smooth) smooth adjacency equals the cover pairs of p;
-    (planar) rendered segments only intersect at shared endpoints;
-    (degrees) every junction has at least two incoming and two
-    outgoing segments; (visibility) vertical rays below minimal and
-    above maximal vertices are unobstructed.
+    Reported, never raised, in this order:
+
+    - segments: the segment set equals the cover pairs of the dominance
+      order, by the cubic-time ``oracle.dominance_covers``; skipped
+      above COVERS_CHECK_LIMIT points.
+    - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
+      the cover pairs of p (``transitive_reduction``).
+    - planar: drawn segments only meet at shared endpoints. Candidate
+      pairs are those with overlapping boxes; the crossings are counted
+      in integer arrays, and the exact predicate sees only collinear
+      pairs and endpoint touches (``_conflicting_pairs``).
+    - degrees: every junction has at least two incoming and two
+      outgoing segments, from one count over the segments.
+    - visibility: the open vertical rays below minimal and above
+      maximal vertices, in the rotated frame, meet no drawn segment; one
+      mask over the segment arrays per vertex, and the first blocking
+      segment in drawn order is reported (``_blocked_rays``).
     """
     from .oracle import dominance_covers
 
@@ -202,28 +264,10 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
     )
 
-    rendered = d.drawn_segments()
-    coords_of = [(q.x, q.y) for q in points]
-    conflicts = 0
-    boxes = []
-    for lo, hi in rendered:
-        (x1, y1), (x2, y2) = coords_of[lo], coords_of[hi]
-        boxes.append((min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2), lo, hi))
-    boxes.sort()
-    for i, (x0, y0, x1, y1, a1, b1) in enumerate(boxes):
-        for j in range(i + 1, len(boxes)):
-            # sorted by left edge: once a box starts past x1, the rest do too
-            u0, v0, u1, v1, a2, b2 = boxes[j]
-            if u0 > x1:
-                break
-            if v1 < y0 or y1 < v0:
-                continue
-            # pairs sharing an endpoint are fine unless they overlap
-            # beyond it, which segments_conflict still flags
-            if geometry.segments_conflict(
-                coords_of[a1], coords_of[b1], coords_of[a2], coords_of[b2]
-            ):
-                conflicts += 1
+    xs = np.fromiter((q.x for q in points), np.int64, len(points))
+    ys = np.fromiter((q.y for q in points), np.int64, len(points))
+    rendered = np.array(d.drawn_segments(), dtype=np.int64).reshape(-1, 2)
+    conflicts = _conflicting_pairs(xs, ys, rendered)
     report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
 
     indeg: dict[int, int] = {}
@@ -242,25 +286,150 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         f"junctions with degree < 2: {bad_junctions}" if bad_junctions else "",
     )
 
-    ext = extremes(p)
-    verts = d.scene.vertex_by_label()
-    rendered_rot = [(points[lo].rot, points[hi].rot) for lo, hi in rendered]
-    blocked = []
-    for label in sorted(ext.minimal | ext.maximal):
-        v = verts[label]
-        u0, v0 = v.rot
-        down = label in ext.minimal
-        up = label in ext.maximal
-        for a, b in rendered_rot:
-            if down and geometry.vertical_ray_hits_segment(u0, v0, True, a, b):
-                blocked.append((label, "below"))
-                break
-            if up and geometry.vertical_ray_hits_segment(u0, v0, False, a, b):
-                blocked.append((label, "above"))
-                break
+    blocked = _blocked_rays(d, p, xs - ys, xs + ys, rendered)
     report.add(
         "visibility",
         not blocked,
         f"obstructed rays: {blocked}" if blocked else "",
     )
     return report
+
+
+# candidate segment pairs examined at once by the planar check
+PAIR_CHUNK = 1 << 16
+
+
+def _conflicting_pairs(xs: np.ndarray, ys: np.ndarray, segs: np.ndarray) -> int:
+    """How many pairs of the segments (rows of point ids) conflict in
+    the sense of ``geometry.segments_conflict``.
+
+    Candidates are the pairs whose boxes overlap. Boxes are numbered in
+    (x0, y0, x1, y1, lo, hi) order, and each is entered in every strip
+    of rows it meets; strips are at least as tall as the mean box, so a
+    box meets few. Within a strip, sorted by x0 (``argsort``), a box's
+    partners are the later boxes that start at or before its right edge
+    (``searchsorted``), generated about PAIR_CHUNK pairs at a time. A
+    pair is kept when the y ranges overlap, in the strip where their
+    overlap starts, so it is counted once. Four integer orientations
+    then count the proper crossings. The exact predicate decides only
+    the pairs where one segment's endpoint lies on the other's line
+    inside its box: collinear pairs, and an endpoint touching the other
+    segment without being shared. A pair that shares an endpoint and
+    is not collinear cannot conflict.
+    """
+    if len(segs) < 2:
+        return 0
+    ax, ay, bx, by = xs[segs[:, 0]], ys[segs[:, 0]], xs[segs[:, 1]], ys[segs[:, 1]]
+    x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+    y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
+    order = np.lexsort((segs[:, 1], segs[:, 0], y1, x1, y0, x0))
+    lo, hi, ax, ay, bx, by, x0, y0, x1, y1 = (
+        arr[order] for arr in (segs[:, 0], segs[:, 1], ax, ay, bx, by, x0, y0, x1, y1)
+    )
+    tall = int((y1 - y0).mean()) + 1
+    first = y0 // tall
+    span = y1 // tall - first + 1
+    box = np.repeat(np.arange(len(x0)), span)
+    strip = first[box] + _positions(span)
+    # one sort key for (strip, x): a box's partners lie between its own
+    # key and the key of its right edge
+    wide = int(x1.max() - x0.min()) + 1
+    key = strip * wide + (x0[box] - x0.min())
+    by_key = np.argsort(key, kind="stable")
+    box, strip, key = box[by_key], strip[by_key], key[by_key]
+    ends = np.searchsorted(key, key + (x1 - x0)[box], side="right")
+    counts = ends - np.arange(1, len(key) + 1)
+    cum = np.cumsum(counts)
+    coords = list(zip(xs.tolist(), ys.tolist()))  # for the exact predicate
+    conflicts = 0
+    start = 0
+    while start < len(counts):
+        base = cum[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(cum, base + PAIR_CHUNK, side="right")))
+        run = counts[start:stop]
+        s = np.repeat(np.arange(start, stop), run)
+        i, j = box[s], box[s + 1 + _positions(run)]
+        start = stop
+        keep = (y0[j] <= y1[i]) & (y0[i] <= y1[j]) & (np.maximum(y0[i], y0[j]) // tall == strip[s])
+        # the box first in (x0, y0, x1, y1, lo, hi) order goes first
+        i, j = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+        if not len(i):
+            continue
+        a = (ax[i], ay[i])
+        b = (bx[i], by[i])
+        c = (ax[j], ay[j])
+        e = (bx[j], by[j])
+        o1, o2 = _orient(a, b, c), _orient(a, b, e)
+        o3, o4 = _orient(c, e, a), _orient(c, e, b)
+        conflicts += int(np.count_nonzero((o1 * o2 < 0) & (o3 * o4 < 0)))
+        touch = (
+            (o1 == 0) & _in_box(c, x0[i], y0[i], x1[i], y1[i])
+            | (o2 == 0) & _in_box(e, x0[i], y0[i], x1[i], y1[i])
+            | (o3 == 0) & _in_box(a, x0[j], y0[j], x1[j], y1[j])
+            | (o4 == 0) & _in_box(b, x0[j], y0[j], x1[j], y1[j])
+        )
+        collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+        shared = _same(a, c) | _same(a, e) | _same(b, c) | _same(b, e)
+        rest = np.flatnonzero(collinear | (touch & ~shared))
+        for p, q, r, t in zip(*(ids[rest].tolist() for ids in (lo[i], hi[i], lo[j], hi[j]))):
+            conflicts += geometry.segments_conflict(coords[p], coords[q], coords[r], coords[t])
+    return conflicts
+
+
+def _positions(runs: np.ndarray) -> np.ndarray:
+    """0, 1, .., run - 1 for each run in turn."""
+    return np.arange(int(runs.sum())) - np.repeat(np.cumsum(runs) - runs, runs)
+
+
+def _orient(o, a, b) -> np.ndarray:
+    """``geometry._cross`` over arrays: the sign says on which side of
+    the line o -> a each b lies."""
+    return np.sign((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def _in_box(p, x0, y0, x1, y1) -> np.ndarray:
+    return (x0 <= p[0]) & (p[0] <= x1) & (y0 <= p[1]) & (p[1] <= y1)
+
+
+def _same(p, q) -> np.ndarray:
+    return (p[0] == q[0]) & (p[1] == q[1])
+
+
+def _blocked_rays(
+    d: Diagram, p: Poset, us: np.ndarray, vs: np.ndarray, segs: np.ndarray
+) -> list[tuple[str, str]]:
+    """(label, "below" or "above") for each minimal or maximal vertex,
+    in label order, whose open vertical ray in the rotated frame meets
+    a drawn segment.
+
+    Per vertex, one mask over the segments picks those spanning its u;
+    on those, the ray test of a sloped segment compares
+    ``v1 * den + (v2 - v1) * (u0 - u1)`` with ``v0 * den``, den = u2 - u1,
+    and a segment on the ray's own line compares its lower or upper end
+    with v0. The first blocking segment in ``drawn_segments()`` order
+    is reported, "below" before "above" when it blocks both.
+    """
+    ext = extremes(p)
+    verts = d.scene.vertex_by_label()
+    u1, v1, u2, v2 = us[segs[:, 0]], vs[segs[:, 0]], us[segs[:, 1]], vs[segs[:, 1]]
+    umin, umax = np.minimum(u1, u2), np.maximum(u1, u2)
+    vmin, vmax = np.minimum(v1, v2), np.maximum(v1, v2)
+    den = u2 - u1
+    blocked = []
+    for label in sorted(ext.minimal | ext.maximal):
+        u0, v0 = verts[label].rot
+        down = label in ext.minimal
+        up = label in ext.maximal
+        k = np.flatnonzero((umin <= u0) & (u0 <= umax))
+        if not len(k):
+            continue
+        dk = den[k]
+        # sign of (v where the segment meets u = u0) - v0
+        side = np.sign(v1[k] * dk + (v2[k] - v1[k]) * (u0 - u1[k]) - v0 * dk) * np.sign(dk)
+        vertical = dk == 0
+        below = np.where(vertical, vmin[k] < v0, side < 0)
+        above = np.where(vertical, vmax[k] > v0, side > 0)
+        hits = np.flatnonzero((below & down) | (above & up))
+        if len(hits):
+            blocked.append((label, "below" if down and below[hits[0]] else "above"))
+    return blocked

@@ -155,9 +155,12 @@ def dominance_covers(
     ys = np.array([y for _, y in pts])
     dom = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
     strict = dom & ~np.eye(len(pts), dtype=bool)
-    two_step = strict.astype(np.float64) @ strict.astype(np.float64)
+    # the count of points strictly between is exact in float32 while it
+    # stays below 2**24
+    assert len(pts) < 1 << 24
+    two_step = strict.astype(np.float32) @ strict.astype(np.float32)
     covers = strict & (two_step == 0)
-    return frozenset((pts[a], pts[b]) for a, b in np.argwhere(covers))
+    return frozenset((pts[a], pts[b]) for a, b in np.argwhere(covers).tolist())
 
 
 def linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:

@@ -133,11 +133,13 @@ def transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
     of the result equals the original relation.
     """
     strict = p.leq & ~np.eye(p.n, dtype=bool)
-    # counts paths of length two through the strict order
-    two_step = strict.astype(np.float64) @ strict.astype(np.float64)
+    # counts paths of length two through the strict order; the counts
+    # are at most n, and float32 holds every integer below 2**24 exactly
+    assert p.n < 1 << 24
+    two_step = strict.astype(np.float32) @ strict.astype(np.float32)
     covers = strict & (two_step == 0)
     return frozenset(
-        (p.labels[a], p.labels[b]) for a, b in np.argwhere(covers)
+        (p.labels[a], p.labels[b]) for a, b in np.argwhere(covers).tolist()
     )
 
 

@@ -22,7 +22,11 @@ from confluent_hasse import (
     rotate45,
     transitive_reduction,
 )
+from confluent_hasse.diagram import COVERS_CHECK_LIMIT, ValidationReport
+from confluent_hasse.geometry import Point, point_on_segment, segments_conflict
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from confluent_hasse.oracle import dominance_covers
+from confluent_hasse.poset import extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import SpTree
 
@@ -305,3 +309,224 @@ def reference_to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
 
 def _reference_esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def reference_smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
+    """One DFS per vertex: the smooth pairs ``diagram.smooth_adjacency``
+    must match exactly, on any segment list. Test-only; the package
+    never imports it."""
+    out: dict[int, list[int]] = {}
+    for lo, hi in d.segments:
+        out.setdefault(lo, []).append(hi)
+    points = d.scene.points
+    result: set[tuple[str, str]] = set()
+    for sid, start in enumerate(points):
+        if start.kind != VERTEX:
+            continue
+        stack = list(out.get(sid, ()))
+        seen: set[int] = set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            target = points[node]
+            if target.kind == VERTEX:
+                result.add((start.label, target.label))
+            elif target.kind == JUNCTION:
+                stack.extend(out.get(node, ()))
+            # invisibles: dead end
+    return frozenset(result)
+
+
+def reference_planar_conflicts(d: Diagram) -> int:
+    """The box loop over every pair of drawn segments whose boxes
+    overlap, in (x0, y0, x1, y1, lo, hi) order, asking
+    ``segments_conflict`` of each. Test-only."""
+    points = d.scene.points
+    coords_of = [(q.x, q.y) for q in points]
+    conflicts = 0
+    boxes = []
+    for lo, hi in d.drawn_segments():
+        (x1, y1), (x2, y2) = coords_of[lo], coords_of[hi]
+        boxes.append((min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2), lo, hi))
+    boxes.sort()
+    for i, (x0, y0, x1, y1, a1, b1) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            # sorted by left edge: once a box starts past x1, the rest do too
+            u0, v0, u1, v1, a2, b2 = boxes[j]
+            if u0 > x1:
+                break
+            if v1 < y0 or y1 < v0:
+                continue
+            # pairs sharing an endpoint are fine unless they overlap
+            # beyond it, which segments_conflict still flags
+            if segments_conflict(coords_of[a1], coords_of[b1], coords_of[a2], coords_of[b2]):
+                conflicts += 1
+    return conflicts
+
+
+def reference_blocked_rays(d: Diagram, p: Poset) -> list[tuple[str, str]]:
+    """Every extreme vertex against every drawn segment, in segment
+    order, "below" tested before "above". Test-only."""
+    points = d.scene.points
+    ext = extremes(p)
+    verts = d.scene.vertex_by_label()
+    rendered_rot = [(points[lo].rot, points[hi].rot) for lo, hi in d.drawn_segments()]
+    blocked = []
+    for label in sorted(ext.minimal | ext.maximal):
+        v = verts[label]
+        u0, v0 = v.rot
+        down = label in ext.minimal
+        up = label in ext.maximal
+        for a, b in rendered_rot:
+            if down and vertical_ray_hits_segment(u0, v0, True, a, b):
+                blocked.append((label, "below"))
+                break
+            if up and vertical_ray_hits_segment(u0, v0, False, a, b):
+                blocked.append((label, "above"))
+                break
+    return blocked
+
+
+def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
+    """``diagram.validate_diagram`` built from the reference loops above:
+    its report must be the same, byte for byte. Test-only."""
+    report = ValidationReport()
+    points = d.scene.points
+
+    if len(points) <= COVERS_CHECK_LIMIT:
+        coords = [(q.x, q.y) for q in points]
+        expected = dominance_covers(coords)
+        actual = {((points[a].x, points[a].y), (points[b].x, points[b].y)) for a, b in d.segments}
+        extra = actual - expected
+        missing = expected - actual
+        report.add(
+            "segments",
+            not extra and not missing and len(actual) == len(d.segments),
+            f"{len(extra)} non-cover, {len(missing)} missing" if extra or missing else "",
+        )
+    else:
+        report.skip("segments", "too many points for the cover oracle")
+
+    smooth = reference_smooth_adjacency(d)
+    covers = transitive_reduction(p)
+    report.add(
+        "smooth",
+        smooth == covers,
+        "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
+    )
+
+    conflicts = reference_planar_conflicts(d)
+    report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
+
+    indeg: dict[int, int] = {}
+    outdeg: dict[int, int] = {}
+    for lo, hi in d.segments:
+        outdeg[lo] = outdeg.get(lo, 0) + 1
+        indeg[hi] = indeg.get(hi, 0) + 1
+    bad_junctions = [
+        qid
+        for qid, q in enumerate(points)
+        if q.kind == JUNCTION and (indeg.get(qid, 0) < 2 or outdeg.get(qid, 0) < 2)
+    ]
+    report.add(
+        "degrees",
+        not bad_junctions,
+        f"junctions with degree < 2: {bad_junctions}" if bad_junctions else "",
+    )
+
+    blocked = reference_blocked_rays(d, p)
+    report.add(
+        "visibility",
+        not blocked,
+        f"obstructed rays: {blocked}" if blocked else "",
+    )
+    return report
+
+
+# --- test-only geometry: the hull oracle of criterion 11 and the ray test
+# of the reference visibility loop
+
+
+def _cross(o: Point, a: Point, b: Point) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points: list[Point]) -> list[Point]:
+    """Andrew's monotone chain; returns hull vertices counterclockwise.
+    Degenerate inputs give a point or a segment."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _point_in_hull(p: Point, hull: list[Point]) -> bool:
+    """Closed containment: boundary counts as inside."""
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        return point_on_segment(p, hull[0], hull[1])
+    for i in range(len(hull)):
+        if _cross(hull[i], hull[(i + 1) % len(hull)], p) < 0:
+            return False
+    return True
+
+
+def _hull_edges(hull: list[Point]) -> list[tuple[Point, Point]]:
+    if len(hull) == 1:
+        return []
+    if len(hull) == 2:
+        return [(hull[0], hull[1])]
+    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+
+
+def hulls_intersect(pts_a: list[Point], pts_b: list[Point]) -> bool:
+    """True iff the convex hulls of the two point sets share any point
+    (touching counts)."""
+    ha = convex_hull(pts_a)
+    hb = convex_hull(pts_b)
+    if any(_point_in_hull(p, hb) for p in ha):
+        return True
+    if any(_point_in_hull(p, ha) for p in hb):
+        return True
+    # two closed edges touch iff they conflict or share an endpoint
+    for ea in _hull_edges(ha):
+        for eb in _hull_edges(hb):
+            if segments_conflict(*ea, *eb) or set(ea) & set(eb):
+                return True
+    return False
+
+
+def vertical_ray_hits_segment(
+    u0: int, v0: int, downward: bool, a: Point, b: Point
+) -> bool:
+    """Does the open vertical ray from (u0, v0) hit closed segment ab?
+
+    The ray excludes its apex: downward means all points (u0, v) with
+    v < v0, upward all points with v > v0.
+    """
+    (u1, v1), (u2, v2) = a, b
+    if max(u1, u2) < u0 or min(u1, u2) > u0:
+        return False
+    if u1 == u2:
+        if u1 != u0:
+            return False
+        return min(v1, v2) < v0 if downward else max(v1, v2) > v0
+    # single crossing of the vertical line u = u0
+    den = u2 - u1
+    num = v1 * den + (v2 - v1) * (u0 - u1)  # = v_at_u0 * den
+    if downward:
+        return num < v0 * den if den > 0 else num > v0 * den
+    return num > v0 * den if den > 0 else num < v0 * den

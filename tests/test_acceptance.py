@@ -32,9 +32,14 @@ from confluent_hasse import (
     verify_realizer,
 )
 from confluent_hasse.cli import EXIT_DIMENSION, EXIT_OK, run
-from confluent_hasse.geometry import hulls_intersect
 from confluent_hasse.grid import INVISIBLE, JUNCTION, insert_junctions, place_on_grid
-from suites import all_sp_trees, forced_smooth_pairs, random_poset, random_realizer_suite
+from suites import (
+    all_sp_trees,
+    forced_smooth_pairs,
+    hulls_intersect,
+    random_poset,
+    random_realizer_suite,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

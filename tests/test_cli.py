@@ -259,3 +259,36 @@ def test_verify_reports_skip_beyond_the_completion_oracle(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "SKIP completion: instance exceeds oracle size limit" in err
     assert "PASS" in err and "FAIL" not in err and "WARN" not in err
+
+
+def test_stdout_gets_utf8_bytes_whatever_its_encoding(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = write(tmp_path, "accent.edges", "é 2\n")
+    out = tmp_path / "accent.svg"
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    cmd = [sys.executable, "-c", "from confluent_hasse.cli import main; main()", src]
+    to_stdout = subprocess.run(cmd + ["--out", "-"], env=env, capture_output=True)
+    assert to_stdout.returncode == EXIT_OK, to_stdout.stderr.decode()
+    assert to_stdout.stderr == b""
+    assert subprocess.run(cmd + ["--out", str(out)], env=env).returncode == EXIT_OK
+    assert to_stdout.stdout == out.read_bytes()
+    assert "é".encode("utf-8") in to_stdout.stdout
+
+
+def test_stdout_without_a_byte_buffer_gets_the_text(tmp_path, monkeypatch):
+    import io
+
+    src = write(tmp_path, "k22.edges", K22_EDGES)
+    out = tmp_path / "k22.svg"
+    assert run([src, "--out", str(out)]) == EXIT_OK
+    text_only = io.StringIO()
+    monkeypatch.setattr("sys.stdout", text_only)
+    assert run([src]) == EXIT_OK
+    assert text_only.getvalue() == out.read_text(encoding="utf-8")

@@ -2,23 +2,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confluent_hasse import (
+    GridPoint,
+    GridScene,
     Realizer,
     build_diagram,
     dominance_covers,
     gen_random,
+    gen_worstcase,
     insert_junctions,
     place_on_grid,
     poset_from_realizer,
     poset_from_relations,
     realizer_of,
     smooth_adjacency,
+    sp_layout,
+    sp_to_poset,
     sweep_cover_edges,
     transitive_reduction,
     validate_diagram,
 )
 from confluent_hasse.diagram import Diagram
-from confluent_hasse.grid import JUNCTION
-from suites import forced_smooth_pairs
+from confluent_hasse.grid import JUNCTION, VERTEX
+from suites import (
+    all_sp_trees,
+    forced_smooth_pairs,
+    random_realizer_suite,
+    reference_smooth_adjacency,
+    reference_validate_diagram,
+)
 
 
 def coord_segments(d):
@@ -220,3 +231,133 @@ def test_planarity_and_visibility_spot_checks():
         assert by_name["planar"], report.summary()
         assert by_name["degrees"], report.summary()
         assert by_name["visibility"], report.summary()
+
+
+def assert_matches_reference(d, p):
+    assert validate_diagram(d, p).summary() == reference_validate_diagram(d, p).summary()
+    assert smooth_adjacency(d) == reference_smooth_adjacency(d)
+
+
+def checks_of(d, p):
+    return {c.name: c.status + (f": {c.detail}" if c.detail else "") for c in validate_diagram(d, p).checks}
+
+
+def test_validate_equals_the_reference_loops_on_the_suites():
+    for r in random_realizer_suite(200, 9):
+        assert_matches_reference(build_diagram(r), poset_from_realizer(r))
+    for tree in all_sp_trees(6):
+        assert_matches_reference(sp_layout(tree), sp_to_poset(tree))
+    for r in [gen_worstcase(k) for k in (1, 5, 20)] + [gen_random(n, n) for n in (30, 60, 120)]:
+        assert_matches_reference(build_diagram(r), poset_from_realizer(r))
+
+
+def custom(points, segments, relations):
+    """A diagram over explicit points (kind, x, y, label) and segments
+    between their indices, with the order the relations generate."""
+    scene = GridScene(0, tuple(GridPoint(*q) for q in points))
+    labels = [q[3] for q in points if q[0] == VERTEX]
+    return Diagram(scene, list(segments)), poset_from_relations(labels, relations)
+
+
+def test_validate_equals_the_reference_on_planarity_faults():
+    # a -> d and b -> c cross at (4, 4)
+    d, p = custom(
+        [(VERTEX, 2, 2, "a"), (VERTEX, 4, 2, "b"), (VERTEX, 4, 6, "c"), (VERTEX, 6, 6, "d")],
+        [(0, 3), (1, 2)],
+        [("a", "d"), ("b", "c")],
+    )
+    assert checks_of(d, p)["planar"] == "FAIL: 1 crossing pairs"
+    assert_matches_reference(d, p)
+    # e0 -> e4 spliced into a drawing crosses one of its tracks
+    r = gen_random(5, 0)
+    d = build_diagram(r)
+    ids = {q.label: i for i, q in enumerate(d.scene.points)}
+    spliced = Diagram(d.scene, d.segments + [(ids["e0"], ids["e4"])])
+    assert checks_of(spliced, poset_from_realizer(r))["planar"] == "FAIL: 1 crossing pairs"
+    assert_matches_reference(spliced, poset_from_realizer(r))
+    # a chain plus a -> c: collinear overlap beyond the shared a and c
+    chain = [(VERTEX, 2, 2, "a"), (VERTEX, 4, 4, "b"), (VERTEX, 6, 6, "c")]
+    d, p = custom(chain, [(0, 1), (1, 2), (0, 2)], [("a", "b"), ("b", "c")])
+    assert checks_of(d, p)["planar"] == "FAIL: 2 crossing pairs"
+    assert_matches_reference(d, p)
+    # b -> e starts inside a -> c without being collinear with it
+    d, p = custom(
+        [(VERTEX, 2, 2, "a"), (VERTEX, 4, 4, "b"), (VERTEX, 6, 6, "c"), (VERTEX, 5, 8, "e")],
+        [(0, 2), (1, 3)],
+        [("a", "c"), ("b", "e")],
+    )
+    assert checks_of(d, p)["planar"] == "FAIL: 1 crossing pairs"
+    assert_matches_reference(d, p)
+    # the same segment twice
+    d = k22_diagram()
+    p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
+    twice = Diagram(d.scene, d.segments + d.drawn_segments()[:1])
+    assert checks_of(twice, p)["planar"] == "FAIL: 1 crossing pairs"
+    assert_matches_reference(twice, p)
+
+
+def test_smooth_equals_the_reference_on_spliced_segments():
+    # a downward segment c -> junction: c reaches itself and d smoothly
+    d = k22_diagram()
+    p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
+    ids = {q.label: i for i, q in enumerate(d.scene.points)}
+    (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
+    down = Diagram(d.scene, d.segments + [(ids["c"], junction)])
+    assert smooth_adjacency(down) - smooth_adjacency(d) == {("c", "c"), ("c", "d")}
+    assert_matches_reference(down, p)
+    # a junction -> junction segment reversed: a cycle through junctions
+    r = gen_worstcase(3)
+    d = build_diagram(r)
+    kinds = [q.kind for q in d.scene.points]
+    lo, hi = next((a, b) for a, b in d.segments if kinds[a] == kinds[b] == JUNCTION)
+    cycle = Diagram(d.scene, d.segments + [(hi, lo)])
+    assert smooth_adjacency(cycle) > smooth_adjacency(d)
+    assert_matches_reference(cycle, poset_from_realizer(r))
+
+
+def test_visibility_equals_the_reference_on_blocked_rays():
+    # rotated, m sits at (0, 8) and t at (-1, 11); a junction track
+    # passes under m at v = 5 and another over t at v = 17
+    d, p = custom(
+        [
+            (VERTEX, 4, 4, "m"), (VERTEX, 5, 6, "t"),
+            (JUNCTION, 1, 2, None), (JUNCTION, 4, 3, None),
+            (JUNCTION, 7, 9, None), (JUNCTION, 9, 9, None),
+        ],
+        [(0, 1), (2, 3), (4, 5)],
+        [("m", "t")],
+    )
+    assert checks_of(d, p)["visibility"] == "FAIL: obstructed rays: [('m', 'below'), ('t', 'above')]"
+    assert_matches_reference(d, p)
+    # the isolated z at (0, 8), with a track under it at v = 5 and one
+    # over it at v = 14: the first blocking segment in drawn order is
+    # reported, whichever side it blocks
+    points = [
+        (VERTEX, 4, 4, "z"),
+        (JUNCTION, 1, 2, None), (JUNCTION, 4, 3, None),
+        (JUNCTION, 6, 7, None), (JUNCTION, 8, 7, None),
+    ]
+    for segs, side in (([(3, 4), (1, 2)], "above"), ([(1, 2), (3, 4)], "below")):
+        d, p = custom(points, segs, [])
+        assert checks_of(d, p)["visibility"] == f"FAIL: obstructed rays: [('z', '{side}')]"
+        assert_matches_reference(d, p)
+    # one track through z blocks both sides: "below" is tested first
+    d, p = custom(
+        [(VERTEX, 4, 4, "z"), (JUNCTION, 2, 2, None), (JUNCTION, 6, 6, None)],
+        [(1, 2)],
+        [],
+    )
+    assert checks_of(d, p)["visibility"] == "FAIL: obstructed rays: [('z', 'below')]"
+    assert_matches_reference(d, p)
+
+
+def test_validate_scales_to_the_worst_case_at_index_128():
+    r = gen_worstcase(128)
+    report = validate_diagram(build_diagram(r), poset_from_realizer(r))
+    assert report.summary().splitlines() == [
+        "SKIP segments: too many points for the cover oracle",
+        "PASS smooth",
+        "PASS planar",
+        "PASS degrees",
+        "PASS visibility",
+    ]
