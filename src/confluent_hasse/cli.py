@@ -9,6 +9,9 @@ exists in that case), 3 when --verify finds a failed check.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 import time
 from typing import Sequence
@@ -118,6 +121,32 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    sys.stderr.write(f"error: cannot write {path!r}: {exc}\n")
+    return EXIT_INPUT
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise,
+    where it shows before any write, without creating or truncating
+    the file."""
+    if path == "-":
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
+        return
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _write_output(path: str, payload: str) -> int:
     """Write the payload and return the exit code: 1, with one error
     line, when the path cannot be written."""
@@ -136,8 +165,7 @@ def _write_output(path: str, payload: str) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write {path!r}: {exc}\n")
-        return EXIT_INPUT
+        return _cannot_write(path, exc)
     return EXIT_OK
 
 
@@ -179,6 +207,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 
+    # an unwritable --out fails before the work; the file itself is
+    # written only on success, so a failed run creates or truncates none
+    try:
+        _check_writable(args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
+
     if args.bench is not None:
         return _write_output(args.out, bench.scaling_report(list(args.bench), seed=args.seed))
 
@@ -217,3 +252,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,27 +1,35 @@
 """Series-parallel orders: expression parser, decomposition trees, and
 the linear-time confluent layout.
 
-The layout places the tree's realizer with the general pipeline's
-``place_on_grid``. Each subtree's vertices then fill one box, and the
-boxes compose corner to corner: a series composition has the second
-box up-and-right of the first (everything in it dominates the first
-box), a parallel composition has it down-and-right (nothing
-comparable). One postorder pass adds the segments. A series step
-inserts a junction at the cell up-and-right of the lower box's corner
-exactly when the lower part has several maximal elements and the upper
-part several minimal ones; otherwise the unique extreme vertex fans out
-directly. Invisible bounds come from ``grid.bound_points``, as in the
-general pipeline, so the result is that pipeline's diagram of the same
-realizer without its quadratic scan of the grid.
+The parser splits the text with one regular expression and builds the
+tree with an operator stack in the same pass, noting a repeated leaf as
+it goes (a syntax error anywhere still wins over a repeated leaf).
+
+The layout puts vertices where the general pipeline's
+``place_on_grid`` puts the tree's realizer: x from the leaves left to
+right, y from one walk in the realizer's second order, which swaps the
+parts of every parallel composition. Each subtree's vertices then fill
+one box, and the boxes compose corner to corner: a series composition
+has the second box up-and-right of the first (everything in it
+dominates the first box), a parallel composition has it down-and-right
+(nothing comparable). One postorder pass places the vertices and adds
+the segments. A series step inserts a junction at the cell
+up-and-right of the lower box's corner exactly when the lower part has
+several maximal elements and the upper part several minimal ones;
+otherwise the unique extreme vertex fans out directly. Invisible bounds
+come from ``grid.bound_points``, as in the general pipeline, so the
+result is that pipeline's diagram of the same realizer without its
+quadratic scan of the grid.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .diagram import Diagram
-from .grid import GridPoint, GridScene, JUNCTION, bound_points, place_on_grid
+from .grid import JUNCTION, VERTEX, GridPoint, GridScene, bound_points
 from .poset import Poset
 from .realizer import Realizer, poset_from_realizer
 
@@ -58,28 +66,15 @@ class SpParallel:
 SpTree = Union[SpLeaf, SpSeries, SpParallel]
 
 _PUNCT = {";", "|", "(", ")"}
+_TOKEN = re.compile(r"[;|()]|[^\s;|()]+")  # \s is exactly str.isspace
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            tokens.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in _PUNCT:
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
-
-
-_PRECEDENCE = {";": 1, "|": 2}
+def _token_position(text: str, k: int) -> int:
+    """Character offset of the k-th token, or len(text) past the last."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return m.start()
+    return len(text)
 
 
 def parse_sp(text: str) -> SpTree:
@@ -89,71 +84,77 @@ def parse_sp(text: str) -> SpTree:
     associate to the left, parentheses group, whitespace is ignored.
     Leaf names are any tokens free of whitespace and punctuation.
     Operator precedence with explicit stacks, so nesting depth is
-    bounded by memory only.
+    bounded by memory only. A syntax error is reported before a
+    repeated leaf.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise SpSyntaxError("empty expression", 0)
+    tokens.append("")  # the end of the text
     operands: list[SpTree] = []
     ops: list[str] = []  # pending ';' and '|', and '(' for each open group
-
-    def reduce() -> None:
-        right = operands.pop()
-        left = operands.pop()
-        operands.append(SpSeries(left, right) if ops.pop() == ";" else SpParallel(left, right))
-
+    seen: set[str] = set()
+    duplicate = None
     want_operand = True
-    for tok, at in tokens + [("", len(text))]:
+    for k, tok in enumerate(tokens):
         if want_operand:
             if tok == "(":
                 ops.append(tok)
             elif tok and tok not in _PUNCT:
+                if duplicate is None and tok in seen:
+                    duplicate = tok
+                seen.add(tok)
                 operands.append(SpLeaf(tok))
                 want_operand = False
             else:
                 found = f", found {tok!r}" if tok else ""
-                raise SpSyntaxError(f"expected element name or '('{found}", at)
-        elif tok in _PRECEDENCE:
-            while ops and ops[-1] != "(" and _PRECEDENCE[ops[-1]] >= _PRECEDENCE[tok]:
-                reduce()
+                raise SpSyntaxError(
+                    f"expected element name or '('{found}", _token_position(text, k)
+                )
+        elif tok == "|":
+            # '|' binds tighter than ';', so only pending '|' reduce
+            while ops and ops[-1] == "|":
+                ops.pop()
+                right = operands.pop()
+                operands[-1] = SpParallel(operands[-1], right)
             ops.append(tok)
             want_operand = True
         else:
-            # an operand ends here: the innermost open group must close,
-            # or the whole expression must end
+            # ';', or an operand ends here: reduce back to the innermost
+            # open group
             while ops and ops[-1] != "(":
-                reduce()
-            if tok == ")" and ops:
+                right = operands.pop()
+                left = operands[-1]
+                operands[-1] = SpSeries(left, right) if ops.pop() == ";" else SpParallel(left, right)
+            if tok == ";":
+                ops.append(tok)
+                want_operand = True
+            elif tok == ")" and ops:
                 ops.pop()
             elif ops:
                 found = f", found {tok!r}" if tok else ""
-                raise SpSyntaxError(f"expected ')'{found}", at)
+                raise SpSyntaxError(f"expected ')'{found}", _token_position(text, k))
             elif tok:
-                raise SpSyntaxError(f"unexpected {tok!r} after complete expression", at)
-    tree = operands[0]
-    seen: set[str] = set()
-    for lab in sp_leaves(tree):
-        if lab in seen:
-            raise DuplicateLeafError(f"leaf {lab!r} occurs twice")
-        seen.add(lab)
-    return tree
-
-
-def _postorder(t: SpTree) -> Iterator[SpTree]:
-    stack: list[tuple[SpTree, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, SpLeaf) or expanded:
-            yield node
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+                raise SpSyntaxError(
+                    f"unexpected {tok!r} after complete expression", _token_position(text, k)
+                )
+    if duplicate is not None:
+        raise DuplicateLeafError(f"leaf {duplicate!r} occurs twice")
+    return operands[0]
 
 
 def sp_leaves(t: SpTree) -> list[str]:
     """Leaf labels in left-to-right order."""
-    return [node.label for node in _postorder(t) if isinstance(node, SpLeaf)]
+    labels: list[str] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SpLeaf):
+            labels.append(node.label)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return labels
 
 
 def sp_realizer(t: SpTree) -> Realizer:
@@ -183,79 +184,106 @@ def sp_to_poset(t: SpTree) -> Poset:
     return poset_from_realizer(sp_realizer(t))
 
 
-class _Chain:
-    """Singly linked list with O(1) splice, for min/max node lists."""
-
-    __slots__ = ("head", "tail", "size")
-
-    def __init__(self, value: int):
-        cell = [value, None]
-        self.head = cell
-        self.tail = cell
-        self.size = 1
-
-    def splice(self, other: "_Chain") -> "_Chain":
-        self.tail[1] = other.head
-        self.tail = other.tail
-        self.size += other.size
-        return self
-
-    def __iter__(self) -> Iterator[int]:
-        cell = self.head
-        while cell is not None:
-            yield cell[0]
-            cell = cell[1]
-
-
 def sp_layout(t: SpTree) -> Diagram:
     """Confluent diagram of the tree's order, in time linear in the
     tree size: the vertices, junctions and invisible bounds the general
     pipeline puts on the (2n+1)-sided grid for ``sp_realizer(t)``, and
     their cover segments, without scanning the grid."""
-    scene = place_on_grid(sp_realizer(t))
-    points = list(scene.points)
-    segments: list[tuple[int, int]] = []
-    # per finished subtree: its minima, its maxima, and the top-right
-    # corner of the box its vertices fill
-    done: list[tuple[_Chain, _Chain, int, int]] = []
-    leaf = 0  # postorder meets the leaves left to right, i.e. by point id
-
-    for node in _postorder(t):
+    # y: ranks in the second order of sp_realizer, from one walk in it
+    y_of: dict[str, int] = {}
+    y = 0
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if isinstance(node, SpLeaf):
-            p = points[leaf]
-            done.append((_Chain(leaf), _Chain(leaf), p.x, p.y))
-            leaf += 1
+            y += 2
+            y_of[node.label] = y
+        elif isinstance(node, SpSeries):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            stack.append(node.left)
+            stack.append(node.right)
+    n = len(y_of)
+    if 2 * n != y:
+        raise DuplicateLeafError("a leaf label occurs twice")
+
+    # x and the segments from one postorder walk, which meets the leaves
+    # left to right, i.e. by point id: the reverse of a preorder that
+    # visits the right part first. Minima and maxima chains are linked
+    # through next_min / next_max, -1 ending a chain.
+    mirrored: list[SpTree] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        mirrored.append(node)
+        if not isinstance(node, SpLeaf):
+            stack.append(node.left)
+            stack.append(node.right)
+    vertices: list[GridPoint] = []
+    junctions: list[GridPoint] = []
+    segments: list[tuple[int, int]] = []
+    next_min = [-1] * n
+    next_max = [-1] * n
+    # per finished subtree: head and tail of its minima and of its
+    # maxima (head == tail for one vertex), and the top-right corner of
+    # the box its vertices fill
+    done: list[tuple[int, int, int, int, int, int]] = []
+    for node in reversed(mirrored):
+        if isinstance(node, SpLeaf):
+            v = len(vertices)
+            x = 2 * v + 2
+            y = y_of[node.label]
+            vertices.append(GridPoint(VERTEX, x, y, node.label))
+            done.append((v, v, v, v, x, y))
             continue
-        min_r, max_r, xr, yr = done.pop()
-        min_l, max_l, xl, yl = done.pop()
+        rmin, rmin_tail, rmax, rmax_tail, xr, yr = done.pop()
+        lmin, lmin_tail, lmax, lmax_tail, xl, yl = done.pop()
         if isinstance(node, SpParallel):
             # the right box sits down-and-right of the left one
-            done.append((min_l.splice(min_r), max_l.splice(max_r), xr, yl))
+            next_min[lmin_tail] = rmin
+            next_max[lmax_tail] = rmax
+            done.append((lmin, rmin_tail, lmax, rmax_tail, xr, yl))
             continue
         # series: connect left maxima to right minima
-        if max_l.size > 1 and min_r.size > 1:
-            jid = len(points)
-            points.append(GridPoint(JUNCTION, xl + 1, yl + 1))
-            for q in max_l:
+        if lmax != lmax_tail and rmin != rmin_tail:
+            jid = n + len(junctions)
+            junctions.append(GridPoint(JUNCTION, xl + 1, yl + 1))
+            q = lmax
+            while q >= 0:
                 segments.append((q, jid))
-            for q in min_r:
+                q = next_max[q]
+            q = rmin
+            while q >= 0:
                 segments.append((jid, q))
-        elif max_l.size == 1:
-            a = max_l.head[0]
-            for q in min_r:
-                segments.append((a, q))
+                q = next_min[q]
+        elif lmax == lmax_tail:
+            q = rmin
+            while q >= 0:
+                segments.append((lmax, q))
+                q = next_min[q]
         else:
-            b = min_r.head[0]
-            for q in max_l:
-                segments.append((q, b))
-        done.append((min_l, max_r, xr, yr))
+            q = lmax
+            while q >= 0:
+                segments.append((q, rmin))
+                q = next_max[q]
+        done.append((lmin, lmin_tail, rmax, rmax_tail, xr, yr))
 
-    minima, maxima, _, _ = done.pop()
-    bottom, top = bound_points(scene.n, minima.size == 1, maxima.size == 1)
+    minima, minima_tail, maxima, maxima_tail, _, _ = done.pop()
+    points = vertices + junctions
+    bottom, top = bound_points(n, minima == minima_tail, maxima == maxima_tail)
     if bottom is not None:
-        segments.extend((len(points), q) for q in minima)
+        b = len(points)
         points.append(bottom)
+        q = minima
+        while q >= 0:
+            segments.append((b, q))
+            q = next_min[q]
     if top is not None:
-        segments.extend((q, len(points)) for q in maxima)
+        b = len(points)
         points.append(top)
-    return Diagram(GridScene(scene.n, tuple(points)), segments)
+        q = maxima
+        while q >= 0:
+            segments.append((q, b))
+            q = next_max[q]
+    return Diagram(GridScene(n, tuple(points)), segments)

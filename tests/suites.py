@@ -24,11 +24,16 @@ from confluent_hasse import (
 )
 from confluent_hasse.diagram import COVERS_CHECK_LIMIT, ValidationReport
 from confluent_hasse.geometry import Point, point_on_segment, segments_conflict
-from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
 from confluent_hasse.oracle import dominance_covers
 from confluent_hasse.poset import extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
-from confluent_hasse.sp import SpTree
+from confluent_hasse.sp import (
+    DuplicateLeafError,
+    SpSyntaxError,
+    SpTree,
+    sp_realizer,
+)
 
 
 def random_realizer_suite(count: int = 200, max_n: int = 9):
@@ -68,6 +73,51 @@ def all_sp_trees(max_leaves: int = 6) -> list[SpTree]:
         for shape in shapes(k):
             trees.append(realize(shape, [0]))
     return trees
+
+
+def sp_text(t: SpTree, sep: str = " ", all_parens: bool = False) -> str:
+    """An expression for the tree: with the fewest parentheses the
+    grammar allows (';' binds less tightly than '|', both associate to
+    the left), or with every composition in parentheses. ``sep`` goes
+    around each operator. Iterative, so deep trees are fine."""
+    # context of a child: 0 where a series may stand bare, 1 where only
+    # a parallel may, 2 where neither may
+    out: list[str] = []
+    stack: list[tuple[object, int]] = [(t, 0)]
+    while stack:
+        node, ctx = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        if isinstance(node, SpLeaf):
+            out.append(node.label)
+            continue
+        series = isinstance(node, SpSeries)
+        wrap = all_parens or (ctx >= 1 if series else ctx == 2)
+        if wrap:
+            stack.append((")", 0))
+        stack.append((node.right, 1 if series else 2))
+        stack.append((sep + (";" if series else "|") + sep, 0))
+        stack.append((node.left, 0 if series else 1))
+        if wrap:
+            stack.append(("(", 0))
+    return "".join(out)
+
+
+def sp_preorder(t: SpTree) -> list[tuple[str, str | None]]:
+    """(node type, leaf label) in preorder: equal exactly for equal
+    trees, and iterative where ``==`` on deep trees recurses."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SpLeaf):
+            out.append(("leaf", node.label))
+        else:
+            out.append((type(node).__name__, None))
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
 
 def of_kind(s: GridScene, kind: str) -> list[GridPoint]:
@@ -530,3 +580,177 @@ def vertical_ray_hits_segment(
     if downward:
         return num < v0 * den if den > 0 else num > v0 * den
     return num > v0 * den if den > 0 else num < v0 * den
+
+
+# --- the series-parallel front end before the one-pass rewrite, verbatim
+# but for names: parse_sp, _tokenize, sp_layout and _Chain, with the
+# _postorder walk and sp_leaves they use. The rewrite must give the same trees,
+# errors, points and segments.
+
+_REFERENCE_PUNCT = {";", "|", "(", ")"}
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in _REFERENCE_PUNCT:
+            tokens.append((ch, i))
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in _REFERENCE_PUNCT:
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+    return tokens
+
+
+_REFERENCE_PRECEDENCE = {";": 1, "|": 2}
+
+
+def reference_parse_sp(text: str) -> SpTree:
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise SpSyntaxError("empty expression", 0)
+    operands: list[SpTree] = []
+    ops: list[str] = []  # pending ';' and '|', and '(' for each open group
+
+    def reduce() -> None:
+        right = operands.pop()
+        left = operands.pop()
+        operands.append(SpSeries(left, right) if ops.pop() == ";" else SpParallel(left, right))
+
+    want_operand = True
+    for tok, at in tokens + [("", len(text))]:
+        if want_operand:
+            if tok == "(":
+                ops.append(tok)
+            elif tok and tok not in _REFERENCE_PUNCT:
+                operands.append(SpLeaf(tok))
+                want_operand = False
+            else:
+                found = f", found {tok!r}" if tok else ""
+                raise SpSyntaxError(f"expected element name or '('{found}", at)
+        elif tok in _REFERENCE_PRECEDENCE:
+            while (
+                ops
+                and ops[-1] != "("
+                and _REFERENCE_PRECEDENCE[ops[-1]] >= _REFERENCE_PRECEDENCE[tok]
+            ):
+                reduce()
+            ops.append(tok)
+            want_operand = True
+        else:
+            # an operand ends here: the innermost open group must close,
+            # or the whole expression must end
+            while ops and ops[-1] != "(":
+                reduce()
+            if tok == ")" and ops:
+                ops.pop()
+            elif ops:
+                found = f", found {tok!r}" if tok else ""
+                raise SpSyntaxError(f"expected ')'{found}", at)
+            elif tok:
+                raise SpSyntaxError(f"unexpected {tok!r} after complete expression", at)
+    tree = operands[0]
+    seen: set[str] = set()
+    for lab in _reference_sp_leaves(tree):
+        if lab in seen:
+            raise DuplicateLeafError(f"leaf {lab!r} occurs twice")
+        seen.add(lab)
+    return tree
+
+
+def _reference_postorder(t: SpTree):
+    stack: list[tuple[SpTree, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, SpLeaf) or expanded:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+
+
+def _reference_sp_leaves(t: SpTree) -> list[str]:
+    """Leaf labels in left-to-right order."""
+    return [node.label for node in _reference_postorder(t) if isinstance(node, SpLeaf)]
+
+
+class _ReferenceChain:
+    """Singly linked list with O(1) splice, for min/max node lists."""
+
+    __slots__ = ("head", "tail", "size")
+
+    def __init__(self, value: int):
+        cell = [value, None]
+        self.head = cell
+        self.tail = cell
+        self.size = 1
+
+    def splice(self, other: "_ReferenceChain") -> "_ReferenceChain":
+        self.tail[1] = other.head
+        self.tail = other.tail
+        self.size += other.size
+        return self
+
+    def __iter__(self):
+        cell = self.head
+        while cell is not None:
+            yield cell[0]
+            cell = cell[1]
+
+
+def reference_sp_layout(t: SpTree) -> Diagram:
+    scene = place_on_grid(sp_realizer(t))
+    points = list(scene.points)
+    segments: list[tuple[int, int]] = []
+    # per finished subtree: its minima, its maxima, and the top-right
+    # corner of the box its vertices fill
+    done: list[tuple[_ReferenceChain, _ReferenceChain, int, int]] = []
+    leaf = 0  # postorder meets the leaves left to right, i.e. by point id
+
+    for node in _reference_postorder(t):
+        if isinstance(node, SpLeaf):
+            p = points[leaf]
+            done.append((_ReferenceChain(leaf), _ReferenceChain(leaf), p.x, p.y))
+            leaf += 1
+            continue
+        min_r, max_r, xr, yr = done.pop()
+        min_l, max_l, xl, yl = done.pop()
+        if isinstance(node, SpParallel):
+            # the right box sits down-and-right of the left one
+            done.append((min_l.splice(min_r), max_l.splice(max_r), xr, yl))
+            continue
+        # series: connect left maxima to right minima
+        if max_l.size > 1 and min_r.size > 1:
+            jid = len(points)
+            points.append(GridPoint(JUNCTION, xl + 1, yl + 1))
+            for q in max_l:
+                segments.append((q, jid))
+            for q in min_r:
+                segments.append((jid, q))
+        elif max_l.size == 1:
+            a = max_l.head[0]
+            for q in min_r:
+                segments.append((a, q))
+        else:
+            b = min_r.head[0]
+            for q in max_l:
+                segments.append((q, b))
+        done.append((min_l, max_r, xr, yr))
+
+    minima, maxima, _, _ = done.pop()
+    bottom, top = bound_points(scene.n, minima.size == 1, maxima.size == 1)
+    if bottom is not None:
+        segments.extend((len(points), q) for q in minima)
+        points.append(bottom)
+    if top is not None:
+        segments.extend((q, len(points)) for q in maxima)
+        points.append(top)
+    return Diagram(GridScene(scene.n, tuple(points)), segments)

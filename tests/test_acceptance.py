@@ -19,6 +19,7 @@ from confluent_hasse import (
     gen_random_sp,
     gen_worstcase,
     order_dimension_le2,
+    parse_sp,
     poset_from_realizer,
     realizer_of,
     scene_matches_completion,
@@ -39,6 +40,7 @@ from suites import (
     hulls_intersect,
     random_poset,
     random_realizer_suite,
+    sp_text,
 )
 
 
@@ -246,6 +248,32 @@ def test_criterion_8_quadratic_scaling():
         f"median pair ratio {ratio:.2f}, {time.time()-t0:.1f}s",
     )
     assert ok, f"median doubling ratio {ratio:.2f} exceeds 5 (pairs: {ratios})"
+
+
+def test_sp_parse_and_layout_scale_linearly():
+    # series-parallel text to diagram at 2x10^4 and 4x10^4 leaves,
+    # alternating as in criterion 8: linear time doubles, quadratic
+    # quadruples
+    t0 = time.time()
+    texts = {n: sp_text(gen_random_sp(n, 5)) for n in (20_000, 40_000)}
+
+    def parse_and_layout_ms(n: int) -> float:
+        start = time.perf_counter()
+        sp_layout(parse_sp(texts[n]))
+        return (time.perf_counter() - start) * 1000
+
+    small, large, ratios = [], [], []
+    for _ in range(5):
+        small.append(parse_and_layout_ms(20_000))
+        large.append(parse_and_layout_ms(40_000))
+        ratios.append(large[-1] / small[-1])
+    ratio = statistics.median(ratios)
+    print(
+        f"sp parse + layout: 2e4: {statistics.median(small):.0f}ms, "
+        f"4e4: {statistics.median(large):.0f}ms, median pair ratio {ratio:.2f}, "
+        f"{time.time()-t0:.1f}s"
+    )
+    assert ratio <= 3.0, f"median doubling ratio {ratio:.2f} exceeds 3 (pairs: {ratios})"
 
 
 def test_criterion_9_sp_agreement_and_linearity():

@@ -104,6 +104,72 @@ def test_unwritable_out_exit_1(tmp_path, capsys, bench):
         assert err.count("\n") == 1
 
 
+def test_unwritable_out_fails_before_the_benchmark(tmp_path, capsys, monkeypatch):
+    from confluent_hasse import bench
+
+    def never(*args, **kwargs):
+        raise AssertionError("scaling_report ran for an unwritable --out")
+
+    monkeypatch.setattr(bench, "scaling_report", never)
+    out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+    assert run(["--bench", "256", "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out!r}: [Errno 2] No such file or directory: {out!r}\n"
+    )
+
+
+def test_unwritable_out_fails_before_the_input_is_read(tmp_path, capsys, monkeypatch):
+    from confluent_hasse import cli
+
+    def never(path):
+        raise AssertionError("the input was read for an unwritable --out")
+
+    monkeypatch.setattr(cli, "_read_input", never)
+    out = str(tmp_path / "missing" / "x.svg")
+    assert run(["in.edges", "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out!r}: ")
+
+
+def test_failed_run_creates_and_truncates_no_out_file(tmp_path, capsys):
+    cases = [
+        (S3_EDGES, [], EXIT_DIMENSION),
+        ("a b c\n", [], EXIT_INPUT),
+        ("a b\na b2\na2 b\na2 b2\na c\nc b\n", ["--verify", "--emit", "json"], EXIT_VERIFY),
+    ]
+    for i, (edges, flags, code) in enumerate(cases):
+        src = write(tmp_path, f"in{i}.edges", edges)
+        fresh = tmp_path / f"fresh{i}.svg"
+        assert run([src, "--out", str(fresh), *flags]) == code
+        assert not fresh.exists()
+        kept = tmp_path / f"kept{i}.svg"
+        kept.write_text("earlier output\n")
+        assert run([src, "--out", str(kept), *flags]) == code
+        assert kept.read_text() == "earlier output\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["confluent_hasse", "confluent_hasse.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = write(tmp_path, "k22.edges", K22_EDGES)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", module, src, "--emit", "json"], env=env, capture_output=True
+    )
+    assert done.returncode == EXIT_OK, done.stderr.decode()
+    assert json.loads(done.stdout)["stats"]["junctions"] == 1
+    bad = subprocess.run([sys.executable, "-m", module, "--no-such-flag"], env=env, capture_output=True)
+    assert bad.returncode == EXIT_INPUT
+    assert bad.stderr.startswith(b"error: ")
+
+
 def test_non_utf8_input_exit_1(tmp_path, capsys, monkeypatch):
     import io
 

@@ -1,3 +1,5 @@
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,16 @@ from confluent_hasse import (
     verify_realizer,
 )
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
-from suites import all_sp_trees
+from suites import (
+    all_sp_trees,
+    reference_parse_sp,
+    reference_sp_layout,
+    sp_preorder,
+    sp_text,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def sp_trees(max_leaves=8):
@@ -94,6 +105,100 @@ def test_parse_error_reports_expected():
 def test_parse_duplicate_leaf():
     with pytest.raises(DuplicateLeafError):
         parse_sp("a;(b|a)")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("a;(b|a", "expected ')'", 6),
+        ("a;a)", "unexpected ')'", 3),
+        ("a|a;;b", "expected element name", 4),
+    ],
+)
+def test_parse_syntax_error_beats_duplicate_leaf(text, message, position):
+    with pytest.raises(SpSyntaxError) as err:
+        parse_sp(text)
+    assert message in str(err.value)
+    assert err.value.position == position
+
+
+def test_parse_whitespace_is_what_str_isspace_says():
+    # \x1c (file separator) is whitespace to str.isspace, so x and y are
+    # two leaves with no operator between them
+    assert "\x1c".isspace() and "\xa0".isspace()
+    with pytest.raises(SpSyntaxError, match="unexpected 'y'") as err:
+        parse_sp("x\x1cy")
+    assert err.value.position == 2
+    assert parse_sp("x\xa0;y") == SpSeries(SpLeaf("x"), SpLeaf("y"))
+    # neither is whitespace, so both stay inside the label
+    assert not "\u200b".isspace() and not "\x00".isspace()
+    assert parse_sp("a\u200bb;c\x00d") == SpSeries(SpLeaf("a\u200bb"), SpLeaf("c\x00d"))
+
+
+def _same_as_reference(text):
+    """parse_sp and sp_layout give what the code before the one-pass
+    rewrite gave: the same tree and the same points and segments, in
+    order, or the same error at the same position."""
+    try:
+        want = reference_parse_sp(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            parse_sp(text)
+        assert type(err.value) is type(exc), text
+        assert str(err.value) == str(exc), text
+        assert getattr(err.value, "position", None) == getattr(exc, "position", None), text
+        return
+    tree = parse_sp(text)
+    assert sp_preorder(tree) == sp_preorder(want), text
+    got, ref = sp_layout(tree), reference_sp_layout(want)
+    assert got.scene.n == ref.scene.n
+    assert got.scene.points == ref.scene.points
+    assert got.segments == ref.segments
+
+
+def test_parse_and_layout_equal_the_reference_on_every_small_tree():
+    trees = all_sp_trees()
+    assert len(trees) == 1619
+    for t in trees:
+        _same_as_reference(sp_text(t))
+        _same_as_reference(sp_text(t, sep="", all_parens=True))
+
+
+def test_parse_and_layout_equal_the_reference_on_random_trees():
+    for seed in range(50):
+        t = gen_random_sp(1 + seed * 7 % 200, seed)
+        _same_as_reference(sp_text(t, sep="\n " if seed % 2 else ""))
+
+
+@pytest.mark.parametrize("key", ["sp/n10000/s0", "sp/n10000/s7"])
+def test_parse_and_layout_equal_the_reference_on_benchmark_items(key):
+    _same_as_reference(workloads.build(key).text)
+
+
+def test_parse_and_layout_equal_the_reference_on_a_large_tree():
+    _same_as_reference(sp_text(gen_random_sp(10**5, 3)))
+
+
+def test_parse_errors_equal_the_reference_on_malformed_input():
+    texts = ["", " ", "(", ")", "()", "a b", "a;", ";a", "|", "a|(", "(a", "a)", "((a)", "(a))", "a(b)"]
+    texts += ["a;(b|a", "a;a)", "a|a;;b", "a;a", "(a|b);(a|c)", "x\x1cy", "a ; (b | ) ; c"]
+    # seeded corruptions of small expressions: a character deleted, or
+    # punctuation, whitespace or a repeated name inserted
+    rng = random.Random(9)
+    inserts = [";", "|", "(", ")", " ", "\t", "a", "b c"]
+    for t in all_sp_trees(4):
+        for text in (sp_text(t), sp_text(t, sep="", all_parens=True)):
+            for _ in range(3):
+                at = rng.randrange(len(text) + 1)
+                texts.append(text[:at] + text[at + 1 :])
+                texts.append(text[:at] + rng.choice(inserts) + text[at:])
+    for text in texts:
+        _same_as_reference(text)
+
+
+def test_layout_rejects_a_tree_that_repeats_a_leaf():
+    with pytest.raises(ValueError):
+        sp_layout(SpSeries(SpLeaf("a"), SpParallel(SpLeaf("b"), SpLeaf("a"))))
 
 
 def test_sp_to_poset_k22():
