@@ -16,9 +16,10 @@ The checks of ``validate_diagram`` run in array passes, so that
   junction, in the order the junction-to-junction segments give, and
   ORs them per vertex: one pass over the segments;
 - planarity pairs the segments whose boxes overlap, by a sort and
-  ``searchsorted`` within strips of rows, counts proper crossings with
-  four integer orientations per pair, and leaves only collinear pairs
-  and endpoint touches to ``geometry.segments_conflict``;
+  ``searchsorted`` within strips of rows, and decides every pair from
+  four integer orientations: a proper crossing, an endpoint resting on
+  the other segment away from its ends, or a collinear overlap of
+  positive length;
 - visibility tests each extreme vertex's ray against the segments with
   one integer mask over the arrays of their rotated endpoints.
 """
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .grid import GridScene, INVISIBLE, JUNCTION, VERTEX
 from .poset import Poset, extremes, transitive_reduction
 
@@ -227,11 +227,10 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
       the cover pairs of p (``transitive_reduction``).
     - planar: drawn segments only meet at shared endpoints. Candidate
-      pairs are those with overlapping boxes; the crossings are counted
-      in integer arrays, and the exact predicate sees only collinear
-      pairs and endpoint touches (``_conflicting_pairs``).
+      pairs are those with overlapping boxes, and each is decided in
+      integer arrays (``_conflicting_pairs``).
     - degrees: every junction has at least two incoming and two
-      outgoing segments, from one count over the segments.
+      outgoing segments, from one ``bincount`` per direction.
     - visibility: the open vertical rays below minimal and above
       maximal vertices, in the rotated frame, meet no drawn segment; one
       mask over the segment arrays per vertex, and the first blocking
@@ -270,16 +269,10 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     conflicts = _conflicting_pairs(xs, ys, rendered)
     report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
 
-    indeg: dict[int, int] = {}
-    outdeg: dict[int, int] = {}
-    for lo, hi in d.segments:
-        outdeg[lo] = outdeg.get(lo, 0) + 1
-        indeg[hi] = indeg.get(hi, 0) + 1
-    bad_junctions = [
-        qid
-        for qid, q in enumerate(points)
-        if q.kind == JUNCTION and (indeg.get(qid, 0) < 2 or outdeg.get(qid, 0) < 2)
-    ]
+    segs = np.array(d.segments, dtype=np.int64).reshape(-1, 2)
+    outdeg, indeg = (np.bincount(segs[:, k], minlength=len(points)) for k in (0, 1))
+    junction = np.fromiter((q.kind == JUNCTION for q in points), bool, len(points))
+    bad_junctions = np.flatnonzero(junction & ((indeg < 2) | (outdeg < 2))).tolist()
     report.add(
         "degrees",
         not bad_junctions,
@@ -300,32 +293,29 @@ PAIR_CHUNK = 1 << 16
 
 
 def _conflicting_pairs(xs: np.ndarray, ys: np.ndarray, segs: np.ndarray) -> int:
-    """How many pairs of the segments (rows of point ids) conflict in
-    the sense of ``geometry.segments_conflict``.
+    """How many pairs of the segments (rows of point ids) meet anywhere
+    but at an endpoint they share.
 
-    Candidates are the pairs whose boxes overlap. Boxes are numbered in
-    (x0, y0, x1, y1, lo, hi) order, and each is entered in every strip
-    of rows it meets; strips are at least as tall as the mean box, so a
-    box meets few. Within a strip, sorted by x0 (``argsort``), a box's
-    partners are the later boxes that start at or before its right edge
-    (``searchsorted``), generated about PAIR_CHUNK pairs at a time. A
-    pair is kept when the y ranges overlap, in the strip where their
-    overlap starts, so it is counted once. Four integer orientations
-    then count the proper crossings. The exact predicate decides only
-    the pairs where one segment's endpoint lies on the other's line
-    inside its box: collinear pairs, and an endpoint touching the other
-    segment without being shared. A pair that shares an endpoint and
-    is not collinear cannot conflict.
+    Candidates are the pairs whose boxes overlap. Each box is entered
+    in every strip of rows it meets; strips are at least as tall as the
+    mean box, so a box meets few. Within a strip, sorted by x0
+    (``argsort``), a box's partners are the later boxes that start at
+    or before its right edge (``searchsorted``), generated about
+    PAIR_CHUNK pairs at a time. A pair is kept when the y ranges
+    overlap, in the strip where their overlap starts, so it is counted
+    once. With four integer orientations, a pair conflicts when
+
+    - the orientations show a proper crossing;
+    - an endpoint of one segment lies on the other (orientation 0,
+      inside its box) and is not one of the other's endpoints; or
+    - the pair is collinear and overlaps by a positive length, that is,
+      its x ranges or its y ranges overlap by a positive length.
     """
     if len(segs) < 2:
         return 0
     ax, ay, bx, by = xs[segs[:, 0]], ys[segs[:, 0]], xs[segs[:, 1]], ys[segs[:, 1]]
     x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
     y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
-    order = np.lexsort((segs[:, 1], segs[:, 0], y1, x1, y0, x0))
-    lo, hi, ax, ay, bx, by, x0, y0, x1, y1 = (
-        arr[order] for arr in (segs[:, 0], segs[:, 1], ax, ay, bx, by, x0, y0, x1, y1)
-    )
     tall = int((y1 - y0).mean()) + 1
     first = y0 // tall
     span = y1 // tall - first + 1
@@ -340,7 +330,6 @@ def _conflicting_pairs(xs: np.ndarray, ys: np.ndarray, segs: np.ndarray) -> int:
     ends = np.searchsorted(key, key + (x1 - x0)[box], side="right")
     counts = ends - np.arange(1, len(key) + 1)
     cum = np.cumsum(counts)
-    coords = list(zip(xs.tolist(), ys.tolist()))  # for the exact predicate
     conflicts = 0
     start = 0
     while start < len(counts):
@@ -351,28 +340,24 @@ def _conflicting_pairs(xs: np.ndarray, ys: np.ndarray, segs: np.ndarray) -> int:
         i, j = box[s], box[s + 1 + _positions(run)]
         start = stop
         keep = (y0[j] <= y1[i]) & (y0[i] <= y1[j]) & (np.maximum(y0[i], y0[j]) // tall == strip[s])
-        # the box first in (x0, y0, x1, y1, lo, hi) order goes first
-        i, j = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
-        if not len(i):
-            continue
-        a = (ax[i], ay[i])
-        b = (bx[i], by[i])
-        c = (ax[j], ay[j])
-        e = (bx[j], by[j])
+        i, j = i[keep], j[keep]
+        a, b, c, e = (ax[i], ay[i]), (bx[i], by[i]), (ax[j], ay[j]), (bx[j], by[j])
+        box_i, box_j = (x0[i], y0[i], x1[i], y1[i]), (x0[j], y0[j], x1[j], y1[j])
         o1, o2 = _orient(a, b, c), _orient(a, b, e)
         o3, o4 = _orient(c, e, a), _orient(c, e, b)
-        conflicts += int(np.count_nonzero((o1 * o2 < 0) & (o3 * o4 < 0)))
-        touch = (
-            (o1 == 0) & _in_box(c, x0[i], y0[i], x1[i], y1[i])
-            | (o2 == 0) & _in_box(e, x0[i], y0[i], x1[i], y1[i])
-            | (o3 == 0) & _in_box(a, x0[j], y0[j], x1[j], y1[j])
-            | (o4 == 0) & _in_box(b, x0[j], y0[j], x1[j], y1[j])
-        )
         collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
-        shared = _same(a, c) | _same(a, e) | _same(b, c) | _same(b, e)
-        rest = np.flatnonzero(collinear | (touch & ~shared))
-        for p, q, r, t in zip(*(ids[rest].tolist() for ids in (lo[i], hi[i], lo[j], hi[j]))):
-            conflicts += geometry.segments_conflict(coords[p], coords[q], coords[r], coords[t])
+        overlap = (np.maximum(x0[i], x0[j]) < np.minimum(x1[i], x1[j])) | (
+            np.maximum(y0[i], y0[j]) < np.minimum(y1[i], y1[j])
+        )
+        conflict = (
+            (o1 * o2 < 0) & (o3 * o4 < 0)
+            | _inside(o1, c, a, b, box_i)
+            | _inside(o2, e, a, b, box_i)
+            | _inside(o3, a, c, e, box_j)
+            | _inside(o4, b, c, e, box_j)
+            | collinear & overlap
+        )
+        conflicts += int(np.count_nonzero(conflict))
     return conflicts
 
 
@@ -382,13 +367,16 @@ def _positions(runs: np.ndarray) -> np.ndarray:
 
 
 def _orient(o, a, b) -> np.ndarray:
-    """``geometry._cross`` over arrays: the sign says on which side of
-    the line o -> a each b lies."""
+    """The sign says on which side of the line o -> a each b lies."""
     return np.sign((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
 
 
-def _in_box(p, x0, y0, x1, y1) -> np.ndarray:
-    return (x0 <= p[0]) & (p[0] <= x1) & (y0 <= p[1]) & (p[1] <= y1)
+def _inside(o, p, u, v, box) -> np.ndarray:
+    """p lies on the segment uv (its orientation o is 0 and it is
+    inside the box of uv) and is neither u nor v."""
+    x0, y0, x1, y1 = box
+    on = (o == 0) & (x0 <= p[0]) & (p[0] <= x1) & (y0 <= p[1]) & (p[1] <= y1)
+    return on & ~_same(p, u) & ~_same(p, v)
 
 
 def _same(p, q) -> np.ndarray:

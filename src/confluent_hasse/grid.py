@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .realizer import Realizer
 
 VERTEX = "vertex"
@@ -70,32 +72,28 @@ def insert_junctions(s: GridScene) -> GridScene:
     neighbouring even lines clear it diagonally: the column-(i-1)
     vertex sits below row j-1, the column-(i+1) vertex above row j+1,
     the row-(j-1) vertex left of column i-1, and the row-(j+1) vertex
-    right of column i+1. The scan is the plain double loop over odd
-    cells with O(1) work per cell.
+    right of column i+1. The scan goes one odd column at a time: the
+    column's two conditions leave a run of odd rows, and one mask over
+    that run applies the row conditions. Junctions therefore come column
+    by column, each column's rows ascending, in O(n) memory.
     """
     n = s.n
     side = 2 * n + 1
-    ycol = [0] * (side + 1)
-    xrow = [0] * (side + 1)
-    for p in s.points:
-        if p.kind == VERTEX:
-            ycol[p.x] = p.y
-            xrow[p.y] = p.x
+    verts = np.array([(p.x, p.y) for p in s.points if p.kind == VERTEX], np.int64).reshape(-1, 2)
+    ycol = np.zeros(side + 1, np.int64)
+    xrow = np.zeros(side + 1, np.int64)
+    ycol[verts[:, 0]] = verts[:, 1]
+    xrow[verts[:, 1]] = verts[:, 0]
 
     points = list(s.points)
+    j = np.arange(3, side - 1, 2)
+    left, right = xrow[j - 1], xrow[j + 1]
     for i in range(3, side - 1, 2):
-        below = ycol[i - 1]
-        above = ycol[i + 1]
-        i_lo = i - 1
-        i_hi = i + 1
-        for j in range(3, side - 1, 2):
-            if (
-                below < j - 1
-                and above > j + 1
-                and xrow[j - 1] < i_lo
-                and xrow[j + 1] > i_hi
-            ):
-                points.append(GridPoint(JUNCTION, i, j))
+        # the column conditions leave the odd rows ycol[i-1] < j-1, j+1 < ycol[i+1]
+        lo, hi = ycol[i - 1] // 2, ycol[i + 1] // 2 - 2
+        if lo < hi:
+            rows = j[lo:hi][(left[lo:hi] < i - 1) & (right[lo:hi] > i + 1)]
+            points += [GridPoint(JUNCTION, i, r) for r in rows.tolist()]
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n

@@ -22,6 +22,7 @@ runs in pure Python. Their bytes are pinned by the reference writers in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -166,7 +167,13 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
 
 
 def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Markup escaped, and each character XML 1.0 cannot carry (controls
+    other than tab, newline and carriage return, U+FFFE, U+FFFF)
+    replaced by U+FFFD, so the SVG stays well-formed."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if text.isprintable():
+        return text
+    return re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", "\ufffd", text)
 
 
 # The text json.dumps(doc, sort_keys=True, indent=2) gives, one

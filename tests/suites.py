@@ -23,7 +23,6 @@ from confluent_hasse import (
     transitive_reduction,
 )
 from confluent_hasse.diagram import COVERS_CHECK_LIMIT, ValidationReport
-from confluent_hasse.geometry import Point, point_on_segment, segments_conflict
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
 from confluent_hasse.oracle import dominance_covers
 from confluent_hasse.poset import extremes
@@ -361,6 +360,40 @@ def _reference_esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def reference_insert_junctions(s: GridScene) -> GridScene:
+    """The double loop over every odd cell that ``grid.insert_junctions``
+    replaced, verbatim: its scene, points in order, must be the same.
+    Test-only."""
+    n = s.n
+    side = 2 * n + 1
+    ycol = [0] * (side + 1)
+    xrow = [0] * (side + 1)
+    for p in s.points:
+        if p.kind == VERTEX:
+            ycol[p.x] = p.y
+            xrow[p.y] = p.x
+
+    points = list(s.points)
+    for i in range(3, side - 1, 2):
+        below = ycol[i - 1]
+        above = ycol[i + 1]
+        i_lo = i - 1
+        i_hi = i + 1
+        for j in range(3, side - 1, 2):
+            if (
+                below < j - 1
+                and above > j + 1
+                and xrow[j - 1] < i_lo
+                and xrow[j + 1] > i_hi
+            ):
+                points.append(GridPoint(JUNCTION, i, j))
+
+    has_least = n >= 1 and ycol[2] == 2
+    has_greatest = n >= 1 and ycol[2 * n] == 2 * n
+    points.extend(q for q in bound_points(n, has_least, has_greatest) if q)
+    return GridScene(n, tuple(points))
+
+
 def reference_smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     """One DFS per vertex: the smooth pairs ``diagram.smooth_adjacency``
     must match exactly, on any segment list. Test-only; the package
@@ -495,12 +528,64 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     return report
 
 
-# --- test-only geometry: the hull oracle of criterion 11 and the ray test
-# of the reference visibility loop
+# --- test-only geometry on integer coordinates, no floating point: the
+# exact segment predicate of the reference planarity loop, the hull
+# oracle of criterion 11 and the ray test of the reference visibility loop
+
+Point = tuple[int, int]
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def point_on_segment(p: Point, a: Point, b: Point) -> bool:
+    """True iff p lies on the closed segment ab."""
+    if _cross(a, b, p) != 0:
+        return False
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff closed segments ab and cd intersect anywhere except at
+    an endpoint they share.
+
+    Crossing interiors, touching an interior point with an endpoint,
+    and collinear overlap beyond a shared endpoint all count as
+    conflicts; meeting exactly at a common endpoint does not.
+    """
+    shared = {a, b} & {c, d}
+
+    o1 = _cross(a, b, c)
+    o2 = _cross(a, b, d)
+    o3 = _cross(c, d, a)
+    o4 = _cross(c, d, b)
+
+    if o1 == o2 == o3 == o4 == 0:
+        # collinear: project on the dominant axis and intersect intervals
+        axis = 0 if max(a[0], b[0], c[0], d[0]) != min(a[0], b[0], c[0], d[0]) else 1
+        lo1, hi1 = sorted((a[axis], b[axis]))
+        lo2, hi2 = sorted((c[axis], d[axis]))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return False
+        if lo == hi:
+            # single touching point; fine only if it is a shared endpoint
+            touch = a if a[axis] == lo else b
+            return touch not in shared
+        return True
+
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True  # proper crossing
+
+    # endpoint-on-segment touches
+    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+        if point_on_segment(p, u, v) and p not in shared:
+            return True
+    return False
 
 
 def convex_hull(points: list[Point]) -> list[Point]:

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +24,13 @@ from confluent_hasse import (
     transitive_reduction,
     validate_diagram,
 )
-from confluent_hasse.diagram import Diagram
+from confluent_hasse.diagram import Diagram, _conflicting_pairs
 from confluent_hasse.grid import JUNCTION, VERTEX
 from suites import (
     all_sp_trees,
     forced_smooth_pairs,
     random_realizer_suite,
+    reference_planar_conflicts,
     reference_smooth_adjacency,
     reference_validate_diagram,
 )
@@ -294,6 +298,43 @@ def test_validate_equals_the_reference_on_planarity_faults():
     twice = Diagram(d.scene, d.segments + d.drawn_segments()[:1])
     assert checks_of(twice, p)["planar"] == "FAIL: 1 crossing pairs"
     assert_matches_reference(twice, p)
+
+
+def segment_soup(seed):
+    """2-12 distinct points, vertices or junctions, on a 3x3 to 10x10
+    grid, and 2-14 random segments between them: crossings, T-touches,
+    collinear overlaps, duplicates and single-point segments."""
+    rng = random.Random(seed)
+    w, h = rng.randint(3, 10), rng.randint(3, 10)
+    grid = [(x, y) for x in range(1, w + 1) for y in range(1, h + 1)]
+    cells = rng.sample(grid, rng.randint(2, min(12, w * h)))
+    points = [
+        (VERTEX, x, y, f"v{k}") if rng.random() < 0.5 else (JUNCTION, x, y, None)
+        for k, (x, y) in enumerate(cells)
+    ]
+    segments = [tuple(rng.choices(range(len(points)), k=2)) for _ in range(rng.randint(2, 14))]
+    return custom(points, segments, [])
+
+
+def test_planarity_equals_the_reference_on_segment_soups():
+    for seed in range(3000):
+        d, p = segment_soup(seed)
+        xs = np.array([q.x for q in d.scene.points])
+        ys = np.array([q.y for q in d.scene.points])
+        segs = np.array(d.drawn_segments()).reshape(-1, 2)
+        assert _conflicting_pairs(xs, ys, segs) == reference_planar_conflicts(d), seed
+        if seed % 10 == 0:
+            assert validate_diagram(d, p).summary() == reference_validate_diagram(d, p).summary()
+
+
+def test_degrees_equal_the_reference_on_a_junction_of_in_degree_one():
+    d = k22_diagram()
+    p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
+    (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
+    into = next(seg for seg in d.segments if seg[1] == junction)
+    cut = Diagram(d.scene, [seg for seg in d.segments if seg != into])
+    assert checks_of(cut, p)["degrees"] == f"FAIL: junctions with degree < 2: [{junction}]"
+    assert_matches_reference(cut, p)
 
 
 def test_smooth_equals_the_reference_on_spliced_segments():

@@ -34,6 +34,11 @@ DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
         *(f"sp/n10000/s{i}" for i in range(4)),
         "verify-worst/k2",  # --verify passes, JSON
         "verify-random/n12/s0",  # --verify fails: exit 3, no output
+        # the --verify items with the most segments for the planar check
+        "verify-worst/k32",
+        "verify-worst/k48",
+        "verify-random/n128/s0",
+        "verify-random/n128/s1",
     ],
 )
 def test_output_matches_the_stored_digest(tmp_path, capsys, key):

@@ -1,5 +1,10 @@
-from confluent_hasse.geometry import point_on_segment, segments_conflict
-from suites import convex_hull, hulls_intersect, vertical_ray_hits_segment
+from suites import (
+    convex_hull,
+    hulls_intersect,
+    point_on_segment,
+    segments_conflict,
+    vertical_ray_hits_segment,
+)
 
 
 def test_proper_crossing_conflicts():

@@ -5,13 +5,19 @@ from confluent_hasse import (
     Realizer,
     dm_completion,
     gen_random,
+    gen_worstcase,
     insert_junctions,
     place_on_grid,
     poset_from_realizer,
     scene_matches_completion,
 )
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
-from suites import of_kind, vertex_dominance_poset
+from suites import (
+    of_kind,
+    random_realizer_suite,
+    reference_insert_junctions,
+    vertex_dominance_poset,
+)
 
 
 def scene_for(l1, l2):
@@ -118,3 +124,12 @@ def test_coordinate_ranges(n, seed):
             assert (p.x, p.y) in {(1, 1), (side, side)}
     cells = [(p.x, p.y) for p in s.points]
     assert len(cells) == len(set(cells))
+
+
+def test_insert_junctions_equals_the_reference_loop():
+    realizers = random_realizer_suite(200, 9)
+    realizers += [gen_worstcase(k) for k in (1, 5, 20, 128)]
+    realizers += [gen_random(n, seed) for n in (30, 256, 1024) for seed in (0, 1)]
+    for r in realizers:
+        s = place_on_grid(r)
+        assert insert_junctions(s) == reference_insert_junctions(s)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -17,6 +18,7 @@ from confluent_hasse import (
     to_json,
     to_svg,
 )
+from confluent_hasse.cli import EXIT_OK, run
 from confluent_hasse.grid import JUNCTION
 from suites import reference_to_json, reference_to_svg
 
@@ -185,4 +187,24 @@ SVG_OPTIONS = [
 def test_writers_match_the_reference_writers(name, d):
     assert to_json(d) == reference_to_json(d)
     for opts in SVG_OPTIONS:
-        assert to_svg(d, opts) == reference_to_svg(d, opts), opts
+        expected = reference_to_svg(d, opts)
+        if name.startswith("labels"):
+            # the reference writes the "ctl\x01" label as it is
+            expected = expected.replace("\x01", "\ufffd")
+        assert to_svg(d, opts) == expected, opts
+
+
+# characters outside XML 1.0's Char production, each in a label
+NOT_XML = ("a\x00", "b\x01", "c\x1b", "d\ufffe", "e\uffff")
+
+
+def test_svg_with_labels_xml_cannot_carry_is_well_formed(tmp_path, capsys):
+    texts = [to_svg(build_diagram(Realizer(NOT_XML, NOT_XML[::-1])))]
+    src = tmp_path / "in.edges"
+    src.write_text(f"{NOT_XML[0]} {NOT_XML[1]}\n{NOT_XML[2]} {NOT_XML[3]}\nnode {NOT_XML[4]}\n", "utf-8")
+    assert run([str(src)]) == EXIT_OK
+    texts.append(capsys.readouterr().out)
+    for text in texts:
+        root = ElementTree.fromstring(text.encode("utf-8"))
+        labels = sorted(t.text for t in root.iter("{http://www.w3.org/2000/svg}text"))
+        assert labels == [label[0] + "\ufffd" for label in NOT_XML]
