@@ -13,9 +13,14 @@ degenerates onto the endpoint.
 Both writers fill fixed text templates and do little work per track.
 ``to_svg`` formats each visible point's coordinates once, and a
 junction's two control heights once, then sorts tracks by the ranks of
-their ends. ``to_json`` writes one ``%``-template per node and per
-segment in place of ``json.dumps(indent=2)``, whose indenting encoder
-runs in pure Python. Their bytes are pinned by the reference writers in
+their ends. ``to_json`` writes the text of ``json.dumps(indent=2)``
+without its indenting encoder, which runs in pure Python. It splits
+the points into runs of one kind and one label presence (vertices,
+then junctions, then bounds, as the scene lists them), bakes the kind
+into a node template and fills the template, repeated over the run, by
+one ``%`` call from columns of x, y, id, label, u = x - y and v = x + y.
+The segments fill one repeated template the same way, and the document
+is joined once. Their bytes are pinned by the reference writers in
 ``tests/suites.py`` and by the output digests in
 ``perfbench/digests.json``.
 """
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add, is_not, sub
 
 from .diagram import Diagram
 from .grid import GridPoint, INVISIBLE, JUNCTION, VERTEX
@@ -179,7 +185,8 @@ def _esc(text: str) -> str:
 # The text json.dumps(doc, sort_keys=True, indent=2) gives, one
 # template per piece: keys in sorted order, one list element per line,
 # an empty list as [], and strings escaped as json.dumps escapes them
-# (encode_basestring_ascii).
+# (encode_basestring_ascii). A node's kind is baked into its template
+# (the first %s); the second %s is the label line or nothing.
 _NODE = """    {
       "grid": [
         %d,
@@ -197,10 +204,9 @@ _SEGMENT = """    {
       "from": %d,
       "to": %d
     }"""
-_DOCUMENT = """{
-  "n": %d,
-  "nodes": %s,
-  "segments": %s,
+_HEAD = '{\n  "n": %d,\n  "nodes": '
+_MIDDLE = ',\n  "segments": '
+_TAIL = """,
   "stats": {
     "gridSide": %d,
     "junctions": %d,
@@ -210,25 +216,53 @@ _DOCUMENT = """{
 """
 
 
-def _json_list(body: str) -> str:
-    return "[\n%s\n  ]" % body if body else "[]"
+def _node_template(kind: str, labelled: bool) -> str:
+    """_NODE for one kind, with a label field or none."""
+    return _NODE.replace("%s", encode_basestring_ascii(kind), 1).replace(
+        "%s", _LABEL if labelled else "", 1
+    )
+
+
+def _json_list(items: list[str]) -> list[str]:
+    """The pieces of a JSON list of the given element texts."""
+    if not items:
+        return ["[]"]
+    pieces = ["[\n"]
+    for item in items:
+        pieces += (item, ",\n")
+    pieces[-1] = "\n  ]"
+    return pieces
 
 
 def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
-    nodes = []
-    for pid, p in enumerate(d.scene.points):
-        label = "" if p.label is None else _LABEL % encode_basestring_ascii(p.label)
-        u, v = p.rot
-        nodes.append(_NODE % (p.x, p.y, pid, encode_basestring_ascii(p.kind), label, u, v))
+    points = d.scene.points
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    labels = [p.label for p in points]
+    # one template per run of points with the same kind and label
+    # presence, filled by one call from columns zipped point by point
+    runs = []
+    stop = 0
+    present = map(is_not, labels, repeat(None))
+    for (kind, labelled), run in groupby(zip([p.kind for p in points], present)):
+        start = stop
+        stop += len(list(run))
+        x, y = xs[start:stop], ys[start:stop]
+        columns = [x, y, range(start, stop), map(sub, x, y), map(add, x, y)]
+        if labelled:
+            columns.insert(3, map(encode_basestring_ascii, labels[start:stop]))
+        template = ",\n".join([_node_template(kind, labelled)] * (stop - start))
+        runs.append(template % tuple(chain.from_iterable(zip(*columns))))
     # the segment template repeated once per segment, filled by one call
     segments = sorted(d.segments)
     segment_text = ",\n".join([_SEGMENT] * len(segments)) % tuple(chain.from_iterable(segments))
-    return _DOCUMENT % (
-        d.scene.n,
-        _json_list(",\n".join(nodes)),
-        _json_list(segment_text),
-        d.scene.side,
-        d.junction_count(),
-        len(d.segments),
+    return "".join(
+        [
+            _HEAD % d.scene.n,
+            *_json_list(runs),
+            _MIDDLE,
+            *_json_list([segment_text] if segments else []),
+            _TAIL % (d.scene.side, d.junction_count(), len(d.segments)),
+        ]
     )

@@ -22,7 +22,7 @@ from confluent_hasse import (
     rotate45,
     transitive_reduction,
 )
-from confluent_hasse.diagram import COVERS_CHECK_LIMIT, ValidationReport
+from confluent_hasse.diagram import COVERS_CHECK_LIMIT, Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
 from confluent_hasse.oracle import dominance_covers
 from confluent_hasse.poset import extremes
@@ -392,6 +392,64 @@ def reference_insert_junctions(s: GridScene) -> GridScene:
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
     points.extend(q for q in bound_points(n, has_least, has_greatest) if q)
     return GridScene(n, tuple(points))
+
+
+def reference_sweep_cover_edges(s: GridScene) -> Diagram:
+    """Generate all direct dominance pairs among the scene's points.
+
+    Sweeps rows 1..2n+1 upward; within a row, walks columns left to
+    right keeping (a) per column, the topmost point seen so far, and
+    (b) a stack of those tops with strictly decreasing rows, i.e. the
+    staircase of dominance-maximal points below-left of the cursor.
+    Runs in O(grid cells + segments). The grid-cell sweep that
+    ``diagram.sweep_cover_edges`` replaced, verbatim: its segments, in
+    order, must be the same. Test-only.
+    """
+    side = 2 * s.n + 1
+    t_row = [0] * (side + 1)
+    t_id = [-1] * (side + 1)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(side + 1)]
+    for pid, p in enumerate(s.points):
+        rows[p.y].append((p.x, pid))
+    segments: list[Segment] = []
+    emit = segments.append
+
+    for r in range(1, side + 1):
+        events = rows[r]
+        if not events:
+            continue
+        events.sort()
+        stack_rows: list[int] = []
+        stack_ids: list[int] = []
+        prev = 0
+        for c, pid in events:
+            # fold columns (prev, c] into the staircase: their tops,
+            # keeping only suffix maxima by row
+            best = 0
+            add_rows: list[int] = []
+            add_ids: list[int] = []
+            cc = c
+            while cc > prev:
+                tr = t_row[cc]
+                if tr > best:
+                    best = tr
+                    add_rows.append(tr)
+                    add_ids.append(t_id[cc])
+                cc -= 1
+            while stack_rows and stack_rows[-1] <= best:
+                stack_rows.pop()
+                stack_ids.pop()
+            stack_rows.extend(reversed(add_rows))
+            stack_ids.extend(reversed(add_ids))
+            for q in stack_ids:
+                emit((q, pid))
+            # the new point dominates the whole staircase; restart from it
+            t_row[c] = r
+            t_id[c] = pid
+            stack_rows = [r]
+            stack_ids = [pid]
+            prev = c
+    return Diagram(s, segments)
 
 
 def reference_smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:

@@ -19,19 +19,21 @@ from confluent_hasse import (
     realizer_of,
     smooth_adjacency,
     sp_layout,
+    sp_realizer,
     sp_to_poset,
     sweep_cover_edges,
     transitive_reduction,
     validate_diagram,
 )
 from confluent_hasse.diagram import Diagram, _conflicting_pairs
-from confluent_hasse.grid import JUNCTION, VERTEX
+from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from suites import (
     all_sp_trees,
     forced_smooth_pairs,
     random_realizer_suite,
     reference_planar_conflicts,
     reference_smooth_adjacency,
+    reference_sweep_cover_edges,
     reference_validate_diagram,
 )
 
@@ -113,6 +115,47 @@ def test_sweep_spot_check_larger():
         s = insert_junctions(place_on_grid(gen_random(n, seed)))
         d = sweep_cover_edges(s)
         assert coord_segments(d) == dominance_covers([(q.x, q.y) for q in s.points])
+
+
+def point_soup(seed):
+    """Distinct random cells of a (2n+1) x (2n+1) grid, n <= 6, in
+    random order and of random kinds: any number of points from none
+    to the full grid."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    side = 2 * n + 1
+    cells = [(x, y) for x in range(1, side + 1) for y in range(1, side + 1)]
+    kinds = (VERTEX, JUNCTION, INVISIBLE)
+    chosen = rng.sample(cells, rng.randint(0, len(cells)))
+    return GridScene(n, tuple(GridPoint(rng.choice(kinds), x, y) for x, y in chosen))
+
+
+def full_grid(n):
+    side = 2 * n + 1
+    cells = [(x, y) for y in range(1, side + 1) for x in range(1, side + 1)]
+    return GridScene(n, tuple(GridPoint(JUNCTION, x, y) for x, y in cells))
+
+
+def sweep_cases():
+    for i, r in enumerate(random_realizer_suite(200, 9)):
+        yield f"suite{i}", insert_junctions(place_on_grid(r))
+    for i, t in enumerate(all_sp_trees(6)):
+        yield f"sp{i}", insert_junctions(place_on_grid(sp_realizer(t)))
+    for k in [*range(1, 21), 128]:
+        yield f"worst{k}", insert_junctions(place_on_grid(gen_worstcase(k)))
+    for n in (256, 1024):
+        for seed in (0, 1):
+            yield f"random{n}/{seed}", insert_junctions(place_on_grid(gen_random(n, seed)))
+    for n in range(7):
+        yield f"empty{n}", GridScene(n, ())
+        yield f"full{n}", full_grid(n)
+    for seed in range(3000):
+        yield f"soup{seed}", point_soup(seed)
+
+
+def test_sweep_equals_the_reference_sweep_in_order():
+    for name, s in sweep_cases():
+        assert sweep_cover_edges(s).segments == reference_sweep_cover_edges(s).segments, name
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,8 @@ from xml.etree import ElementTree
 import pytest
 
 from confluent_hasse import (
+    GridPoint,
+    GridScene,
     Realizer,
     RenderOptions,
     bezier_controls,
@@ -15,11 +17,12 @@ from confluent_hasse import (
     gen_worstcase,
     rotate45,
     sp_layout,
+    sweep_cover_edges,
     to_json,
     to_svg,
 )
 from confluent_hasse.cli import EXIT_OK, run
-from confluent_hasse.grid import JUNCTION
+from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from suites import reference_to_json, reference_to_svg
 
 DATA = Path(__file__).parent / "data"
@@ -169,6 +172,28 @@ def _writer_cases():
         yield f"random{seed}", build_diagram(gen_random(seed % 13, seed))
     for seed in range(50):
         yield f"sp{seed}", sp_layout(gen_random_sp(1 + seed % 17, seed))
+    # larger sp_layout scenes: a run of vertices, of junctions, then
+    # the bounds after the junctions
+    for seed in range(3):
+        yield f"sp-large{seed}", sp_layout(gen_random_sp(60, seed))
+    # kinds and label presence that change from one id to the next: each
+    # point its own run, or runs of two
+    yield "interleaved", hand_built(
+        (INVISIBLE, 1, 1, None), (VERTEX, 2, 2, "a"), (JUNCTION, 3, 5, None),
+        (VERTEX, 4, 2, "b"), (JUNCTION, 5, 3, None), (INVISIBLE, 9, 9, None),
+        (VERTEX, 2, 6, "c"), (VERTEX, 6, 4, "d"), (JUNCTION, 7, 7, None), (VERTEX, 8, 8, "e"),
+    )
+    yield "labelled-junction", hand_built(
+        (VERTEX, 2, 2, "a"), (JUNCTION, 3, 3, 'j"1'), (JUNCTION, 5, 5, None), (VERTEX, 6, 6, "b"),
+    )
+    yield "unlabelled-vertex", hand_built(
+        (VERTEX, 2, 2, "a"), (VERTEX, 4, 4, None), (VERTEX, 6, 6, None), (VERTEX, 8, 8, "d%s"),
+    )
+
+
+def hand_built(*points):
+    """The diagram of explicit points (kind, x, y, label) on a 9 x 9 grid."""
+    return sweep_cover_edges(GridScene(4, tuple(GridPoint(*q) for q in points)))
 
 
 WRITER_CASES = list(_writer_cases())
