@@ -2,8 +2,10 @@
 
 Elements are identified by unique string labels; the matrix entry
 ``leq[i, j]`` holds exactly when element i is less than or equal to
-element j. The dense representation keeps every query O(1) and
-closure/reduction simple.
+element j. The dense representation keeps every query O(1) and the
+reduction one matrix product. Closure works on one int bitmask per
+element instead, ORed along the input pairs in reverse topological
+order, and unpacks into the matrix once.
 """
 
 from __future__ import annotations
@@ -91,13 +93,69 @@ class Poset:
         return f"Poset(n={self.n}, labels={self.labels!r})"
 
 
-def _transitive_closure(mat: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation, in place."""
-    n = mat.shape[0]
-    np.fill_diagonal(mat, True)
-    for k in range(n):
-        mat |= np.outer(mat[:, k], mat[k, :])
-    return mat
+def _masks_to_rows(masks: list[int], n: int) -> np.ndarray:
+    """n int bitmasks (bit j = column j) as an n x n bool matrix."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
+
+
+def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Reflexive-transitive closure of a relation on range(n), given as
+    index pairs, as an n x n bool matrix.
+
+    Every member of a strongly connected component reaches the
+    component and whatever its successors reach. Tarjan's algorithm
+    (SIAM J. Comput. 1(2), 1972) finishes the components in reverse
+    topological order, so each successor's bitmask is complete when a
+    component ORs it in. A cyclic relation is closed the same way; the
+    Poset constructor then rejects it.
+    """
+    out: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        out[a].append(b)
+    order = [-1] * n  # discovery number, -1 until visited
+    low = [0] * n
+    reach = [0] * n  # nonzero exactly when the vertex's component is finished
+    stack: list[int] = []  # visited vertices whose component is not finished
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if not reach[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    # v roots a component: itself and the vertices
+                    # above it on the stack
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    mask = 0
+                    for x in members:
+                        mask |= 1 << x
+                    for x in members:
+                        for y in out[x]:
+                            mask |= reach[y]
+                    for x in members:
+                        reach[x] = mask
+    return _masks_to_rows(reach, n)
 
 
 def poset_from_relations(
@@ -114,16 +172,14 @@ def poset_from_relations(
         if lab in index:
             raise DuplicateLabelError(f"duplicate label {lab!r}")
         index[lab] = len(index)
-    n = len(index)
-    mat = np.zeros((n, n), dtype=bool)
+    edges = []
     for a, b in pairs:
         if a not in index:
             raise UnknownLabelError(f"unknown element {a!r}")
         if b not in index:
             raise UnknownLabelError(f"unknown element {b!r}")
-        mat[index[a], index[b]] = True
-    _transitive_closure(mat)
-    return Poset(labels, mat)
+        edges.append((index[a], index[b]))
+    return Poset(labels, _closure(len(index), edges))
 
 
 def transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:

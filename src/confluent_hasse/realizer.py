@@ -4,19 +4,20 @@ A poset has dimension at most two exactly when its incomparability
 graph admits a transitive orientation. Orientation is found by the
 classic forcing procedure (implication classes, Golumbic 1980, ch. 5):
 pick an unoriented incomparable pair, orient it, and propagate every
-orientation this forces; a contradiction during propagation certifies
+orientation this forces; a class that meets its own reverse certifies
 that no transitive orientation exists. The unoriented graph and the
-orientation are int bitmasks per element; the orientation keeps both
-successor and predecessor masks, so a contradiction is one AND per
-side and only newly forced pairs are visited one by one. The two
-output orders are the poset united with the orientation and with its
-reverse. The result is always re-checked with verify_realizer, so an
-accepted realizer is correct by construction *and* by checking.
+orientation are int bitmasks per element, successors and predecessors.
+A class grows one level at a time over whole rows: the pairs forced by
+all the last level's pairs out of one element are that element's row
+minus an AND of their heads' rows, so each pair costs one AND per side.
+The two output orders are the poset united with the orientation and
+with its reverse; each rank is a popcount. The result is always
+re-checked with verify_realizer, so an accepted realizer is correct by
+construction *and* by checking.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,21 +78,16 @@ def _rows_to_masks(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _masks_to_rows(masks: list[int], n: int) -> np.ndarray:
-    """Inverse of _rows_to_masks: n int bitmasks as an n x n bool matrix."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
-
-
-def _forced_orientation(p: Poset) -> list[int] | None:
+def _forced_orientation(p: Poset) -> tuple[list[int], list[int]] | None:
     """Transitive orientation of the incomparability graph, or None.
 
-    Returns per-element successor bitmasks of the orientation. Forcing
-    classes are computed against the still-unoriented graph, which lets
-    earlier classes merge later ones exactly when transitivity demands.
-    A pop costs a few mask operations plus one step per pair it newly
-    orients, and each incomparable pair is oriented once.
+    Returns per-element successor and predecessor bitmasks of the
+    orientation. Forcing classes are computed against the
+    still-unoriented graph, which lets earlier classes merge later ones
+    exactly when transitivity demands. A class grows one level at a
+    time over whole rows: one AND per pair of the last level finds
+    everything that level forces, and each incomparable pair is
+    oriented once.
     """
     n = p.n
     # adjacency of the not-yet-oriented incomparability graph; leq is
@@ -104,38 +100,70 @@ def _forced_orientation(p: Poset) -> list[int] | None:
     for a in range(n):
         while rem[a]:
             b = (rem[a] & -rem[a]).bit_length() - 1
-            # start a new implication class at a -> b
+            # start a new implication class at a -> b; the last level is
+            # kept per row: heads[u] lists the newly forced w of u -> w,
+            # and tails[v] the newly forced w of w -> v
             succ[a] |= 1 << b
             pred[b] |= 1 << a
-            cls = [(a, b)]
-            queue = deque(cls)
-            while queue:
-                u, v = queue.popleft()
-                # orienting u->v forces u->w for every w incomparable to
-                # u and comparable to v; w->u already chosen is a conflict
-                shared_tail = rem[u] & ~rem[v] & ~(1 << v)
-                if shared_tail & pred[u]:
-                    return None
-                for w in _bits(shared_tail & ~succ[u]):
-                    succ[u] |= 1 << w
-                    pred[w] |= 1 << u
-                    cls.append((u, w))
-                    queue.append((u, w))
-                # and w->v for every w incomparable to v and comparable
-                # to u; v->w already chosen is a conflict
-                shared_head = rem[v] & ~rem[u] & ~(1 << u)
-                if shared_head & succ[v]:
-                    return None
-                for w in _bits(shared_head & ~pred[v]):
-                    succ[w] |= 1 << v
-                    pred[v] |= 1 << w
-                    cls.append((w, v))
-                    queue.append((w, v))
+            heads = {a: [b]}
+            tails = {b: [a]}
+            rows = [a, b]
+            while heads:
+                next_heads: dict[int, list[int]] = {}
+                next_tails: dict[int, list[int]] = {}
+                # u -> v forces u -> w for every w incomparable to u and
+                # comparable to v; mirrored, w -> v for every w
+                # incomparable to v and comparable to u
+                _force_level(rem, heads, succ, pred, next_heads, next_tails)
+                _force_level(rem, tails, pred, succ, next_tails, next_heads)
+                # an implication class is either disjoint from its
+                # reverse or equal to it (Golumbic 1980, ch. 5); a newly
+                # forced u -> w meets the reverse in row u
+                for u in next_heads:
+                    if succ[u] & pred[u]:
+                        return None
+                rows += next_heads
+                rows += next_tails
+                heads, tails = next_heads, next_tails
             # the class is fully oriented; retire its edges
-            for u, v in cls:
-                rem[u] &= ~(1 << v)
-                rem[v] &= ~(1 << u)
-    return succ
+            for x in rows:
+                rem[x] &= ~(succ[x] | pred[x])
+    return succ, pred
+
+
+def _force_level(
+    rem: list[int],
+    level: dict[int, list[int]],
+    out: list[int],
+    into: list[int],
+    next_out: dict[int, list[int]],
+    next_into: dict[int, list[int]],
+) -> None:
+    """Force one side of a level.
+
+    level[x] lists the partners y whose pairs with x are new. Each w in
+    rem[x] that is missing from rem[y] for some y (w is comparable to
+    y) is forced onto the same side of x: w becomes an out[x] bit, x an
+    into[w] bit, and both are listed for the next level. One AND per
+    partner finds them; out[x] filters out the partners themselves and
+    every pair oriented before.
+    """
+    for x, ys in level.items():
+        keep = -1
+        for y in ys:
+            keep &= rem[y]
+        new = rem[x] & ~keep & ~out[x]
+        if new:
+            out[x] |= new
+            ws = list(_bits(new))
+            next_out.setdefault(x, []).extend(ws)
+            bit = 1 << x
+            for w in ws:
+                into[w] |= bit
+                if w in next_into:
+                    next_into[w].append(x)
+                else:
+                    next_into[w] = [x]
 
 
 def _bits(mask: int):
@@ -158,9 +186,10 @@ def realizer_of(p: Poset) -> Realizer:
     # p plus the orientation (or its reverse) is a linear order when the
     # orientation is transitive, and an element's rank is then fixed by
     # how many elements lie above it; verify_realizer catches the rest
-    o = _masks_to_rows(orient, p.n)
-    first = np.argsort(-(p.leq | o).sum(axis=1), kind="stable")
-    second = np.argsort(-(p.leq | o.T).sum(axis=1), kind="stable")
+    succ, pred = orient
+    up = _rows_to_masks(p.leq)
+    first = sorted(range(p.n), key=lambda i: -(up[i] | succ[i]).bit_count())
+    second = sorted(range(p.n), key=lambda i: -(up[i] | pred[i]).bit_count())
     r = Realizer(
         tuple(p.labels[i] for i in first),
         tuple(p.labels[i] for i in second),

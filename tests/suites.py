@@ -182,6 +182,15 @@ def forced_smooth_pairs(p: Poset) -> frozenset[tuple[str, str]]:
     return frozenset(forced)
 
 
+def reference_transitive_closure(mat: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean relation, in place."""
+    n = mat.shape[0]
+    np.fill_diagonal(mat, True)
+    for k in range(n):
+        mat |= np.outer(mat[:, k], mat[k, :])
+    return mat
+
+
 def reference_orientation(p: Poset) -> list[int] | None:
     """The per-bit forcing loop that ``realizer._forced_orientation``
     must match exactly: successor bitmasks of the orientation, or None.

@@ -31,6 +31,12 @@ def test_dimension_three_input_exits_2(tmp_path, capsys):
     assert "dimension" in err and "at most two" in err
 
 
+def test_cyclic_edge_list_exits_1_with_one_error_line(tmp_path, capsys):
+    src = write(tmp_path, "cycle.edges", "x y\nnode z\ny w\nw v\nv u\nu w\n")
+    assert run([src]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: antisymmetry violated: 'w' and 'v'\n")
+
+
 def test_sp_chain_svg(tmp_path, capsys):
     src = write(tmp_path, "chain.sp", "a;b;c\n")
     assert run([src, "--input-format", "sp"]) == EXIT_OK

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from confluent_hasse import (
     poset_from_relations,
     transitive_reduction,
 )
-from suites import random_poset
+from confluent_hasse.poset import _closure
+from suites import random_poset, reference_transitive_closure
 
 
 def k22():
@@ -40,6 +43,63 @@ def test_two_cycle_is_rejected():
 def test_longer_cycle_is_rejected():
     with pytest.raises(CycleError):
         poset_from_relations(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b\nb a\n", "antisymmetry violated: 'a' and 'b'"),
+        ("a b\nb c\nc a\n", "antisymmetry violated: 'a' and 'b'"),
+        # the cycle w -> v -> u -> w is among labels declared after x, y
+        # and z, and its first line is not its first pair in label order
+        ("x y\nnode z\ny w\nw v\nv u\nu w\n", "antisymmetry violated: 'w' and 'v'"),
+    ],
+)
+def test_cycle_error_names_the_first_pair_in_label_order(text, message):
+    with pytest.raises(CycleError) as caught:
+        parse_edge_list(text)
+    assert str(caught.value) == message
+
+
+def test_closure_matches_the_reference_closure():
+    # seeded relations on up to 30 elements, with n = 0 first: random
+    # pairs give cycles and isolated elements, and some pairs are
+    # self-loops or repeated
+    rng = random.Random(7)
+    cases = [(0, [])]
+    for i in range(600):
+        n = 1 + i % 30
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        pairs += pairs[: len(pairs) // 4]
+        cases.append((n, pairs))
+    seen = {"cyclic": 0, "self-loop": 0, "duplicate": 0, "isolated": 0}
+    for n, pairs in cases:
+        mat = np.zeros((n, n), dtype=bool)
+        for a, b in pairs:
+            mat[a, b] = True
+        expected = reference_transitive_closure(mat)
+        got = _closure(n, pairs)
+        assert got.dtype == bool and got.shape == (n, n)
+        assert (got == expected).all(), (n, pairs)
+
+        # the same relation as an edge list whose "node" lines declare
+        # the elements in index order
+        labels = [f"v{i}" for i in range(n)]
+        lines = [f"node {lab}" for lab in labels]
+        lines += [f"{labels[a]} {labels[b]}" for a, b in pairs]
+        sym = expected & expected.T & ~np.eye(n, dtype=bool)
+        if sym.any():
+            a, b = np.argwhere(sym)[0]
+            with pytest.raises(CycleError, match=f"^antisymmetry violated: 'v{a}' and 'v{b}'$"):
+                parse_edge_list("\n".join(lines))
+        else:
+            assert (parse_edge_list("\n".join(lines)).leq == expected).all()
+
+        seen["cyclic"] += bool(sym.any())
+        seen["self-loop"] += any(a == b for a, b in pairs)
+        seen["duplicate"] += len(set(pairs)) < len(pairs)
+        seen["isolated"] += len({x for pair in pairs for x in pair}) < n
+    assert min(seen.values()) >= 50, seen
 
 
 def test_duplicate_and_unknown_labels():

@@ -1,3 +1,7 @@
+import random
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from confluent_hasse import (
     gen_random,
     gen_worstcase,
     order_dimension_le2,
+    parse_edge_list,
     parse_realizer,
     poset_from_realizer,
     poset_from_relations,
@@ -18,7 +23,11 @@ from confluent_hasse import (
     verify_realizer,
 )
 from confluent_hasse.realizer import _forced_orientation
-from suites import random_poset, reference_orientation
+from confluent_hasse.sp import sp_to_poset
+from suites import all_sp_trees, random_poset, reference_orientation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 @st.composite
@@ -92,25 +101,80 @@ def test_standard_example_is_rejected():
             realizer_of(q)
 
 
+def _successors(p: Poset) -> list[int] | None:
+    """The successor masks of _forced_orientation, or None, after
+    checking that its predecessor masks are their transpose."""
+    got = _forced_orientation(p)
+    if got is None:
+        return None
+    succ, pred = got
+    transposed = [0] * p.n
+    for u, mask in enumerate(succ):
+        for w in range(p.n):
+            if mask >> w & 1:
+                transposed[w] |= 1 << u
+    assert pred == transposed
+    return succ
+
+
+def _relabelled(p: Poset, seed: int) -> Poset:
+    """The same order with its elements in a seeded shuffled index order."""
+    perm = list(range(p.n))
+    random.Random(seed).shuffle(perm)
+    return Poset([p.labels[i] for i in perm], p.leq[np.ix_(perm, perm)])
+
+
 def test_orientation_matches_reference_loop():
     # seeded orders of up to 40 elements at several densities, both of
-    # dimension two and above
+    # dimension two and above, then 2,000 more of up to 30 elements
     outcomes = set()
-    for density in (0.05, 0.15, 0.3, 0.5, 0.8):
+    densities = (0.05, 0.15, 0.3, 0.5, 0.8)
+    for density in densities:
         for n in range(0, 41, 4):
             for seed in range(3):
                 p = random_poset(n, 1000 * seed + n, density)
-                got = _forced_orientation(p)
+                got = _successors(p)
                 assert got == reference_orientation(p), (density, n, seed)
                 outcomes.add(got is None)
     assert outcomes == {True, False}
+    rejected = 0
+    for i in range(2000):
+        p = random_poset(i % 31, 50_000 + i, densities[i % 5])
+        got = _successors(p)
+        assert got == reference_orientation(p), i
+        rejected += got is None
+    assert 100 < rejected < 1900
 
 
-@pytest.mark.parametrize("k", [1, 5, 20])
+def test_orientation_matches_reference_loop_on_antichains_and_chains():
+    for n in range(65):
+        labels = [f"e{i}" for i in range(n)]
+        antichain = poset_from_relations(labels, [])
+        chain = poset_from_relations(labels, list(zip(labels, labels[1:])))
+        for p in (antichain, chain, _relabelled(chain, n)):
+            got = _successors(p)
+            assert got is not None and got == reference_orientation(p), n
+
+
+def test_orientation_matches_reference_loop_on_shuffled_sp_trees():
+    for i, tree in enumerate(all_sp_trees(6)):
+        p = _relabelled(sp_to_poset(tree), i)
+        got = _successors(p)
+        assert got is not None and got == reference_orientation(p), i
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_orientation_matches_reference_loop_on_benchmark_edge_lists(seed):
+    p = parse_edge_list(workloads.build(f"edges/n256/s{seed}").text)
+    got = _successors(p)
+    assert got is not None and got == reference_orientation(p)
+
+
+@pytest.mark.parametrize("k", [1, 5, 20, 128])
 def test_orientation_matches_reference_loop_on_worst_case(k):
     # k = 20 has 82 elements: masks wider than one machine word
     p = poset_from_realizer(gen_worstcase(k))
-    got = _forced_orientation(p)
+    got = _successors(p)
     assert got is not None and got == reference_orientation(p)
 
 
