@@ -17,8 +17,6 @@ from .oracle import (
     TooLargeForOracle,
     dm_completion,
     dominance_covers,
-    is_lattice,
-    order_dimension_le2,
     scene_matches_completion,
 )
 from .poset import (

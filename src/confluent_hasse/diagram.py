@@ -10,6 +10,8 @@ visits points and segments, not grid cells. A point covers only a
 column's topmost point below it: one hidden behind an earlier point
 of the same column is not a cover. The cubic-time oracle and the
 grid-cell sweep kept in the tests pin the segments and their order.
+All of it reads the scene's columns, and ``rotate45`` is the one
+function that computes the rotated frame.
 
 The checks of ``validate_diagram`` run in array passes, so that
 ``--verify`` scales with the drawing:
@@ -46,16 +48,21 @@ class Diagram:
     segments: list[Segment]
 
     def junction_count(self) -> int:
-        return sum(1 for p in self.scene.points if p.kind == JUNCTION)
+        return self.scene.kinds.count(JUNCTION)
 
     def drawn_segments(self) -> list[Segment]:
         """The segments a drawing shows: those with no invisible end."""
-        points = self.scene.points
+        kinds = self.scene.kinds
         return [
             seg
             for seg in self.segments
-            if points[seg[0]].kind != INVISIBLE and points[seg[1]].kind != INVISIBLE
+            if kinds[seg[0]] != INVISIBLE and kinds[seg[1]] != INVISIBLE
         ]
+
+
+def rotate45(x, y):
+    """(u, v) for ints or int arrays alike: dominance becomes "higher v"."""
+    return x - y, x + y
 
 
 def sweep_cover_edges(s: GridScene) -> Diagram:
@@ -82,9 +89,8 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     worst-case family at index 128 and 256, and 1.5 on random
     realizers at n = 256, 1024 and 2048.
     """
-    points = s.points
-    xs = np.fromiter([p.x for p in points], np.int64, len(points))
-    ys = np.fromiter([p.y for p in points], np.int64, len(points))
+    xs = np.array(s.xs, np.int64)
+    ys = np.array(s.ys, np.int64)
     width = 2 * s.n + 2
     # the points in (row, column) order, as lists made in that order:
     # read front to back, they touch memory in order too
@@ -161,17 +167,16 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     iterated to the least fixed point instead. A vertex's pairs are the
     OR over its out-segments.
     """
-    points = d.scene.points
-    kinds = [q.kind for q in points]
-    out: list[list[int]] = [[] for _ in points]
-    reach = [0] * len(points)
+    kinds = d.scene.kinds
+    out: list[list[int]] = [[] for _ in kinds]
+    reach = [0] * len(kinds)
     vertices = [pid for pid, kind in enumerate(kinds) if kind == VERTEX]
     for bit, pid in enumerate(vertices):
         reach[pid] = 1 << bit
     # per junction: its junction predecessors, and its junction
     # successors not yet settled
     preds: dict[int, list[int]] = {}
-    pending = [0] * len(points)
+    pending = [0] * len(kinds)
     for lo, hi in d.segments:
         out[lo].append(hi)
         if kinds[lo] == JUNCTION and kinds[hi] == JUNCTION:
@@ -201,7 +206,7 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
                 reach[j] = acc
                 changed = True
 
-    labels = [points[pid].label for pid in vertices]
+    labels = [d.scene.labels[pid] for pid in vertices]
     result: set[tuple[str, str]] = set()
     for bit, pid in enumerate(vertices):
         acc = 0
@@ -273,12 +278,12 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     from .oracle import dominance_covers
 
     report = ValidationReport()
-    points = d.scene.points
+    s = d.scene
 
-    if len(points) <= COVERS_CHECK_LIMIT:
-        coords = [(q.x, q.y) for q in points]
+    if len(s.xs) <= COVERS_CHECK_LIMIT:
+        coords = list(zip(s.xs, s.ys))
         expected = dominance_covers(coords)
-        actual = {((points[a].x, points[a].y), (points[b].x, points[b].y)) for a, b in d.segments}
+        actual = {(coords[a], coords[b]) for a, b in d.segments}
         extra = actual - expected
         missing = expected - actual
         report.add(
@@ -297,15 +302,15 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
     )
 
-    xs = np.fromiter((q.x for q in points), np.int64, len(points))
-    ys = np.fromiter((q.y for q in points), np.int64, len(points))
+    xs = np.array(s.xs, np.int64)
+    ys = np.array(s.ys, np.int64)
     rendered = np.array(d.drawn_segments(), dtype=np.int64).reshape(-1, 2)
     conflicts = _conflicting_pairs(xs, ys, rendered)
     report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
 
     segs = np.array(d.segments, dtype=np.int64).reshape(-1, 2)
-    outdeg, indeg = (np.bincount(segs[:, k], minlength=len(points)) for k in (0, 1))
-    junction = np.fromiter((q.kind == JUNCTION for q in points), bool, len(points))
+    outdeg, indeg = (np.bincount(segs[:, k], minlength=len(xs)) for k in (0, 1))
+    junction = np.fromiter(map(JUNCTION.__eq__, s.kinds), bool, len(xs))
     bad_junctions = np.flatnonzero(junction & ((indeg < 2) | (outdeg < 2))).tolist()
     report.add(
         "degrees",
@@ -313,7 +318,7 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         f"junctions with degree < 2: {bad_junctions}" if bad_junctions else "",
     )
 
-    blocked = _blocked_rays(d, p, xs - ys, xs + ys, rendered)
+    blocked = _blocked_rays(s, p, *rotate45(xs, ys), rendered)
     report.add(
         "visibility",
         not blocked,
@@ -418,7 +423,7 @@ def _same(p, q) -> np.ndarray:
 
 
 def _blocked_rays(
-    d: Diagram, p: Poset, us: np.ndarray, vs: np.ndarray, segs: np.ndarray
+    s: GridScene, p: Poset, us: np.ndarray, vs: np.ndarray, segs: np.ndarray
 ) -> list[tuple[str, str]]:
     """(label, "below" or "above") for each minimal or maximal vertex,
     in label order, whose open vertical ray in the rotated frame meets
@@ -432,14 +437,14 @@ def _blocked_rays(
     is reported, "below" before "above" when it blocks both.
     """
     ext = extremes(p)
-    verts = d.scene.vertex_by_label()
+    vertex = {lab: pid for pid, (kind, lab) in enumerate(zip(s.kinds, s.labels)) if kind == VERTEX}
     u1, v1, u2, v2 = us[segs[:, 0]], vs[segs[:, 0]], us[segs[:, 1]], vs[segs[:, 1]]
     umin, umax = np.minimum(u1, u2), np.maximum(u1, u2)
     vmin, vmax = np.minimum(v1, v2), np.maximum(v1, v2)
     den = u2 - u1
     blocked = []
     for label in sorted(ext.minimal | ext.maximal):
-        u0, v0 = verts[label].rot
+        u0, v0 = us[vertex[label]], vs[vertex[label]]
         down = label in ext.minimal
         up = label in ext.maximal
         k = np.flatnonzero((umin <= u0) & (u0 <= umax))

@@ -4,8 +4,9 @@ Elements go to even grid cells, one per even row and even column, with
 coordinates twice their ranks in the two realizing orders. Junction
 points then fill odd cells wherever the four neighbour conditions hold,
 and invisible bound points cap the diagonal when the order lacks a
-least or greatest element. A point's id is its index in the scene's
-``points``; segments and the renderers refer to points by it. The
+least or greatest element. The scene is four columns, x, y, kind and
+label, that the producers append to; a point's id is its index in
+them, and segments and the renderers refer to points by it. The
 dominance order on the resulting point set is the smallest complete
 lattice containing the input order; the test suite certifies this
 against the cut-enumeration oracle.
@@ -13,7 +14,7 @@ against the cut-enumeration oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,37 +32,42 @@ class GridPoint:
     y: int
     label: str | None = None
 
-    @property
-    def rot(self) -> tuple[int, int]:
-        """(x - y, x + y): the 45-degree rotation that turns dominance
-        into plain "higher second coordinate", so tracks run upward."""
-        return (self.x - self.y, self.x + self.y)
-
 
 @dataclass(slots=True)
 class GridScene:
-    """Points on the (2n+1) x (2n+1) grid; a point's id is its index
-    in ``points``."""
+    """Points on the (2n+1) x (2n+1) grid, as columns indexed by id."""
 
     n: int
-    points: tuple[GridPoint, ...]
+    xs: list[int] = field(default_factory=list)
+    ys: list[int] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=list)
+    labels: list[str | None] = field(default_factory=list)
 
     @property
     def side(self) -> int:
         return 2 * self.n + 1
 
-    def vertex_by_label(self) -> dict[str, GridPoint]:
-        return {p.label: p for p in self.points if p.kind == VERTEX}
+    @property
+    def points(self) -> tuple[GridPoint, ...]:
+        """The points as records, built anew: a view for outside callers."""
+        return tuple(map(GridPoint, self.kinds, self.xs, self.ys, self.labels))
+
+    def add(self, kind: str, xs: list[int], ys: list[int], labels: list | None = None) -> int:
+        """Append points of one kind (labels None by default); returns the first id."""
+        first = len(self.xs)
+        self.xs += xs
+        self.ys += ys
+        self.kinds += [kind] * len(xs)
+        self.labels += [None] * len(xs) if labels is None else labels
+        return first
 
 
 def place_on_grid(r: Realizer) -> GridScene:
     """One vertex per element at (2 * rank1, 2 * rank2)."""
-    pos2 = {lab: i + 1 for i, lab in enumerate(r.l2)}
-    points = tuple(
-        GridPoint(VERTEX, 2 * (i + 1), 2 * pos2[lab], lab)
-        for i, lab in enumerate(r.l1)
-    )
-    return GridScene(r.n, points)
+    pos2 = {lab: 2 * i + 2 for i, lab in enumerate(r.l2)}
+    s = GridScene(r.n)
+    s.add(VERTEX, list(range(2, 2 * r.n + 1, 2)), [pos2[lab] for lab in r.l1], list(r.l1))
+    return s
 
 
 def insert_junctions(s: GridScene) -> GridScene:
@@ -79,38 +85,37 @@ def insert_junctions(s: GridScene) -> GridScene:
     """
     n = s.n
     side = 2 * n + 1
-    verts = np.array([(p.x, p.y) for p in s.points if p.kind == VERTEX], np.int64).reshape(-1, 2)
+    cells = [(x, y) for x, y, kind in zip(s.xs, s.ys, s.kinds) if kind == VERTEX]
+    verts = np.array(cells, np.int64).reshape(-1, 2)
     ycol = np.zeros(side + 1, np.int64)
     xrow = np.zeros(side + 1, np.int64)
     ycol[verts[:, 0]] = verts[:, 1]
     xrow[verts[:, 1]] = verts[:, 0]
 
-    points = list(s.points)
+    out = GridScene(n, s.xs.copy(), s.ys.copy(), s.kinds.copy(), s.labels.copy())
     j = np.arange(3, side - 1, 2)
     left, right = xrow[j - 1], xrow[j + 1]
     for i in range(3, side - 1, 2):
         # the column conditions leave the odd rows ycol[i-1] < j-1, j+1 < ycol[i+1]
         lo, hi = ycol[i - 1] // 2, ycol[i + 1] // 2 - 2
         if lo < hi:
-            rows = j[lo:hi][(left[lo:hi] < i - 1) & (right[lo:hi] > i + 1)]
-            points += [GridPoint(JUNCTION, i, r) for r in rows.tolist()]
+            rows = j[lo:hi][(left[lo:hi] < i - 1) & (right[lo:hi] > i + 1)].tolist()
+            out.add(JUNCTION, [i] * len(rows), rows)
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
-    points.extend(q for q in bound_points(n, has_least, has_greatest) if q)
-    return GridScene(n, tuple(points))
+    bound_points(out, has_least, has_greatest)
+    return out
 
 
 def bound_points(
-    n: int, has_least: bool, has_greatest: bool
-) -> tuple[GridPoint | None, GridPoint | None]:
-    """The invisible (bottom, top) bounds that cap the diagonal of an
-    n-element order's grid: one at (1, 1) unless the order has a least
-    element, one at (side, side) unless it has a greatest; the empty
-    order gets only (1, 1). None stands for a bound the order does not
-    need."""
-    side = 2 * n + 1
-    bottom = None if has_least else GridPoint(INVISIBLE, 1, 1)
-    top = None if has_greatest or n == 0 else GridPoint(INVISIBLE, side, side)
+    s: GridScene, has_least: bool, has_greatest: bool
+) -> tuple[int | None, int | None]:
+    """Append the invisible (bottom, top) bounds that cap the diagonal
+    of an n-element order's grid, and return their ids: one at (1, 1)
+    unless the order has a least element, one at (side, side) unless it
+    has a greatest; the empty order gets only (1, 1). None stands for a
+    bound the order does not need."""
+    bottom = None if has_least else s.add(INVISIBLE, [1], [1])
+    top = None if has_greatest or s.n == 0 else s.add(INVISIBLE, [s.side], [s.side])
     return bottom, top
-

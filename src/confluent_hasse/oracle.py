@@ -1,10 +1,9 @@
 """Brute-force ground truth for small instances.
 
 Everything here is deliberately naive: cut enumeration for the lattice
-completion, cubic-time dominance covers, and exhaustive dimension
-testing over linear extensions. These routines certify the fast
-pipeline in tests and back the CLI --verify mode, so none of them may
-share code with the constructions they check.
+completion, and cubic-time dominance covers. These routines certify
+the fast pipeline in tests and back the CLI --verify mode, so none of
+them may share code with the constructions they check.
 """
 
 from __future__ import annotations
@@ -47,13 +46,6 @@ class Completion:
 
     cuts: tuple[Cut, ...]
     poset: Poset
-
-    def element_cut_index(self, label: str) -> int:
-        """Index of the cut representing an original element."""
-        for i, cut in enumerate(self.cuts):
-            if label in cut.lower and label in cut.upper:
-                return i
-        raise KeyError(label)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -163,103 +155,6 @@ def dominance_covers(
     return frozenset((pts[a], pts[b]) for a, b in np.argwhere(covers).tolist())
 
 
-def linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
-    """All linear extensions, as tuples of element indices."""
-    n = p.n
-    pred = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and p.leq[j, i]:
-                pred[i] |= 1 << j
-
-    def rec(remaining: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            yield acc
-            return
-        for x in _bit_indices(remaining):
-            if pred[x] & remaining == 0:
-                yield from rec(remaining & ~(1 << x), acc + (x,))
-
-    yield from rec((1 << n) - 1, ())
-
-
-def order_dimension_le2(p: Poset, *, max_n: int = 7) -> bool:
-    """Exhaustively decide whether two linear extensions realize p.
-
-    For a fixed first extension the second is forced: comparable pairs
-    keep their order, incomparable pairs must flip. It therefore
-    suffices to test, for every linear extension, whether that forced
-    companion relation is transitive (equivalently, a linear order).
-    """
-    n = p.n
-    if n > max_n:
-        raise TooLargeForOracle(f"dimension oracle limited to n <= {max_n}")
-    if n <= 2:
-        return True
-    succ = [0] * n
-    inc = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if p.leq[i, j]:
-                succ[i] |= 1 << j
-            elif not p.leq[j, i]:
-                inc[i] |= 1 << j
-
-    for ext in linear_extensions(p):
-        forced = list(succ)
-        before = 0
-        for x in ext:
-            forced[x] |= inc[x] & before  # incomparable predecessors flip above x
-            before |= 1 << x
-        ok = True
-        for x in range(n):
-            fx = forced[x]
-            for y in _bit_indices(fx):
-                if forced[y] & ~fx:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
-def is_lattice(p: Poset) -> bool:
-    """Every pair of elements has a meet and a join."""
-    n = p.n
-    if n == 0:
-        return False
-    up = [0] * n
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if p.leq[i, j]:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-
-    def has_extreme(common: int, bounds: list[int]) -> bool:
-        # true iff some member of `common` bounds all the others
-        for x in _bit_indices(common):
-            if common & ~bounds[x] == 0:
-                return True
-        return False
-
-    for i in range(n):
-        for j in range(i, n):
-            uppers = up[i] & up[j]
-            lowers = down[i] & down[j]
-            # join: the common upper bounds need a least member
-            if not uppers or not has_extreme(uppers, up):
-                return False
-            # meet: the common lower bounds need a greatest member
-            if not lowers or not has_extreme(lowers, down):
-                return False
-    return True
-
-
 def scene_matches_completion(scene, p: Poset) -> bool:
     """Certify that the dominance order on a grid scene's points is
     order-isomorphic to the completion of p, with vertices mapped to
@@ -270,33 +165,34 @@ def scene_matches_completion(scene, p: Poset) -> bool:
     sets and point dominance coincides with key containment.
     """
     comp = dm_completion(p)
-    pts = list(scene.points)
-    if len(pts) != len(comp.cuts):
+    xs, ys, kinds, labels = scene.xs, scene.ys, scene.kinds, scene.labels
+    ids = range(len(kinds))
+    if len(ids) != len(comp.cuts):
         return False
     label_bit = {lab: 1 << i for i, lab in enumerate(p.labels)}
-    verts = [q for q in pts if q.kind == "vertex"]
+    verts = [v for v in ids if kinds[v] == "vertex"]
     keys = []
-    for q in pts:
+    for q in ids:
         key = 0
         for v in verts:
-            if v.x <= q.x and v.y <= q.y:
-                key |= label_bit[v.label]
+            if xs[v] <= xs[q] and ys[v] <= ys[q]:
+                key |= label_bit[labels[v]]
         keys.append(key)
     cut_lowers = {
         sum(label_bit[lab] for lab in cut.lower) for cut in comp.cuts
     }
     if set(keys) != cut_lowers or len(set(keys)) != len(keys):
         return False
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            dominated = a.x <= b.x and a.y <= b.y
+    for i in ids:
+        for j in ids:
+            dominated = xs[i] <= xs[j] and ys[i] <= ys[j]
             if dominated != ((keys[i] & ~keys[j]) == 0):
                 return False
     # vertices must key to their own element cut
-    for v, key in zip(pts, keys):
-        if v.kind == "vertex":
+    for v, key in zip(ids, keys):
+        if kinds[v] == "vertex":
             down = 0
-            vi = p.index(v.label)
+            vi = p.index(labels[v])
             for j in range(p.n):
                 if p.leq[j, vi]:
                     down |= 1 << j

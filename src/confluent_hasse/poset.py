@@ -218,17 +218,11 @@ def parse_edge_list(text: str) -> Poset:
 
     One pair per line, "u v", meaning u <= v. A '#' starts a comment.
     Isolated elements are declared on their own line as "node u".
-    Labels are whitespace-free tokens; first appearance fixes the index.
+    Labels are whitespace-free tokens; first appearance fixes the
+    index, and the pairs are numbered in the same pass.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
-    pairs: list[tuple[str, str]] = []
-
-    def declare(lab: str) -> None:
-        if lab not in seen:
-            seen.add(lab)
-            labels.append(lab)
-
+    index: dict[str, int] = {}
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,13 +231,12 @@ def parse_edge_list(text: str) -> Poset:
         if tokens[0] == "node":
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'node <label>'")
-            declare(tokens[1])
+            index.setdefault(tokens[1], len(index))
         elif len(tokens) == 2:
-            declare(tokens[0])
-            declare(tokens[1])
-            pairs.append((tokens[0], tokens[1]))
+            a, b = tokens
+            pairs.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
         else:
             raise ValueError(
                 f"line {lineno}: expected 'u v' or 'node u', got {line!r}"
             )
-    return poset_from_relations(labels, pairs)
+    return Poset(index, _closure(len(index), pairs))

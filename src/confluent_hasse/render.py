@@ -1,14 +1,15 @@
 """Rotation to upward orientation and SVG / JSON emission.
 
 The grid diagram lives in dominance orientation (up and to the right);
-mapping (x, y) to (x - y, x + y) (``GridPoint.rot``) turns dominance
-into plain "higher v" so every track runs upward. Both writers read the
-``Diagram`` itself; ``rotate45`` gives its points' rotated coordinates
-by id for the SVG canvas. Tracks are cubic Bezier curves; at a
-junction endpoint the control point sits a fixed small distance
-directly above or below the junction so that all tracks through it
-share a vertical tangent, and at vertex endpoints the control point
-degenerates onto the endpoint.
+``diagram.rotate45`` maps (x, y) to (u, v), which turns dominance into
+plain "higher v" so every track runs upward. Both writers read the
+``Diagram`` itself and take the columns u and v of its scene from one
+``rotate45`` call over the x and y columns; ``bezier_controls`` rotates
+the two ends of one track the same way. Tracks are cubic Bezier
+curves; at a junction endpoint the control point sits a fixed small
+distance directly above or below the junction so that all tracks
+through it share a vertical tangent, and at vertex endpoints the
+control point degenerates onto the endpoint.
 
 Both writers fill fixed text templates and do little work per track.
 ``to_svg`` formats each visible point's coordinates once, and a
@@ -18,7 +19,7 @@ without its indenting encoder, which runs in pure Python. It splits
 the points into runs of one kind and one label presence (vertices,
 then junctions, then bounds, as the scene lists them), bakes the kind
 into a node template and fills the template, repeated over the run, by
-one ``%`` call from columns of x, y, id, label, u = x - y and v = x + y.
+one ``%`` call from slices of the columns x, y, id, label, u and v.
 The segments fill one repeated template the same way, and the document
 is joined once. Their bytes are pinned by the reference writers in
 ``tests/suites.py`` and by the output digests in
@@ -31,10 +32,12 @@ import re
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, is_not, sub
+from operator import is_not
 
-from .diagram import Diagram
-from .grid import GridPoint, INVISIBLE, JUNCTION, VERTEX
+import numpy as np
+
+from .diagram import Diagram, rotate45
+from .grid import INVISIBLE, JUNCTION, VERTEX, GridScene
 
 
 # radii in rotated grid units; CANVAS_SCALE is SVG pixels per unit
@@ -53,9 +56,10 @@ class RenderOptions:
             raise ValueError("bezier offset must lie strictly between 0 and 1")
 
 
-def rotate45(d: Diagram) -> list[tuple[int, int]]:
-    """Each point's rotated (u, v), by id: dominance points straight up."""
-    return [p.rot for p in d.scene.points]
+def _rotated(s: GridScene) -> tuple[list[int], list[int]]:
+    """The columns u and v of the scene's points, by id."""
+    us, vs = rotate45(np.array(s.xs, np.int64), np.array(s.ys, np.int64))
+    return us.tolist(), vs.tolist()
 
 
 def _control_shift(kind: str, delta):
@@ -67,37 +71,38 @@ def _control_shift(kind: str, delta):
     return delta if kind == JUNCTION else 0
 
 
-def bezier_controls(lo: GridPoint, hi: GridPoint, delta):
-    """Rotated control points (p0, c1, c2, p3) for the track from lo up
-    to hi.
+def bezier_controls(s: GridScene, lo: int, hi: int, delta):
+    """Rotated control points (p0, c1, c2, p3) for the track from point
+    lo up to point hi of the scene.
 
     ``delta`` may be a float for drawing or a Fraction for exact
     checks; ``to_svg`` draws every track by the same rule.
     """
-    (u0, v0), (u3, v3) = lo.rot, hi.rot
-    c1 = (u0, v0 + _control_shift(lo.kind, delta))
-    c2 = (u3, v3 - _control_shift(hi.kind, delta))
+    u0, v0 = rotate45(s.xs[lo], s.ys[lo])
+    u3, v3 = rotate45(s.xs[hi], s.ys[hi])
+    c1 = (u0, v0 + _control_shift(s.kinds[lo], delta))
+    c2 = (u3, v3 - _control_shift(s.kinds[hi], delta))
     return (u0, v0), c1, c2, (u3, v3)
 
 
 def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     """Deterministic standalone SVG of the diagram, turned upward."""
-    points = d.scene.points
-    rot = rotate45(d)
+    kinds, labels = d.scene.kinds, d.scene.labels
+    us, vs = _rotated(d.scene)
     if opts.show_invisible:
-        vis_ids = range(len(points))
+        vis_ids = range(len(kinds))
         vis_segs = d.segments
     else:
-        vis_ids = [i for i, p in enumerate(points) if p.kind != INVISIBLE]
+        vis_ids = [i for i, kind in enumerate(kinds) if kind != INVISIBLE]
         vis_segs = d.drawn_segments()
 
     s = CANVAS_SCALE
     margin = 1.2 * s
     if vis_ids:
-        umin = min(rot[i][0] for i in vis_ids)
-        umax = max(rot[i][0] for i in vis_ids)
-        vmin = min(rot[i][1] for i in vis_ids)
-        vmax = max(rot[i][1] for i in vis_ids)
+        umin = min(us[i] for i in vis_ids)
+        umax = max(us[i] for i in vis_ids)
+        vmin = min(vs[i] for i in vis_ids)
+        vmax = max(vs[i] for i in vis_ids)
     else:
         umin = umax = vmin = vmax = 0
     width = (umax - umin) * s + 2 * margin
@@ -109,7 +114,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     # the tracks leaving it upward and arriving from below). A control y
     # keeps the expression (vmax - (v +- shift)) * s + margin: any other
     # grouping of the arithmetic can change a .2f rounding.
-    order = sorted(vis_ids, key=lambda q: (rot[q][1], rot[q][0], q))
+    order = sorted(vis_ids, key=lambda q: (vs[q], us[q], q))
     shifts = {
         kind: _control_shift(kind, opts.bezier_offset) for kind in (VERTEX, JUNCTION, INVISIBLE)
     }
@@ -118,10 +123,10 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     above: list[str] = []
     below: list[str] = []
     for i in order:
-        u, v = rot[i]
+        u, v = us[i], vs[i]
         xs.append(f"{(u - umin) * s + margin:.2f}")
         ys.append(y := f"{(vmax - v) * s + margin:.2f}")
-        shift = shifts[points[i].kind]
+        shift = shifts[kinds[i]]
         if shift:
             above.append(f"{(vmax - (v + shift)) * s + margin:.2f}")
             below.append(f"{(vmax - (v - shift)) * s + margin:.2f}")
@@ -136,7 +141,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     ]
 
     # tracks in order of (rank of the lower end, rank of the upper end)
-    rank = [0] * len(points)
+    rank = [0] * len(kinds)
     for r, i in enumerate(order):
         rank[i] = r
     m = len(order)
@@ -151,17 +156,17 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     junction_r = f"{JUNCTION_RADIUS * s:.2f}"
     font_size = f"{0.3 * s:.2f}"
     for i, cx, cy in zip(order, xs, ys):
-        p = points[i]
-        if p.kind == VERTEX:
+        kind = kinds[i]
+        if kind == VERTEX:
             out.append(
                 f'  <circle cx="{cx}" cy="{cy}" r="{node_r}" '
                 'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>'
             )
             out.append(
                 f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
-                f'font-family="Helvetica,sans-serif" font-size="{font_size}">{_esc(p.label or "")}</text>'
+                f'font-family="Helvetica,sans-serif" font-size="{font_size}">{_esc(labels[i] or "")}</text>'
             )
-        elif p.kind == JUNCTION:
+        elif kind == JUNCTION:
             out.append(f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" fill="#222222"/>')
         else:
             out.append(
@@ -236,20 +241,18 @@ def _json_list(items: list[str]) -> list[str]:
 
 def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
-    points = d.scene.points
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    labels = [p.label for p in points]
+    s = d.scene
+    xs, ys, labels = s.xs, s.ys, s.labels
+    us, vs = _rotated(s)
     # one template per run of points with the same kind and label
     # presence, filled by one call from columns zipped point by point
     runs = []
     stop = 0
     present = map(is_not, labels, repeat(None))
-    for (kind, labelled), run in groupby(zip([p.kind for p in points], present)):
+    for (kind, labelled), run in groupby(zip(s.kinds, present)):
         start = stop
         stop += len(list(run))
-        x, y = xs[start:stop], ys[start:stop]
-        columns = [x, y, range(start, stop), map(sub, x, y), map(add, x, y)]
+        columns = [xs[start:stop], ys[start:stop], range(start, stop), us[start:stop], vs[start:stop]]
         if labelled:
             columns.insert(3, map(encode_basestring_ascii, labels[start:stop]))
         template = ",\n".join([_node_template(kind, labelled)] * (stop - start))
@@ -263,6 +266,6 @@ def to_json(d: Diagram) -> str:
             *_json_list(runs),
             _MIDDLE,
             *_json_list([segment_text] if segments else []),
-            _TAIL % (d.scene.side, d.junction_count(), len(d.segments)),
+            _TAIL % (s.side, d.junction_count(), len(d.segments)),
         ]
     )

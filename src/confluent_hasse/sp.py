@@ -24,14 +24,30 @@ quadratic scan of the grid.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
 from .diagram import Diagram
-from .grid import JUNCTION, VERTEX, GridPoint, GridScene, bound_points
+from .grid import JUNCTION, VERTEX, GridScene, bound_points
 from .poset import Poset
 from .realizer import Realizer, poset_from_realizer
+
+
+@contextmanager
+def _collector_paused():
+    """Hold the cyclic garbage collector off while the parser builds a
+    tree or the layout a diagram: neither makes a reference cycle, yet
+    each full collection would traverse the growing tree again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SpSyntaxError(ValueError):
@@ -77,6 +93,7 @@ def _token_position(text: str, k: int) -> int:
     return len(text)
 
 
+@_collector_paused()
 def parse_sp(text: str) -> SpTree:
     """Parse a series-parallel expression.
 
@@ -157,25 +174,31 @@ def sp_leaves(t: SpTree) -> list[str]:
     return labels
 
 
-def sp_realizer(t: SpTree) -> Realizer:
-    """The tree's realizer: the leaves left to right, and the leaves
-    left to right with the two parts of every parallel composition
-    swapped. Series puts the left part before the right one in both
-    orders, parallel in one order only, so the two intersect to the
-    tree's order (Valdes, Tarjan & Lawler, SIAM J. Comput. 1982)."""
-    l2: list[str] = []
+def _swapped_leaves(t: SpTree) -> list[str]:
+    """Leaf labels left to right, with the two parts of every parallel
+    composition swapped."""
+    labels: list[str] = []
     stack = [t]
     while stack:
         node = stack.pop()
         if isinstance(node, SpLeaf):
-            l2.append(node.label)
+            labels.append(node.label)
         elif isinstance(node, SpSeries):
             stack.append(node.right)
             stack.append(node.left)
         else:
             stack.append(node.left)
             stack.append(node.right)
-    return Realizer(sp_leaves(t), l2)
+    return labels
+
+
+def sp_realizer(t: SpTree) -> Realizer:
+    """The tree's realizer: the leaves left to right, and the leaves
+    left to right with the two parts of every parallel composition
+    swapped. Series puts the left part before the right one in both
+    orders, parallel in one order only, so the two intersect to the
+    tree's order (Valdes, Tarjan & Lawler, SIAM J. Comput. 1982)."""
+    return Realizer(sp_leaves(t), _swapped_leaves(t))
 
 
 def sp_to_poset(t: SpTree) -> Poset:
@@ -184,28 +207,17 @@ def sp_to_poset(t: SpTree) -> Poset:
     return poset_from_realizer(sp_realizer(t))
 
 
+@_collector_paused()
 def sp_layout(t: SpTree) -> Diagram:
     """Confluent diagram of the tree's order, in time linear in the
     tree size: the vertices, junctions and invisible bounds the general
     pipeline puts on the (2n+1)-sided grid for ``sp_realizer(t)``, and
     their cover segments, without scanning the grid."""
-    # y: ranks in the second order of sp_realizer, from one walk in it
-    y_of: dict[str, int] = {}
-    y = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SpLeaf):
-            y += 2
-            y_of[node.label] = y
-        elif isinstance(node, SpSeries):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
+    # y: ranks in the second order of sp_realizer
+    l2 = _swapped_leaves(t)
+    y_of = {lab: 2 * i + 2 for i, lab in enumerate(l2)}
     n = len(y_of)
-    if 2 * n != y:
+    if n != len(l2):
         raise DuplicateLeafError("a leaf label occurs twice")
 
     # x and the segments from one postorder walk, which meets the leaves
@@ -220,8 +232,9 @@ def sp_layout(t: SpTree) -> Diagram:
         if not isinstance(node, SpLeaf):
             stack.append(node.left)
             stack.append(node.right)
-    vertices: list[GridPoint] = []
-    junctions: list[GridPoint] = []
+    labels: list[str] = []
+    jxs: list[int] = []
+    jys: list[int] = []
     segments: list[tuple[int, int]] = []
     next_min = [-1] * n
     next_max = [-1] * n
@@ -231,11 +244,9 @@ def sp_layout(t: SpTree) -> Diagram:
     done: list[tuple[int, int, int, int, int, int]] = []
     for node in reversed(mirrored):
         if isinstance(node, SpLeaf):
-            v = len(vertices)
-            x = 2 * v + 2
-            y = y_of[node.label]
-            vertices.append(GridPoint(VERTEX, x, y, node.label))
-            done.append((v, v, v, v, x, y))
+            v = len(labels)
+            labels.append(node.label)
+            done.append((v, v, v, v, 2 * v + 2, y_of[node.label]))
             continue
         rmin, rmin_tail, rmax, rmax_tail, xr, yr = done.pop()
         lmin, lmin_tail, lmax, lmax_tail, xl, yl = done.pop()
@@ -247,8 +258,9 @@ def sp_layout(t: SpTree) -> Diagram:
             continue
         # series: connect left maxima to right minima
         if lmax != lmax_tail and rmin != rmin_tail:
-            jid = n + len(junctions)
-            junctions.append(GridPoint(JUNCTION, xl + 1, yl + 1))
+            jid = n + len(jxs)
+            jxs.append(xl + 1)
+            jys.append(yl + 1)
             q = lmax
             while q >= 0:
                 segments.append((q, jid))
@@ -270,20 +282,18 @@ def sp_layout(t: SpTree) -> Diagram:
         done.append((lmin, lmin_tail, rmax, rmax_tail, xr, yr))
 
     minima, minima_tail, maxima, maxima_tail, _, _ = done.pop()
-    points = vertices + junctions
-    bottom, top = bound_points(n, minima == minima_tail, maxima == maxima_tail)
+    scene = GridScene(n)
+    scene.add(VERTEX, list(range(2, 2 * n + 1, 2)), [y_of[lab] for lab in labels], labels)
+    scene.add(JUNCTION, jxs, jys)
+    bottom, top = bound_points(scene, minima == minima_tail, maxima == maxima_tail)
     if bottom is not None:
-        b = len(points)
-        points.append(bottom)
         q = minima
         while q >= 0:
-            segments.append((b, q))
+            segments.append((bottom, q))
             q = next_min[q]
     if top is not None:
-        b = len(points)
-        points.append(top)
         q = maxima
         while q >= 0:
-            segments.append((q, b))
+            segments.append((q, top))
             q = next_max[q]
-    return Diagram(GridScene(n, tuple(points)), segments)
+    return Diagram(scene, segments)

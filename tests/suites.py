@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from typing import Iterator
 
 import numpy as np
 
@@ -17,14 +18,14 @@ from confluent_hasse import (
     SpLeaf,
     SpParallel,
     SpSeries,
+    TooLargeForOracle,
     dm_completion,
     gen_random,
-    rotate45,
     transitive_reduction,
 )
 from confluent_hasse.diagram import COVERS_CHECK_LIMIT, Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
-from confluent_hasse.oracle import dominance_covers
+from confluent_hasse.oracle import Completion, dominance_covers
 from confluent_hasse.poset import extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import (
@@ -119,6 +120,15 @@ def sp_preorder(t: SpTree) -> list[tuple[str, str | None]]:
     return out
 
 
+def scene_of(n: int, points) -> GridScene:
+    """The scene on the (2n+1)-sided grid of explicit points (kind, x,
+    y) or (kind, x, y, label), in id order."""
+    s = GridScene(n)
+    for kind, x, y, *label in points:
+        s.add(kind, [x], [y], label or None)
+    return s
+
+
 def of_kind(s: GridScene, kind: str) -> list[GridPoint]:
     """The scene's points of one kind, in id order."""
     return [p for p in s.points if p.kind == kind]
@@ -162,7 +172,7 @@ def forced_smooth_pairs(p: Poset) -> frozenset[tuple[str, str]]:
     """
     completion = dm_completion(p)
     lattice = completion.poset
-    element_at = {completion.element_cut_index(label): label for label in p.labels}
+    element_at = {element_cut_index(completion, label): label for label in p.labels}
     above: dict[int, list[int]] = {}
     for lo, hi in transitive_reduction(lattice):
         above.setdefault(lattice.index(lo), []).append(lattice.index(hi))
@@ -265,7 +275,7 @@ def reference_to_json(d: Diagram) -> str:
             "id": pid,
             "kind": p.kind,
             "grid": [p.x, p.y],
-            "rot": list(p.rot),
+            "rot": [p.x - p.y, p.x + p.y],
         }
         if p.label is not None:
             node["label"] = p.label
@@ -284,8 +294,8 @@ def reference_to_json(d: Diagram) -> str:
 
 
 def _reference_bezier_controls(lo: GridPoint, hi: GridPoint, delta):
-    p0 = lo.rot
-    p3 = hi.rot
+    p0 = (lo.x - lo.y, lo.x + lo.y)
+    p3 = (hi.x - hi.y, hi.x + hi.y)
     c1 = (p0[0], p0[1] + delta) if lo.kind == JUNCTION else p0
     c2 = (p3[0], p3[1] - delta) if hi.kind == JUNCTION else p3
     return p0, c1, c2, p3
@@ -296,7 +306,7 @@ def reference_to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     byte: it formats all eight coordinates of every track and sorts
     tracks by a 6-tuple key. Test-only; the package never imports it."""
     points = d.scene.points
-    rot = rotate45(d)
+    rot = [(p.x - p.y, p.x + p.y) for p in points]
     if opts.show_invisible:
         vis_ids = range(len(points))
         vis_segs = d.segments
@@ -382,7 +392,7 @@ def reference_insert_junctions(s: GridScene) -> GridScene:
             ycol[p.x] = p.y
             xrow[p.y] = p.x
 
-    points = list(s.points)
+    points = [(p.kind, p.x, p.y, p.label) for p in s.points]
     for i in range(3, side - 1, 2):
         below = ycol[i - 1]
         above = ycol[i + 1]
@@ -395,12 +405,13 @@ def reference_insert_junctions(s: GridScene) -> GridScene:
                 and xrow[j - 1] < i_lo
                 and xrow[j + 1] > i_hi
             ):
-                points.append(GridPoint(JUNCTION, i, j))
+                points.append((JUNCTION, i, j))
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
-    points.extend(q for q in bound_points(n, has_least, has_greatest) if q)
-    return GridScene(n, tuple(points))
+    scene = scene_of(n, points)
+    bound_points(scene, has_least, has_greatest)
+    return scene
 
 
 def reference_sweep_cover_edges(s: GridScene) -> Diagram:
@@ -519,14 +530,13 @@ def reference_planar_conflicts(d: Diagram) -> int:
 def reference_blocked_rays(d: Diagram, p: Poset) -> list[tuple[str, str]]:
     """Every extreme vertex against every drawn segment, in segment
     order, "below" tested before "above". Test-only."""
-    points = d.scene.points
+    rot = [(q.x - q.y, q.x + q.y) for q in d.scene.points]
     ext = extremes(p)
-    verts = d.scene.vertex_by_label()
-    rendered_rot = [(points[lo].rot, points[hi].rot) for lo, hi in d.drawn_segments()]
+    verts = {q.label: pid for pid, q in enumerate(d.scene.points) if q.kind == VERTEX}
+    rendered_rot = [(rot[lo], rot[hi]) for lo, hi in d.drawn_segments()]
     blocked = []
     for label in sorted(ext.minimal | ext.maximal):
-        v = verts[label]
-        u0, v0 = v.rot
+        u0, v0 = rot[verts[label]]
         down = label in ext.minimal
         up = label in ext.maximal
         for a, b in rendered_rot:
@@ -860,7 +870,7 @@ class _ReferenceChain:
 
 def reference_sp_layout(t: SpTree) -> Diagram:
     scene = place_on_grid(sp_realizer(t))
-    points = list(scene.points)
+    points = [(p.kind, p.x, p.y, p.label) for p in scene.points]
     segments: list[tuple[int, int]] = []
     # per finished subtree: its minima, its maxima, and the top-right
     # corner of the box its vertices fill
@@ -869,8 +879,8 @@ def reference_sp_layout(t: SpTree) -> Diagram:
 
     for node in _reference_postorder(t):
         if isinstance(node, SpLeaf):
-            p = points[leaf]
-            done.append((_ReferenceChain(leaf), _ReferenceChain(leaf), p.x, p.y))
+            _kind, x, y, _label = points[leaf]
+            done.append((_ReferenceChain(leaf), _ReferenceChain(leaf), x, y))
             leaf += 1
             continue
         min_r, max_r, xr, yr = done.pop()
@@ -882,7 +892,7 @@ def reference_sp_layout(t: SpTree) -> Diagram:
         # series: connect left maxima to right minima
         if max_l.size > 1 and min_r.size > 1:
             jid = len(points)
-            points.append(GridPoint(JUNCTION, xl + 1, yl + 1))
+            points.append((JUNCTION, xl + 1, yl + 1))
             for q in max_l:
                 segments.append((q, jid))
             for q in min_r:
@@ -898,11 +908,120 @@ def reference_sp_layout(t: SpTree) -> Diagram:
         done.append((min_l, max_r, xr, yr))
 
     minima, maxima, _, _ = done.pop()
-    bottom, top = bound_points(scene.n, minima.size == 1, maxima.size == 1)
+    scene = scene_of(scene.n, points)
+    bottom, top = bound_points(scene, minima.size == 1, maxima.size == 1)
     if bottom is not None:
-        segments.extend((len(points), q) for q in minima)
-        points.append(bottom)
+        segments.extend((bottom, q) for q in minima)
     if top is not None:
-        segments.extend((q, len(points)) for q in maxima)
-        points.append(top)
-    return Diagram(GridScene(scene.n, tuple(points)), segments)
+        segments.extend((q, top) for q in maxima)
+    return Diagram(scene, segments)
+
+
+# --- brute-force order oracles that only the tests call: the lattice
+# test, linear extensions and the exhaustive dimension-two test, and the
+# element cut of a completion
+
+
+def element_cut_index(completion: Completion, label: str) -> int:
+    """Index of the cut representing an original element."""
+    for i, cut in enumerate(completion.cuts):
+        if label in cut.lower and label in cut.upper:
+            return i
+    raise KeyError(label)
+
+
+def linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
+    """All linear extensions, as tuples of element indices."""
+    n = p.n
+    pred = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and p.leq[j, i]:
+                pred[i] |= 1 << j
+
+    def rec(remaining: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if not remaining:
+            yield acc
+            return
+        for x in _bits(remaining):
+            if pred[x] & remaining == 0:
+                yield from rec(remaining & ~(1 << x), acc + (x,))
+
+    yield from rec((1 << n) - 1, ())
+
+
+def order_dimension_le2(p: Poset, *, max_n: int = 7) -> bool:
+    """Exhaustively decide whether two linear extensions realize p.
+
+    For a fixed first extension the second is forced: comparable pairs
+    keep their order, incomparable pairs must flip. It therefore
+    suffices to test, for every linear extension, whether that forced
+    companion relation is transitive (equivalently, a linear order).
+    """
+    n = p.n
+    if n > max_n:
+        raise TooLargeForOracle(f"dimension oracle limited to n <= {max_n}")
+    if n <= 2:
+        return True
+    succ = [0] * n
+    inc = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if p.leq[i, j]:
+                succ[i] |= 1 << j
+            elif not p.leq[j, i]:
+                inc[i] |= 1 << j
+
+    for ext in linear_extensions(p):
+        forced = list(succ)
+        before = 0
+        for x in ext:
+            forced[x] |= inc[x] & before  # incomparable predecessors flip above x
+            before |= 1 << x
+        ok = True
+        for x in range(n):
+            fx = forced[x]
+            for y in _bits(fx):
+                if forced[y] & ~fx:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+def is_lattice(p: Poset) -> bool:
+    """Every pair of elements has a meet and a join."""
+    n = p.n
+    if n == 0:
+        return False
+    up = [0] * n
+    down = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if p.leq[i, j]:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+
+    def has_extreme(common: int, bounds: list[int]) -> bool:
+        # true iff some member of `common` bounds all the others
+        for x in _bits(common):
+            if common & ~bounds[x] == 0:
+                return True
+        return False
+
+    for i in range(n):
+        for j in range(i, n):
+            uppers = up[i] & up[j]
+            lowers = down[i] & down[j]
+            # join: the common upper bounds need a least member
+            if not uppers or not has_extreme(uppers, up):
+                return False
+            # meet: the common lower bounds need a greatest member
+            if not lowers or not has_extreme(lowers, down):
+                return False
+    return True

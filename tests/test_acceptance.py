@@ -18,7 +18,6 @@ from confluent_hasse import (
     gen_random,
     gen_random_sp,
     gen_worstcase,
-    order_dimension_le2,
     parse_sp,
     poset_from_realizer,
     realizer_of,
@@ -38,6 +37,7 @@ from suites import (
     all_sp_trees,
     forced_smooth_pairs,
     hulls_intersect,
+    order_dimension_le2,
     random_poset,
     random_realizer_suite,
     sp_text,
@@ -371,10 +371,9 @@ def test_criterion_11_rendering_invariants(medium_suite, realizer_suite):
     violations = 0
     diagrams = [d for _r, _p, d in realizer_suite[:40]] + [d for _r, _p, d in medium_suite]
     for diagram in diagrams:
-        pts = diagram.scene.points
         hulls = []
         for lo, hi in diagram.drawn_segments():
-            p0, c1, c2, p3 = bezier_controls(pts[lo], pts[hi], delta)
+            p0, c1, c2, p3 = bezier_controls(diagram.scene, lo, hi, delta)
             if not (p0[1] <= c1[1] <= c2[1] <= p3[1] and p0[1] < p3[1]):
                 violations += 1
             scaled = [(int(2 * u), int(2 * v)) for u, v in (p0, c1, c2, p3)]

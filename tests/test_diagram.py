@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confluent_hasse import (
-    GridPoint,
-    GridScene,
     Realizer,
     build_diagram,
     dominance_covers,
@@ -35,6 +33,7 @@ from suites import (
     reference_smooth_adjacency,
     reference_sweep_cover_edges,
     reference_validate_diagram,
+    scene_of,
 )
 
 
@@ -127,13 +126,13 @@ def point_soup(seed):
     cells = [(x, y) for x in range(1, side + 1) for y in range(1, side + 1)]
     kinds = (VERTEX, JUNCTION, INVISIBLE)
     chosen = rng.sample(cells, rng.randint(0, len(cells)))
-    return GridScene(n, tuple(GridPoint(rng.choice(kinds), x, y) for x, y in chosen))
+    return scene_of(n, [(rng.choice(kinds), x, y) for x, y in chosen])
 
 
 def full_grid(n):
     side = 2 * n + 1
     cells = [(x, y) for y in range(1, side + 1) for x in range(1, side + 1)]
-    return GridScene(n, tuple(GridPoint(JUNCTION, x, y) for x, y in cells))
+    return scene_of(n, [(JUNCTION, x, y) for x, y in cells])
 
 
 def sweep_cases():
@@ -147,7 +146,7 @@ def sweep_cases():
         for seed in (0, 1):
             yield f"random{n}/{seed}", insert_junctions(place_on_grid(gen_random(n, seed)))
     for n in range(7):
-        yield f"empty{n}", GridScene(n, ())
+        yield f"empty{n}", scene_of(n, [])
         yield f"full{n}", full_grid(n)
     for seed in range(3000):
         yield f"soup{seed}", point_soup(seed)
@@ -301,7 +300,7 @@ def test_validate_equals_the_reference_loops_on_the_suites():
 def custom(points, segments, relations):
     """A diagram over explicit points (kind, x, y, label) and segments
     between their indices, with the order the relations generate."""
-    scene = GridScene(0, tuple(GridPoint(*q) for q in points))
+    scene = scene_of(0, points)
     labels = [q[3] for q in points if q[0] == VERTEX]
     return Diagram(scene, list(segments)), poset_from_relations(labels, relations)
 

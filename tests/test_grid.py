@@ -1,3 +1,5 @@
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,3 +135,15 @@ def test_insert_junctions_equals_the_reference_loop():
     for r in realizers:
         s = place_on_grid(r)
         assert insert_junctions(s) == reference_insert_junctions(s)
+
+
+def test_insert_junctions_tracks_no_object_per_point():
+    # the columns hold ints and shared strings, which the cyclic
+    # collector does not track; the scene has 4,483 points
+    r = gen_worstcase(64)
+    gc.collect()
+    before = len(gc.get_objects())
+    s = insert_junctions(place_on_grid(r))
+    added = len(gc.get_objects()) - before
+    assert len(s.kinds) == 4483
+    assert added < 100, added

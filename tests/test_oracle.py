@@ -7,13 +7,17 @@ from confluent_hasse import (
     TooLargeForOracle,
     dm_completion,
     dominance_covers,
-    is_lattice,
-    order_dimension_le2,
     poset_from_relations,
     transitive_reduction,
 )
-from confluent_hasse.oracle import DuplicatePointError, linear_extensions
-from suites import random_poset
+from confluent_hasse.oracle import DuplicatePointError
+from suites import (
+    element_cut_index,
+    is_lattice,
+    linear_extensions,
+    order_dimension_le2,
+    random_poset,
+)
 
 
 def k22():
@@ -90,7 +94,7 @@ def test_completion_contains_element_cuts_and_is_lattice():
         comp = dm_completion(p)
         assert is_lattice(comp.poset)
         for lab in p.labels:
-            comp.element_cut_index(lab)
+            element_cut_index(comp, lab)
 
 
 def test_completion_has_no_proper_lattice_subset_containing_elements():
@@ -101,7 +105,7 @@ def test_completion_has_no_proper_lattice_subset_containing_elements():
     for seed in range(6):
         p = random_poset(4, seed)
         comp = dm_completion(p)
-        element_idx = {comp.element_cut_index(lab) for lab in p.labels}
+        element_idx = {element_cut_index(comp, lab) for lab in p.labels}
         extra = [i for i in range(len(comp.cuts)) if i not in element_idx]
         full = comp.poset
         for k in range(len(extra)):

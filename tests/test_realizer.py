@@ -14,7 +14,6 @@ from confluent_hasse import (
     Realizer,
     gen_random,
     gen_worstcase,
-    order_dimension_le2,
     parse_edge_list,
     parse_realizer,
     poset_from_realizer,
@@ -24,7 +23,7 @@ from confluent_hasse import (
 )
 from confluent_hasse.realizer import _forced_orientation
 from confluent_hasse.sp import sp_to_poset
-from suites import all_sp_trees, random_poset, reference_orientation
+from suites import all_sp_trees, order_dimension_le2, random_poset, reference_orientation
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402

@@ -6,8 +6,6 @@ from xml.etree import ElementTree
 import pytest
 
 from confluent_hasse import (
-    GridPoint,
-    GridScene,
     Realizer,
     RenderOptions,
     bezier_controls,
@@ -23,7 +21,7 @@ from confluent_hasse import (
 )
 from confluent_hasse.cli import EXIT_OK, run
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
-from suites import reference_to_json, reference_to_svg
+from suites import reference_to_json, reference_to_svg, scene_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,9 +30,14 @@ def k22_diagram():
     return build_diagram(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
 
 
+def rotated(d):
+    """Each point's rotated (u, v), by id."""
+    return [rotate45(p.x, p.y) for p in d.scene.points]
+
+
 def test_rotation_coordinates():
     d = k22_diagram()
-    rot = rotate45(d)
+    rot = rotated(d)
     by_label = {p.label: rot[i] for i, p in enumerate(d.scene.points) if p.label}
     assert by_label["a"] == (-2, 6)
     assert by_label["c"] == (-2, 14)
@@ -46,7 +49,7 @@ def test_rotation_coordinates():
 
 def test_rotation_makes_every_segment_ascend():
     d = k22_diagram()
-    rot = rotate45(d)
+    rot = rotated(d)
     assert len(d.segments) == 8
     for lo, hi in d.segments:
         assert rot[hi][1] > rot[lo][1]
@@ -96,12 +99,11 @@ def test_svg_determinism():
 
 def test_junction_controls_share_vertical_tangent():
     d = k22_diagram()
-    pts = d.scene.points
-    (junction,) = [i for i, p in enumerate(pts) if p.kind == JUNCTION]
-    ju, jv = rotate45(d)[junction]
+    (junction,) = [i for i, p in enumerate(d.scene.points) if p.kind == JUNCTION]
+    ju, jv = rotated(d)[junction]
     delta = Fraction(1, 2)
     for lo, hi in d.segments:
-        p0, c1, c2, p3 = bezier_controls(pts[lo], pts[hi], delta)
+        p0, c1, c2, p3 = bezier_controls(d.scene, lo, hi, delta)
         if lo == junction:
             assert c1 == (ju, jv + delta)
         if hi == junction:
@@ -111,10 +113,9 @@ def test_junction_controls_share_vertical_tangent():
 def test_controls_are_v_monotone():
     for n, seed in ((9, 0), (20, 1)):
         d = build_diagram(gen_random(n, seed))
-        pts = d.scene.points
         delta = Fraction(1, 2)
         for lo, hi in d.segments:
-            p0, c1, c2, p3 = bezier_controls(pts[lo], pts[hi], delta)
+            p0, c1, c2, p3 = bezier_controls(d.scene, lo, hi, delta)
             assert p0[1] <= c1[1] <= c2[1] <= p3[1]
             assert p0[1] < p3[1]
 
@@ -193,7 +194,7 @@ def _writer_cases():
 
 def hand_built(*points):
     """The diagram of explicit points (kind, x, y, label) on a 9 x 9 grid."""
-    return sweep_cover_edges(GridScene(4, tuple(GridPoint(*q) for q in points)))
+    return sweep_cover_edges(scene_of(4, points))
 
 
 WRITER_CASES = list(_writer_cases())
