@@ -8,8 +8,8 @@ left of the cursor. Each point walks one search path, splits the tree
 there and becomes the new root of the part it split, so the sweep
 visits points and segments, not grid cells. A point covers only a
 column's topmost point below it: one hidden behind an earlier point
-of the same column is not a cover. The cubic-time oracle and the
-grid-cell sweep kept in the tests pin the segments and their order.
+of the same column is not a cover. The quadratic integer oracle and
+the grid-cell sweep kept in the tests pin the segments and their order.
 All of it reads the scene's columns, and ``rotate45`` is the one
 function that computes the rotated frame.
 
@@ -219,7 +219,8 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     return frozenset(result)
 
 
-# the cubic-time cover oracle behind the segments check runs up to here
+# the cover oracle behind the segments check holds a points x points
+# int32 matrix, so it runs only up to here
 COVERS_CHECK_LIMIT = 1500
 
 
@@ -261,8 +262,9 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     Reported, never raised, in this order:
 
     - segments: the segment set equals the cover pairs of the dominance
-      order, by the cubic-time ``oracle.dominance_covers``; skipped
-      above COVERS_CHECK_LIMIT points.
+      order, by ``oracle.dominance_covers`` (a row-wise running minimum
+      over a points x points integer matrix, quadratic); skipped above
+      COVERS_CHECK_LIMIT points.
     - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
       the cover pairs of p (``transitive_reduction``).
     - planar: drawn segments only meet at shared endpoints. Candidate

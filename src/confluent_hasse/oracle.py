@@ -1,9 +1,10 @@
 """Brute-force ground truth for small instances.
 
-Everything here is deliberately naive: cut enumeration for the lattice
-completion, and cubic-time dominance covers. These routines certify
-the fast pipeline in tests and back the CLI --verify mode, so none of
-them may share code with the constructions they check.
+Everything here is deliberately plain: cut enumeration for the lattice
+completion, and dominance covers from a points × points integer matrix
+in quadratic time. These routines certify the fast pipeline in tests
+and back the CLI --verify mode, so none of them may share code with
+the constructions they check.
 """
 
 from __future__ import annotations
@@ -135,24 +136,34 @@ def dominance_covers(
     """Cover pairs of the dominance order on grid points.
 
     p dominates q iff both coordinates of p are >= those of q and
-    p != q. Returns (q, p) pairs with nothing strictly between, found
-    by checking every candidate intermediate point.
+    p != q. Returns (q, p) pairs with nothing strictly between: the
+    direct dominances, found row by row in O(points²) integer time.
+
+    In (x, y) order every dominator of q comes after q, and an earlier
+    dominator r of q has x_r <= x_p, so r <= p iff y_r <= y_p. Hence p
+    covers q iff p dominates q and p's y is strictly below that of
+    every earlier dominator of q: iff the running minimum of the
+    dominators' y along q's row drops at p. The y values are compared
+    as ranks, exact whatever the coordinates' size.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise DuplicatePointError("points must occupy distinct grid cells")
-    if not pts:
+    n = len(pts)
+    if not n:
         return frozenset()
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])
-    dom = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
-    strict = dom & ~np.eye(len(pts), dtype=bool)
-    # the count of points strictly between is exact in float32 while it
-    # stays below 2**24
-    assert len(pts) < 1 << 24
-    two_step = strict.astype(np.float32) @ strict.astype(np.float32)
-    covers = strict & (two_step == 0)
-    return frozenset((pts[a], pts[b]) for a, b in np.argwhere(covers).tolist())
+    order = np.lexsort((ys, xs))
+    y = np.unique(ys, return_inverse=True)[1].astype(np.int32)[order]
+    i = np.arange(n, dtype=np.int32)
+    dominates = y[None, :] >= y[:, None]  # [q, p], in (x, y) order
+    dominates &= i[None, :] > i[:, None]
+    # the lowest y among q's dominators so far; n stands for none yet
+    low = np.where(dominates, y[None, :], np.int32(n))
+    np.minimum.accumulate(low, axis=1, out=low)
+    q, p = np.divmod(np.flatnonzero(low[:, 1:] < low[:, :-1]), n - 1)
+    return frozenset((pts[a], pts[b]) for a, b in zip(order[q].tolist(), order[p + 1].tolist()))
 
 
 def scene_matches_completion(scene, p: Poset) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from confluent_hasse import (
 )
 from confluent_hasse.diagram import COVERS_CHECK_LIMIT, Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
-from confluent_hasse.oracle import Completion, dominance_covers
+from confluent_hasse.oracle import Completion, DuplicatePointError
 from confluent_hasse.poset import extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import (
@@ -549,6 +549,35 @@ def reference_blocked_rays(d: Diagram, p: Poset) -> list[tuple[str, str]]:
     return blocked
 
 
+def reference_dominance_covers(
+    points: Sequence[tuple[int, int]]
+) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
+    """Cover pairs of the dominance order on grid points.
+
+    p dominates q iff both coordinates of p are >= those of q and
+    p != q. Returns (q, p) pairs with nothing strictly between, found
+    by checking every candidate intermediate point.
+
+    The cubic float32 product that ``oracle.dominance_covers`` replaced
+    with a row-wise staircase; test-only.
+    """
+    pts = list(points)
+    if len(set(pts)) != len(pts):
+        raise DuplicatePointError("points must occupy distinct grid cells")
+    if not pts:
+        return frozenset()
+    xs = np.array([x for x, _ in pts])
+    ys = np.array([y for _, y in pts])
+    dom = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
+    strict = dom & ~np.eye(len(pts), dtype=bool)
+    # the count of points strictly between is exact in float32 while it
+    # stays below 2**24
+    assert len(pts) < 1 << 24
+    two_step = strict.astype(np.float32) @ strict.astype(np.float32)
+    covers = strict & (two_step == 0)
+    return frozenset((pts[a], pts[b]) for a, b in np.argwhere(covers).tolist())
+
+
 def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     """``diagram.validate_diagram`` built from the reference loops above:
     its report must be the same, byte for byte. Test-only."""
@@ -557,7 +586,7 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
 
     if len(points) <= COVERS_CHECK_LIMIT:
         coords = [(q.x, q.y) for q in points]
-        expected = dominance_covers(coords)
+        expected = reference_dominance_covers(coords)
         actual = {((points[a].x, points[a].y), (points[b].x, points[b].y)) for a, b in d.segments}
         extra = actual - expected
         missing = expected - actual

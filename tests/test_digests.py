@@ -49,3 +49,39 @@ def test_output_matches_the_stored_digest(tmp_path, capsys, key):
     rc = cli.run(item.argv(str(src), str(out)))
     sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     assert {"exit": rc, "sha256": sha} == DIGESTS[key]
+
+
+VERIFY_REPORTS = {
+    # the segments oracle runs at 1,219 points...
+    "verify-worst/k32": (
+        0,
+        "PASS segments\nPASS smooth\nPASS planar\nPASS degrees\nPASS visibility\n"
+        "SKIP completion: instance exceeds oracle size limit\n",
+    ),
+    # ...and skips at 2,595, above COVERS_CHECK_LIMIT
+    "verify-worst/k48": (
+        0,
+        "SKIP segments: too many points for the cover oracle\nPASS smooth\nPASS planar\n"
+        "PASS degrees\nPASS visibility\nSKIP completion: instance exceeds oracle size limit\n",
+    ),
+    "verify-random/n128/s0": (
+        3,
+        "PASS segments\nFAIL smooth: smooth 3703 pairs vs covers 441\nPASS planar\n"
+        "PASS degrees\nPASS visibility\nSKIP completion: instance exceeds oracle size limit\n",
+    ),
+    "verify-random/n12/s0": (
+        3,
+        "PASS segments\nFAIL smooth: smooth 21 pairs vs covers 18\nPASS planar\n"
+        "PASS degrees\nPASS visibility\nPASS completion\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(VERIFY_REPORTS))
+def test_verify_report_matches_the_pinned_lines(tmp_path, capsys, key):
+    item = workloads.build(key)
+    src = tmp_path / "in.txt"
+    src.write_text(item.text, encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.run(item.argv(str(src), str(tmp_path / f"out.{item.emit}")))
+    assert (rc, capsys.readouterr().err) == VERIFY_REPORTS[key]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 from confluent_hasse import (
     Poset,
     TooLargeForOracle,
+    build_diagram,
     dm_completion,
     dominance_covers,
+    gen_random,
+    gen_worstcase,
     poset_from_relations,
     transitive_reduction,
 )
@@ -17,6 +22,8 @@ from suites import (
     linear_extensions,
     order_dimension_le2,
     random_poset,
+    random_realizer_suite,
+    reference_dominance_covers,
 )
 
 
@@ -161,6 +168,57 @@ def test_dominance_covers_agree_with_poset_reduction(points):
         for a, b in transitive_reduction(p)
     }
     assert got == via_reduction
+
+
+def point_soups(count: int = 3000):
+    """Seeded point sets on grids from 1x1 to 12x12, shuffled; on such
+    small grids most points share a row or a column with another."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+        cells = [(x, y) for x in range(w) for y in range(h)]
+        pts = rng.sample(cells, rng.randint(0, len(cells)))
+        rng.shuffle(pts)
+        yield pts
+
+
+def test_dominance_covers_equals_the_reference():
+    cases = list(point_soups())
+    cases += [[], [(5, -3)]]
+    realizers = random_realizer_suite()
+    realizers += [gen_worstcase(k) for k in range(1, 41)]
+    realizers += [gen_random(128, seed) for seed in range(4)]
+    for r in realizers:
+        s = build_diagram(r).scene
+        cases.append(list(zip(s.xs, s.ys)))
+    for pts in cases:
+        assert dominance_covers(pts) == reference_dominance_covers(pts), pts
+
+
+@pytest.mark.parametrize("dx, dy", [(2**40, 0), (0, -(2**40)), (-(2**40), 2**40), (-7, -3)])
+def test_dominance_covers_is_translation_invariant(dx, dy):
+    for pts in point_soups(200):
+        moved = [(x + dx, y + dy) for x, y in pts]
+        shifted = {
+            ((a + dx, b + dy), (c + dx, d + dy))
+            for (a, b), (c, d) in dominance_covers(pts)
+        }
+        assert dominance_covers(moved) == shifted
+
+
+def test_dominance_covers_full_row_and_column_are_chains():
+    row = [(x, 4) for x in range(9)]
+    column = [(-2, y) for y in range(-4, 5)]
+    for line in (row, column):
+        shuffled = list(line)
+        random.Random(1).shuffle(shuffled)
+        assert dominance_covers(shuffled) == set(zip(line, line[1:]))
+
+
+def test_dominance_covers_rejects_duplicates_among_large_coordinates():
+    big = 2**40
+    with pytest.raises(DuplicatePointError):
+        dominance_covers([(big, -big), (0, 0), (1, 2), (big, -big)])
 
 
 def test_dimension_oracle_accepts_chains_and_k22():
