@@ -40,7 +40,7 @@ def main() -> None:
     opts = RenderOptions(show_invisible=args.show_invisible)
     for name, make in EXAMPLES.items():
         path = out_dir / f"{name}.svg"
-        path.write_text(to_svg(make(), opts))
+        path.write_text(to_svg(make(), opts), encoding="utf-8")
         print(f"wrote {path}")
 
 

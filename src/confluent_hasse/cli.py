@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input, output or format problem (an
-unreadable or non-UTF-8 input, an unwritable --out), 2 when the input
+unreadable or non-UTF-8 input, an unwritable --out, an input too large
+to draw, verify or render in the memory there is), 2 when the input
 order has dimension greater than two (no upward confluent diagram
 exists in that case), 3 when --verify finds a failed check.
 """
@@ -223,30 +224,37 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: cannot read {args.input!r}: {exc}\n")
         return EXIT_INPUT
 
+    # an input too large for the memory there is ends like any other
+    # input problem: one error line, exit 1 and no output file
     try:
-        diagram, p, times = _pipeline(text, args.input_format, args.verify)
-    except DimensionExceedsTwo:
-        sys.stderr.write(
-            "error: this order has dimension greater than two; an upward "
-            "confluent diagram exists if and only if the dimension is at most two\n"
-        )
-        return EXIT_DIMENSION
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        try:
+            diagram, p, times = _pipeline(text, args.input_format, args.verify)
+        except DimensionExceedsTwo:
+            sys.stderr.write(
+                "error: this order has dimension greater than two; an upward "
+                "confluent diagram exists if and only if the dimension is at most two\n"
+            )
+            return EXIT_DIMENSION
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_INPUT
+
+        if args.verify and not _run_verify(diagram, p):
+            return EXIT_VERIFY
+
+        if args.emit == "svg":
+            opts = render.RenderOptions(
+                bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
+            )
+            payload = render.to_svg(diagram, opts)
+        elif args.emit == "json":
+            payload = render.to_json(diagram)
+        else:
+            payload = bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return EXIT_INPUT
-
-    if args.verify and not _run_verify(diagram, p):
-        return EXIT_VERIFY
-
-    if args.emit == "svg":
-        opts = render.RenderOptions(
-            bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
-        )
-        payload = render.to_svg(diagram, opts)
-    elif args.emit == "json":
-        payload = render.to_json(diagram)
-    else:
-        payload = bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"
     return _write_output(args.out, payload)
 
 

@@ -12,14 +12,20 @@ through it share a vertical tangent, and at vertex endpoints the
 control point degenerates onto the endpoint.
 
 Both writers fill fixed text templates and do little work per track.
-``to_svg`` formats each visible point's coordinates once, and a
-junction's two control heights once, then sorts tracks by the ranks of
-their ends. ``to_json`` writes the text of ``json.dumps(indent=2)``
-without its indenting encoder, which runs in pure Python. It splits
-the points into runs of one kind and one label presence (vertices,
-then junctions, then bounds, as the scene lists them), bakes the kind
-into a node template and fills the template, repeated over the run, by
-one ``%`` call from slices of the columns x, y, id, label, u and v.
+``to_svg`` works on numpy columns. One ``lexsort`` puts the visible
+points in drawing order (by v, u, id). Their coordinates, and the two
+control heights of each junction, are computed in float64 in the
+operation order of the scalar expressions, so they give the same
+``.2f`` text, and each is formatted once. The segments become one int
+array, a mask drops those with an invisible end, and a second
+``lexsort`` orders the tracks by the ranks of their ends; a loop then
+writes the text of each track. ``to_json`` writes the text of
+``json.dumps(indent=2)`` without its indenting encoder, which runs in
+pure Python. It splits the points into runs of one kind and one label
+presence (vertices, then junctions, then bounds, as the scene lists
+them), bakes the kind into a node template and fills the template,
+repeated over the run, by one ``%`` call from slices of the columns x,
+y, id, label, u and v.
 The segments fill one repeated template the same way, and the document
 is joined once. Their bytes are pinned by the reference writers in
 ``tests/suites.py`` and by the output digests in
@@ -45,6 +51,10 @@ NODE_RADIUS = 0.32
 JUNCTION_RADIUS = 0.11
 CANVAS_SCALE = 28.0
 
+# kinds as small ints, for the masks to_svg takes over the scene
+_VERTEX, _JUNCTION, _INVISIBLE = range(3)
+_KIND_CODE = {VERTEX: _VERTEX, JUNCTION: _JUNCTION, INVISIBLE: _INVISIBLE}
+
 
 @dataclass(frozen=True)
 class RenderOptions:
@@ -56,10 +66,9 @@ class RenderOptions:
             raise ValueError("bezier offset must lie strictly between 0 and 1")
 
 
-def _rotated(s: GridScene) -> tuple[list[int], list[int]]:
+def _rotated(s: GridScene) -> tuple[np.ndarray, np.ndarray]:
     """The columns u and v of the scene's points, by id."""
-    us, vs = rotate45(np.array(s.xs, np.int64), np.array(s.ys, np.int64))
-    return us.tolist(), vs.tolist()
+    return rotate45(np.array(s.xs, np.int64), np.array(s.ys, np.int64))
 
 
 def _control_shift(kind: str, delta):
@@ -89,50 +98,41 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     """Deterministic standalone SVG of the diagram, turned upward."""
     kinds, labels = d.scene.kinds, d.scene.labels
     us, vs = _rotated(d.scene)
-    if opts.show_invisible:
-        vis_ids = range(len(kinds))
-        vis_segs = d.segments
-    else:
-        vis_ids = [i for i, kind in enumerate(kinds) if kind != INVISIBLE]
-        vis_segs = d.drawn_segments()
+    codes = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, len(kinds))
+    # the points in drawing order, bottom to top; the columns below are
+    # indexed by this rank
+    vis = np.arange(len(kinds)) if opts.show_invisible else np.flatnonzero(codes != _INVISIBLE)
+    order = vis[np.lexsort((vis, us[vis], vs[vis]))]
+    u, v = us[order], vs[order]
 
     s = CANVAS_SCALE
     margin = 1.2 * s
-    if vis_ids:
-        umin = min(us[i] for i in vis_ids)
-        umax = max(us[i] for i in vis_ids)
-        vmin = min(vs[i] for i in vis_ids)
-        vmax = max(vs[i] for i in vis_ids)
+    if len(order):
+        # v ascends in drawing order
+        umin, umax, vmin, vmax = int(u.min()), int(u.max()), int(v[0]), int(v[-1])
     else:
         umin = umax = vmin = vmax = 0
     width = (umax - umin) * s + 2 * margin
     height = (vmax - vmin) * s + 2 * margin
 
-    # Points in drawing order, bottom to top; the lists below are
-    # indexed by this rank. Each point's coordinates are formatted once,
-    # and so are the control-point y values above and below it (those of
-    # the tracks leaving it upward and arriving from below). A control y
-    # keeps the expression (vmax - (v +- shift)) * s + margin: any other
-    # grouping of the arithmetic can change a .2f rounding.
-    order = sorted(vis_ids, key=lambda q: (vs[q], us[q], q))
-    shifts = {
-        kind: _control_shift(kind, opts.bezier_offset) for kind in (VERTEX, JUNCTION, INVISIBLE)
-    }
-    xs: list[str] = []
-    ys: list[str] = []
-    above: list[str] = []
-    below: list[str] = []
-    for i in order:
-        u, v = us[i], vs[i]
-        xs.append(f"{(u - umin) * s + margin:.2f}")
-        ys.append(y := f"{(vmax - v) * s + margin:.2f}")
-        shift = shifts[kinds[i]]
-        if shift:
-            above.append(f"{(vmax - (v + shift)) * s + margin:.2f}")
-            below.append(f"{(vmax - (v - shift)) * s + margin:.2f}")
-        else:
-            above.append(y)
-            below.append(y)
+    # Each point's coordinates are formatted once, and so are the
+    # control-point y values above and below a junction (those of the
+    # tracks leaving it upward and arriving from below); elsewhere the
+    # control degenerates onto the point. The float64 arithmetic keeps
+    # the operation order of (vmax - (v +- shift)) * s + margin: any
+    # other grouping can change a .2f rounding.
+    fmt = "{:.2f}".format
+    xs = list(map(fmt, ((u - umin) * s + margin).tolist()))
+    ys = list(map(fmt, ((vmax - v) * s + margin).tolist()))
+    above, below = ys.copy(), ys.copy()
+    junctions = np.flatnonzero(codes[order] == _JUNCTION)
+    vj, shift = v[junctions], _control_shift(JUNCTION, opts.bezier_offset)
+    for r, a, b in zip(
+        junctions.tolist(),
+        map(fmt, ((vmax - (vj + shift)) * s + margin).tolist()),
+        map(fmt, ((vmax - (vj - shift)) * s + margin).tolist()),
+    ):
+        above[r], below[r] = a, b
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -140,13 +140,19 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
         f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
     ]
 
-    # tracks in order of (rank of the lower end, rank of the upper end)
-    rank = [0] * len(kinds)
-    for r, i in enumerate(order):
-        rank[i] = r
-    m = len(order)
-    for key in sorted([rank[lo] * m + rank[hi] for lo, hi in vis_segs]):
-        a, b = divmod(key, m)
+    # tracks in order of (rank of the lower end, rank of the upper end),
+    # without those that have an invisible end unless these are shown
+    segs = np.fromiter(chain.from_iterable(d.segments), np.int64, 2 * len(d.segments))
+    lo, hi = segs[0::2], segs[1::2]
+    if not opts.show_invisible:
+        invisible = codes == _INVISIBLE
+        drawn = ~(invisible[lo] | invisible[hi])
+        lo, hi = lo[drawn], hi[drawn]
+    rank = np.empty(len(kinds), np.int64)
+    rank[order] = np.arange(len(order))
+    rank_lo, rank_hi = rank[lo], rank[hi]
+    tracks = np.lexsort((rank_hi, rank_lo))
+    for a, b in zip(rank_lo[tracks].tolist(), rank_hi[tracks].tolist()):
         out.append(
             f'  <path d="M {xs[a]} {ys[a]} C {xs[a]} {above[a]}, {xs[b]} {below[b]}, '
             f'{xs[b]} {ys[b]}" fill="none" stroke="#222222" stroke-width="1.6"/>'
@@ -155,7 +161,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     node_r = f"{NODE_RADIUS * s:.2f}"
     junction_r = f"{JUNCTION_RADIUS * s:.2f}"
     font_size = f"{0.3 * s:.2f}"
-    for i, cx, cy in zip(order, xs, ys):
+    for i, cx, cy in zip(order.tolist(), xs, ys):
         kind = kinds[i]
         if kind == VERTEX:
             out.append(
@@ -243,7 +249,7 @@ def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
     s = d.scene
     xs, ys, labels = s.xs, s.ys, s.labels
-    us, vs = _rotated(s)
+    us, vs = (column.tolist() for column in _rotated(s))
     # one template per run of points with the same kind and label
     # presence, filled by one call from columns zipped point by point
     runs = []

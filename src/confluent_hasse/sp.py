@@ -1,20 +1,25 @@
 """Series-parallel orders: expression parser, decomposition trees, and
 the linear-time confluent layout.
 
-The parser splits the text with one regular expression and builds the
-tree with an operator stack in the same pass, noting a repeated leaf as
-it goes (a syntax error anywhere still wins over a repeated leaf).
+The parser pads the four punctuation characters with spaces and splits
+the text with ``str.split()``, which splits at exactly the characters
+``str.isspace`` accepts. It builds the tree with an operator stack in
+one pass over the tokens, noting a repeated leaf as it goes (a syntax
+error anywhere still wins over a repeated leaf). Tree nodes are
+slotted frozen dataclasses.
 
 The layout puts vertices where the general pipeline's
 ``place_on_grid`` puts the tree's realizer: x from the leaves left to
-right, y from one walk in the realizer's second order, which swaps the
-parts of every parallel composition. Each subtree's vertices then fill
-one box, and the boxes compose corner to corner: a series composition
-has the second box up-and-right of the first (everything in it
-dominates the first box), a parallel composition has it down-and-right
-(nothing comparable). One postorder pass places the vertices and adds
-the segments. A series step inserts a junction at the cell
-up-and-right of the lower box's corner exactly when the lower part has
+right, y from the realizer's second order, which swaps the parts of
+every parallel composition. Each subtree's vertices then fill one box,
+and the boxes compose corner to corner: a series composition has the
+second box up-and-right of the first (everything in it dominates the
+first box), a parallel composition has it down-and-right (nothing
+comparable). One postorder pass adds the segments and threads the
+second order through the leaves as a linked list; one walk of that
+list then gives every vertex its y, and each junction the y just above
+the lower part's top vertex. A series step inserts a junction at the
+cell up-and-right of the lower box's corner exactly when the lower part has
 several maximal elements and the upper part several minimal ones;
 otherwise the unique extreme vertex fans out directly. Invisible bounds
 come from ``grid.bound_points``, as in the general pipeline, so the
@@ -62,18 +67,18 @@ class DuplicateLeafError(ValueError):
     """The same element label occurs in two leaves."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpLeaf:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpSeries:
     left: "SpTree"
     right: "SpTree"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpParallel:
     left: "SpTree"
     right: "SpTree"
@@ -82,6 +87,7 @@ class SpParallel:
 SpTree = Union[SpLeaf, SpSeries, SpParallel]
 
 _PUNCT = {";", "|", "(", ")"}
+# the tokens parse_sp splits off, as a pattern that gives their offsets
 _TOKEN = re.compile(r"[;|()]|[^\s;|()]+")  # \s is exactly str.isspace
 
 
@@ -104,7 +110,10 @@ def parse_sp(text: str) -> SpTree:
     bounded by memory only. A syntax error is reported before a
     repeated leaf.
     """
-    tokens = _TOKEN.findall(text)
+    # punctuation padded with spaces; str.split() splits at exactly the
+    # characters str.isspace accepts
+    padded = text.replace(";", " ; ").replace("|", " | ")
+    tokens = padded.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise SpSyntaxError("empty expression", 0)
     tokens.append("")  # the end of the text
@@ -213,54 +222,57 @@ def sp_layout(t: SpTree) -> Diagram:
     tree size: the vertices, junctions and invisible bounds the general
     pipeline puts on the (2n+1)-sided grid for ``sp_realizer(t)``, and
     their cover segments, without scanning the grid."""
-    # y: ranks in the second order of sp_realizer
-    l2 = _swapped_leaves(t)
-    y_of = {lab: 2 * i + 2 for i, lab in enumerate(l2)}
-    n = len(y_of)
-    if n != len(l2):
-        raise DuplicateLeafError("a leaf label occurs twice")
-
-    # x and the segments from one postorder walk, which meets the leaves
-    # left to right, i.e. by point id: the reverse of a preorder that
-    # visits the right part first. Minima and maxima chains are linked
-    # through next_min / next_max, -1 ending a chain.
+    # One postorder walk, which meets the leaves left to right, i.e. by
+    # point id: the reverse of a preorder that visits the right part
+    # first. Minima and maxima chains are linked through next_min and
+    # next_max, and the leaves in the second order of sp_realizer
+    # through next2; -1 ends a chain.
     mirrored: list[SpTree] = []
     stack = [t]
     while stack:
         node = stack.pop()
         mirrored.append(node)
-        if not isinstance(node, SpLeaf):
+        if node.__class__ is not SpLeaf:
             stack.append(node.left)
             stack.append(node.right)
+    n = (len(mirrored) + 1) // 2  # a full binary tree
     labels: list[str] = []
     jxs: list[int] = []
-    jys: list[int] = []
+    below: list[int] = []  # per junction, the vertex whose y it sits just above
     segments: list[tuple[int, int]] = []
     next_min = [-1] * n
     next_max = [-1] * n
-    # per finished subtree: head and tail of its minima and of its
-    # maxima (head == tail for one vertex), and the top-right corner of
-    # the box its vertices fill
-    done: list[tuple[int, int, int, int, int, int]] = []
+    next2 = [-1] * n
+    # Per finished subtree: head and tail of its minima and of its
+    # maxima (head == tail for one vertex). The head of its minima is
+    # its first leaf. In the second order its leaves run from the tail
+    # of its minima to the head of its maxima. Its vertices fill one
+    # box, so the box of a series node's left part has its top-right
+    # corner at (2 * rmin, y of lmax).
+    done: list[tuple[int, int, int, int]] = []
     for node in reversed(mirrored):
-        if isinstance(node, SpLeaf):
+        if node.__class__ is SpLeaf:
             v = len(labels)
             labels.append(node.label)
-            done.append((v, v, v, v, 2 * v + 2, y_of[node.label]))
+            done.append((v, v, v, v))
             continue
-        rmin, rmin_tail, rmax, rmax_tail, xr, yr = done.pop()
-        lmin, lmin_tail, lmax, lmax_tail, xl, yl = done.pop()
-        if isinstance(node, SpParallel):
-            # the right box sits down-and-right of the left one
+        rmin, rmin_tail, rmax, rmax_tail = done.pop()
+        lmin, lmin_tail, lmax, lmax_tail = done.pop()
+        if node.__class__ is SpParallel:
+            # the right box sits down-and-right of the left one, so the
+            # second order puts the right part first
             next_min[lmin_tail] = rmin
             next_max[lmax_tail] = rmax
-            done.append((lmin, rmin_tail, lmax, rmax_tail, xr, yl))
+            next2[rmax] = lmin_tail
+            done.append((lmin, rmin_tail, lmax, rmax_tail))
             continue
-        # series: connect left maxima to right minima
+        # series: the right box sits up-and-right of the left one;
+        # connect left maxima to right minima
+        next2[lmax] = rmin_tail
         if lmax != lmax_tail and rmin != rmin_tail:
             jid = n + len(jxs)
-            jxs.append(xl + 1)
-            jys.append(yl + 1)
+            jxs.append(2 * rmin + 1)
+            below.append(lmax)
             q = lmax
             while q >= 0:
                 segments.append((q, jid))
@@ -279,12 +291,20 @@ def sp_layout(t: SpTree) -> Diagram:
             while q >= 0:
                 segments.append((q, rmin))
                 q = next_max[q]
-        done.append((lmin, lmin_tail, rmax, rmax_tail, xr, yr))
+        done.append((lmin, lmin_tail, rmax, rmax_tail))
 
-    minima, minima_tail, maxima, maxima_tail, _, _ = done.pop()
+    if len(set(labels)) != n:
+        raise DuplicateLeafError("a leaf label occurs twice")
+    minima, minima_tail, maxima, maxima_tail = done.pop()
+    # y: ranks in the second order
+    ys = [0] * n
+    q, y = minima_tail, 2
+    while q >= 0:
+        ys[q] = y
+        q, y = next2[q], y + 2
     scene = GridScene(n)
-    scene.add(VERTEX, list(range(2, 2 * n + 1, 2)), [y_of[lab] for lab in labels], labels)
-    scene.add(JUNCTION, jxs, jys)
+    scene.add(VERTEX, list(range(2, 2 * n + 1, 2)), ys, labels)
+    scene.add(JUNCTION, jxs, [ys[q] + 1 for q in below])
     bottom, top = bound_points(scene, minima == minima_tail, maxima == maxima_tail)
     if bottom is not None:
         q = minima

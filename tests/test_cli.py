@@ -315,6 +315,32 @@ def test_order_is_built_only_under_verify(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("error: the order was built") == 2
 
 
+def test_running_out_of_memory_exits_1_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    from confluent_hasse import cli, render
+
+    def too_large(*_args):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+
+    def exhausted(*_args):
+        raise MemoryError
+
+    sp = write(tmp_path, "k22.sp", "(a|b);(c|d)\n")
+    out = tmp_path / "out.svg"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "sp_to_poset", too_large)
+        assert run([sp, "--input-format", "sp", "--verify", "--out", str(out)]) == EXIT_INPUT
+    with monkeypatch.context() as m:
+        m.setattr(render, "to_svg", exhausted)
+        assert run([sp, "--input-format", "sp", "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 9.31 GiB for an array\n"
+        "error: out of memory\n"
+    )
+    assert run([sp, "--input-format", "sp", "--out", str(out)]) == EXIT_OK
+    assert out.exists()
+
+
 def test_deeply_nested_sp_input(tmp_path, capsys):
     deep = "(" * 400 + "a" + ")" * 400
     assert run([write(tmp_path, "deep.sp", deep), "--input-format", "sp"]) == EXIT_OK

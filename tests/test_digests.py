@@ -30,8 +30,8 @@ DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
         *(f"edges/n256/s{i}" for i in range(16)),
         # worst-case realizer, JSON: every input realizer-worst draws
         *(f"worst/k{k}" for k in range(124, 133)),
-        # series-parallel layout, SVG
-        *(f"sp/n10000/s{i}" for i in range(4)),
+        # series-parallel layout, SVG: every input sp-large draws
+        *(f"sp/n10000/s{i}" for i in range(16)),
         "verify-worst/k2",  # --verify passes, JSON
         "verify-random/n12/s0",  # --verify fails: exit 3, no output
         # the --verify items with the most segments for the planar check

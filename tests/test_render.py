@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
@@ -13,6 +17,9 @@ from confluent_hasse import (
     gen_random,
     gen_random_sp,
     gen_worstcase,
+    parse_edge_list,
+    parse_sp,
+    realizer_of,
     rotate45,
     sp_layout,
     sweep_cover_edges,
@@ -22,6 +29,9 @@ from confluent_hasse import (
 from confluent_hasse.cli import EXIT_OK, run
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from suites import reference_to_json, reference_to_svg, scene_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,6 +87,20 @@ def test_chain_svg_paths_are_degenerate_lines():
 def test_k22_svg_matches_frozen_snapshot():
     svg = to_svg(k22_diagram())
     assert svg == (DATA / "k22.svg").read_text()
+
+
+@pytest.mark.parametrize("flags", [[], ["--show-invisible"]])
+def test_gallery_script_writes_its_five_examples(tmp_path, flags):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    cmd = [sys.executable, str(root / "scripts" / "render_gallery.py"), "--out-dir", str(tmp_path)]
+    proc = subprocess.run(cmd + flags, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chain5.svg", "k22.svg", "random30.svg", "sp_nested.svg", "worstcase3.svg"
+    ]
+    if not flags:
+        assert (tmp_path / "k22.svg").read_bytes() == (DATA / "k22.svg").read_bytes()
 
 
 def test_k22_svg_visible_content():
@@ -167,6 +191,8 @@ def _writer_cases():
     odd = ('q"uote', "back\\slash", "&<>", "ctl\x01", "é→漢")
     yield "labels", build_diagram(Realizer(odd, odd[::-1]))
     yield "labels-k22", build_diagram(Realizer(odd[:4], (odd[1], odd[0], odd[3], odd[2])))
+    not_xml = ("&amp;<", "a\x00>", "b\x01&", "c\x1b", "d\ufffe", "e\uffff", "\x0b\x0c\t")
+    yield "labels-not-xml", build_diagram(Realizer(not_xml, not_xml[::-1]))
     for k in (1, 5, 20):
         yield f"worst{k}", build_diagram(gen_worstcase(k))
     for seed in range(50):
@@ -190,6 +216,11 @@ def _writer_cases():
     yield "unlabelled-vertex", hand_built(
         (VERTEX, 2, 2, "a"), (VERTEX, 4, 4, None), (VERTEX, 6, 6, None), (VERTEX, 8, 8, "d%s"),
     )
+    # one input each of the sp-large and edges-random benchmark workloads
+    yield "sp/n10000/s0", sp_layout(parse_sp(workloads.build("sp/n10000/s0").text))
+    yield "edges/n256/s0", build_diagram(
+        realizer_of(parse_edge_list(workloads.build("edges/n256/s0").text))
+    )
 
 
 def hand_built(*points):
@@ -206,17 +237,21 @@ SVG_OPTIONS = [
     # control y values at this offset fall on .2f rounding ties, so any
     # regrouping of the control-point arithmetic changes the text
     RenderOptions(bezier_offset=0.34625),
+    RenderOptions(bezier_offset=0.01),
+    RenderOptions(bezier_offset=0.37),
+    RenderOptions(bezier_offset=0.99),
 ]
+
+# what to_svg puts for the characters XML 1.0 cannot carry, which the
+# reference writes as they are
+NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 @pytest.mark.parametrize("name, d", WRITER_CASES, ids=[name for name, _d in WRITER_CASES])
 def test_writers_match_the_reference_writers(name, d):
     assert to_json(d) == reference_to_json(d)
     for opts in SVG_OPTIONS:
-        expected = reference_to_svg(d, opts)
-        if name.startswith("labels"):
-            # the reference writes the "ctl\x01" label as it is
-            expected = expected.replace("\x01", "\ufffd")
+        expected = NOT_XML_CHAR.sub("\ufffd", reference_to_svg(d, opts))
         assert to_svg(d, opts) == expected, opts
 
 

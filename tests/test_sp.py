@@ -196,6 +196,27 @@ def test_parse_errors_equal_the_reference_on_malformed_input():
         _same_as_reference(text)
 
 
+# characters on both sides of str.isspace: \x1c-\x1f, \x85, \xa0, the
+# space and U+3000 are whitespace; U+200B and U+FEFF are not
+FUZZ_SPACE_LIKE = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", " ", "\u3000"]
+FUZZ_SPACE_LIKE += ["\u200b", "\ufeff"]
+FUZZ_ALPHABET = [";", "|", "(", ")", "a", "b", "c", "a1", *FUZZ_SPACE_LIKE]
+
+
+def test_parse_and_layout_equal_the_reference_on_fuzzed_text():
+    rng = random.Random(17)
+    for _ in range(3000):
+        _same_as_reference("".join(rng.choices(FUZZ_ALPHABET, k=rng.randrange(12))))
+    # well-formed expressions, each also with a character of the
+    # alphabet put in and with one character taken out
+    for seed in range(300):
+        text = sp_text(gen_random_sp(1 + seed % 9, seed), sep=rng.choice(FUZZ_SPACE_LIKE))
+        at = rng.randrange(len(text) + 1)
+        _same_as_reference(text)
+        _same_as_reference(text[:at] + rng.choice(FUZZ_ALPHABET) + text[at:])
+        _same_as_reference(text[:at] + text[at + 1 :])
+
+
 def test_layout_rejects_a_tree_that_repeats_a_leaf():
     with pytest.raises(ValueError):
         sp_layout(SpSeries(SpLeaf("a"), SpParallel(SpLeaf("b"), SpLeaf("a"))))
