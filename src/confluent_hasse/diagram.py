@@ -13,8 +13,14 @@ the grid-cell sweep kept in the tests pin the segments and their order.
 All of it reads the scene's columns, and ``rotate45`` is the one
 function that computes the rotated frame.
 
+The segments are one (m, 2) int64 array, a row (lower id, upper id)
+each. A point's segments all end at it and come out together, so the
+sweep appends only their lower ids, and ``np.repeat`` of the points in
+sweep order over their segment counts gives the upper column.
+
 The checks of ``validate_diagram`` run in array passes, so that
-``--verify`` scales with the drawing:
+``--verify`` scales with the drawing. They read the segment array and
+the scene's kind codes (``GridScene.kind_codes``) as they are:
 
 - smooth adjacency propagates one int bitset of reachable vertices per
   junction, in the order the junction-to-junction segments give, and
@@ -34,30 +40,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridScene, INVISIBLE, JUNCTION, VERTEX
+from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, GridScene
 from .poset import Poset, extremes, transitive_reduction
 
+# one segment as a pair (lower id, upper id), a row of Diagram.segments
 Segment = tuple[int, int]
 
 
 @dataclass(slots=True)
 class Diagram:
-    """A grid scene plus its track segments (lower id, upper id)."""
+    """A grid scene plus its track segments: an (m, 2) int64 array with
+    one row (lower id, upper id) per segment. A list of such pairs is
+    taken as well and stored as that array."""
 
     scene: GridScene
-    segments: list[Segment]
+    segments: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.segments = np.asarray(self.segments, np.int64).reshape(-1, 2)
 
     def junction_count(self) -> int:
         return self.scene.kinds.count(JUNCTION)
 
-    def drawn_segments(self) -> list[Segment]:
-        """The segments a drawing shows: those with no invisible end."""
-        kinds = self.scene.kinds
-        return [
-            seg
-            for seg in self.segments
-            if kinds[seg[0]] != INVISIBLE and kinds[seg[1]] != INVISIBLE
-        ]
+    def drawn_segments(self) -> np.ndarray:
+        """The rows of the segments a drawing shows: those with no
+        invisible end."""
+        invisible = self.scene.kind_codes() == INVISIBLE_CODE
+        return self.segments[~invisible[self.segments].any(axis=1)]
 
 
 def rotate45(x, y):
@@ -103,8 +112,12 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     rch = [0] * (width + 1)
     top = [0] * (width + 1)  # the column's topmost point so far
     trow = [0] * (width + 1)  # and its row
-    segments: list[Segment] = []
-    emit = segments.append
+    # each segment's lower id, and per point the count emitted so far:
+    # a point's segments all end at it, so its id fills their upper ends
+    lows: list[int] = []
+    emit = lows.append
+    ends = [0]
+    end = ends.append
     row = 0
     prev = head
     for pid, c, r in zip(order.tolist(), xs[order].tolist(), ys[order].tolist()):
@@ -112,7 +125,7 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
             row = r
             prev = head
         else:
-            emit((top[prev], pid))
+            emit(top[prev])
         # walk down from the start subtree to column c; `left` and
         # `right` are the last nodes put in each half of the split, and
         # the next node of a half goes in their inner child slot
@@ -125,7 +138,7 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
                 rch[left] = left = t
                 if trow[t] != run_row:
                     if run_row:
-                        emit((run_id, pid))
+                        emit(run_id)
                     run_row = trow[t]
                 run_id = top[t]
                 t = rch[t]
@@ -136,12 +149,13 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
             rch[left] = lch[c]
             lch[right] = rch[c]
             if run_row and run_row != trow[c]:
-                emit((run_id, pid))
-            emit((top[c], pid))
+                emit(run_id)
+            emit(top[c])
         else:
             rch[left] = lch[right] = 0
             if run_row:
-                emit((run_id, pid))
+                emit(run_id)
+        end(len(lows))
         # column c, now topped by this point, roots the two halves
         lch[c] = rch[0]
         rch[c] = lch[0]
@@ -149,6 +163,9 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
         trow[c] = row
         rch[prev] = c
         prev = c
+    segments = np.empty((len(lows), 2), np.int64)
+    segments[:, 0] = lows
+    segments[:, 1] = np.repeat(order, np.diff(ends))
     return Diagram(s, segments)
 
 
@@ -177,7 +194,7 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     # successors not yet settled
     preds: dict[int, list[int]] = {}
     pending = [0] * len(kinds)
-    for lo, hi in d.segments:
+    for lo, hi in zip(*d.segments.T.tolist()):
         out[lo].append(hi)
         if kinds[lo] == JUNCTION and kinds[hi] == JUNCTION:
             pending[lo] += 1
@@ -285,7 +302,7 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     if len(s.xs) <= COVERS_CHECK_LIMIT:
         coords = list(zip(s.xs, s.ys))
         expected = dominance_covers(coords)
-        actual = {(coords[a], coords[b]) for a, b in d.segments}
+        actual = {(coords[a], coords[b]) for a, b in zip(*d.segments.T.tolist())}
         extra = actual - expected
         missing = expected - actual
         report.add(
@@ -306,13 +323,12 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
 
     xs = np.array(s.xs, np.int64)
     ys = np.array(s.ys, np.int64)
-    rendered = np.array(d.drawn_segments(), dtype=np.int64).reshape(-1, 2)
+    rendered = d.drawn_segments()
     conflicts = _conflicting_pairs(xs, ys, rendered)
     report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
 
-    segs = np.array(d.segments, dtype=np.int64).reshape(-1, 2)
-    outdeg, indeg = (np.bincount(segs[:, k], minlength=len(xs)) for k in (0, 1))
-    junction = np.fromiter(map(JUNCTION.__eq__, s.kinds), bool, len(xs))
+    outdeg, indeg = (np.bincount(d.segments[:, k], minlength=len(xs)) for k in (0, 1))
+    junction = s.kind_codes() == JUNCTION_CODE
     bad_junctions = np.flatnonzero(junction & ((indeg < 2) | (outdeg < 2))).tolist()
     report.add(
         "degrees",

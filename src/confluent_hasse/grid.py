@@ -23,6 +23,9 @@ from .realizer import Realizer
 VERTEX = "vertex"
 JUNCTION = "junction"
 INVISIBLE = "invisible"
+# the kinds as small ints, for masks over the scene (GridScene.kind_codes)
+VERTEX_CODE, JUNCTION_CODE, INVISIBLE_CODE = range(3)
+_KIND_CODE = {VERTEX: VERTEX_CODE, JUNCTION: JUNCTION_CODE, INVISIBLE: INVISIBLE_CODE}
 
 
 @dataclass(slots=True)
@@ -51,6 +54,11 @@ class GridScene:
     def points(self) -> tuple[GridPoint, ...]:
         """The points as records, built anew: a view for outside callers."""
         return tuple(map(GridPoint, self.kinds, self.xs, self.ys, self.labels))
+
+    def kind_codes(self) -> np.ndarray:
+        """The kinds as an int8 column of VERTEX_CODE, JUNCTION_CODE and
+        INVISIBLE_CODE, indexed by id."""
+        return np.fromiter(map(_KIND_CODE.__getitem__, self.kinds), np.int8, len(self.kinds))
 
     def add(self, kind: str, xs: list[int], ys: list[int], labels: list | None = None) -> int:
         """Append points of one kind (labels None by default); returns the first id."""

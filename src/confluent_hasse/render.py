@@ -16,19 +16,24 @@ Both writers fill fixed text templates and do little work per track.
 points in drawing order (by v, u, id). Their coordinates, and the two
 control heights of each junction, are computed in float64 in the
 operation order of the scalar expressions, so they give the same
-``.2f`` text, and each is formatted once. The segments become one int
-array, a mask drops those with an invisible end, and a second
+``.2f`` text, and each is formatted once. ``Diagram.drawn_segments``
+drops the segments with an invisible end by one mask, and a second
 ``lexsort`` orders the tracks by the ranks of their ends; a loop then
 writes the text of each track. ``to_json`` writes the text of
 ``json.dumps(indent=2)`` without its indenting encoder, which runs in
-pure Python. It splits the points into runs of one kind and one label
+pure Python, and builds it in numpy. One table holds the decimal text
+of every integer the document needs (from the least rotated u to the
+largest of the point count and the rotated v), one NUL-padded row of
+ASCII bytes per integer, and it is gathered once per field: x, y, id,
+u, v, and the two ends of the segments, which are sorted by (lower id,
+upper id). The points split into runs of one kind and one label
 presence (vertices, then junctions, then bounds, as the scene lists
-them), bakes the kind into a node template and fills the template,
-repeated over the run, by one ``%`` call from slices of the columns x,
-y, id, label, u and v.
-The segments fill one repeated template the same way, and the document
-is joined once. Their bytes are pinned by the reference writers in
-``tests/suites.py`` and by the output digests in
+them), found where the kind code or the label presence changes. Each
+run, and the segments, become one uint8 array of rows, the template's
+constant bytes between the gathered digits; one mask drops the NUL
+padding and the bytes are decoded as ASCII. A labelled run's labels are
+filled in after, by one ``%`` call. Their bytes are pinned by the
+reference writers in ``tests/suites.py`` and by the output digests in
 ``perfbench/digests.json``.
 """
 
@@ -36,24 +41,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not
 
 import numpy as np
 
 from .diagram import Diagram, rotate45
-from .grid import INVISIBLE, JUNCTION, VERTEX, GridScene
+from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, GridScene
 
 
 # radii in rotated grid units; CANVAS_SCALE is SVG pixels per unit
 NODE_RADIUS = 0.32
 JUNCTION_RADIUS = 0.11
 CANVAS_SCALE = 28.0
-
-# kinds as small ints, for the masks to_svg takes over the scene
-_VERTEX, _JUNCTION, _INVISIBLE = range(3)
-_KIND_CODE = {VERTEX: _VERTEX, JUNCTION: _JUNCTION, INVISIBLE: _INVISIBLE}
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,10 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     """Deterministic standalone SVG of the diagram, turned upward."""
     kinds, labels = d.scene.kinds, d.scene.labels
     us, vs = _rotated(d.scene)
-    codes = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, len(kinds))
+    codes = d.scene.kind_codes()
     # the points in drawing order, bottom to top; the columns below are
     # indexed by this rank
-    vis = np.arange(len(kinds)) if opts.show_invisible else np.flatnonzero(codes != _INVISIBLE)
+    vis = np.arange(len(kinds)) if opts.show_invisible else np.flatnonzero(codes != INVISIBLE_CODE)
     order = vis[np.lexsort((vis, us[vis], vs[vis]))]
     u, v = us[order], vs[order]
 
@@ -125,7 +126,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     xs = list(map(fmt, ((u - umin) * s + margin).tolist()))
     ys = list(map(fmt, ((vmax - v) * s + margin).tolist()))
     above, below = ys.copy(), ys.copy()
-    junctions = np.flatnonzero(codes[order] == _JUNCTION)
+    junctions = np.flatnonzero(codes[order] == JUNCTION_CODE)
     vj, shift = v[junctions], _control_shift(JUNCTION, opts.bezier_offset)
     for r, a, b in zip(
         junctions.tolist(),
@@ -142,12 +143,8 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
 
     # tracks in order of (rank of the lower end, rank of the upper end),
     # without those that have an invisible end unless these are shown
-    segs = np.fromiter(chain.from_iterable(d.segments), np.int64, 2 * len(d.segments))
-    lo, hi = segs[0::2], segs[1::2]
-    if not opts.show_invisible:
-        invisible = codes == _INVISIBLE
-        drawn = ~(invisible[lo] | invisible[hi])
-        lo, hi = lo[drawn], hi[drawn]
+    segs = d.segments if opts.show_invisible else d.drawn_segments()
+    lo, hi = segs[:, 0], segs[:, 1]
     rank = np.empty(len(kinds), np.int64)
     rank[order] = np.arange(len(order))
     rank_lo, rank_hi = rank[lo], rank[hi]
@@ -197,7 +194,8 @@ def _esc(text: str) -> str:
 # template per piece: keys in sorted order, one list element per line,
 # an empty list as [], and strings escaped as json.dumps escapes them
 # (encode_basestring_ascii). A node's kind is baked into its template
-# (the first %s); the second %s is the label line or nothing.
+# (the first %s); the second %s is the label line or nothing. Each %d
+# is one integer field.
 _NODE = """    {
       "grid": [
         %d,
@@ -228,7 +226,7 @@ _TAIL = """,
 
 
 def _node_template(kind: str, labelled: bool) -> str:
-    """_NODE for one kind, with a label field or none."""
+    """_NODE for one kind, with a label field (its %s left to fill) or none."""
     return _NODE.replace("%s", encode_basestring_ascii(kind), 1).replace(
         "%s", _LABEL if labelled else "", 1
     )
@@ -245,33 +243,96 @@ def _json_list(items: list[str]) -> list[str]:
     return pieces
 
 
+def _digit_table(lo: int, hi: int) -> np.ndarray:
+    """Row i holds the decimal text of lo + i, as str gives it, in ASCII
+    bytes, left-aligned and padded with NUL bytes to the longest text."""
+    table = np.zeros((hi - lo + 1, max(len(str(lo)), len(str(hi)))), np.uint8)
+    for k in range(1, len(str(max(-lo, hi))) + 1):
+        least = 10 ** (k - 1) if k > 1 else 0
+        # the values whose magnitude has k digits: one block of rows per
+        # sign, the negative one shifted right by its "-"
+        for first, last, sign in ((least, 10**k - 1, 0), (1 - 10**k, -max(least, 1), 1)):
+            first, last = max(first, lo), min(last, hi)
+            if first <= last:
+                block = table[first - lo : last - lo + 1]
+                magnitude = np.abs(np.arange(first, last + 1))
+                for j in range(k):
+                    # a scalar divisor: numpy divides by it without a
+                    # hardware division per element
+                    block[:, sign + j] = magnitude // 10 ** (k - 1 - j) % 10 + ord("0")
+                block[:, :sign] = ord("-")
+    return table
+
+
+def _joined_rows(template: str, fields: list[np.ndarray]) -> str:
+    """The template once per row, its k-th %d replaced by that row of
+    fields[k] (NUL-padded ASCII digits), the rows joined by ",\n".
+
+    The rows are laid out side by side in one uint8 array, the template's
+    constant bytes between the fields, and one mask then drops every NUL.
+    That is sound only because the text holds no NUL byte of its own:
+    the template's constants contain none, and the labels filled in
+    afterwards are escaped by encode_basestring_ascii, which writes NUL
+    as \u0000.
+    """
+    constants = template.split("%d")
+    widths = [field.shape[1] for field in fields]
+    row = "".join(c + "\0" * w for c, w in zip(constants, [*widths, 0])) + ",\n"
+    rows = np.tile(np.frombuffer(row.encode("ascii"), np.uint8), (len(fields[0]), 1))
+    at = 0
+    for constant, field, width in zip(constants, fields, widths):
+        at += len(constant)
+        rows[:, at : at + width] = field
+        at += width
+    rows[-1, -2:] = 0  # no separator after the last row
+    flat = rows.ravel()
+    return str(flat[flat != 0].data, "ascii")
+
+
 def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
     s = d.scene
-    xs, ys, labels = s.xs, s.ys, s.labels
-    us, vs = (column.tolist() for column in _rotated(s))
-    # one template per run of points with the same kind and label
-    # presence, filled by one call from columns zipped point by point
+    xs, ys = np.array(s.xs, np.int64), np.array(s.ys, np.int64)
+    us, vs = rotate45(xs, ys)
+    ids = np.arange(len(xs))
+    # the segments sorted by (lower id, upper id), the ids being < len(xs)
+    segs = d.segments[np.argsort(d.segments[:, 0] * len(xs) + d.segments[:, 1])]
     runs = []
-    stop = 0
-    present = map(is_not, labels, repeat(None))
-    for (kind, labelled), run in groupby(zip(s.kinds, present)):
-        start = stop
-        stop += len(list(run))
-        columns = [xs[start:stop], ys[start:stop], range(start, stop), us[start:stop], vs[start:stop]]
-        if labelled:
-            columns.insert(3, map(encode_basestring_ascii, labels[start:stop]))
-        template = ",\n".join([_node_template(kind, labelled)] * (stop - start))
-        runs.append(template % tuple(chain.from_iterable(zip(*columns))))
-    # the segment template repeated once per segment, filled by one call
-    segments = sorted(d.segments)
-    segment_text = ",\n".join([_SEGMENT] * len(segments)) % tuple(chain.from_iterable(segments))
+    segment_text = []
+    if len(xs):
+        # every integer of the document is one row of this table
+        lo = min(0, int(xs.min()), int(ys.min()), int(us.min()))
+        hi = max(len(xs) - 1, int(xs.max()), int(ys.max()), int(vs.max()))
+        table = _digit_table(lo, hi)
+
+        def digits(column: np.ndarray) -> np.ndarray:
+            """The column's texts, as wide as the widest of them."""
+            width = max(len(str(column.min())), len(str(column.max())))
+            return np.take(table, column - lo, axis=0)[:, :width]
+
+        nodes = [digits(column) for column in (xs, ys, ids, us, vs)]
+        # one template per run of points with the same kind and label
+        # presence; the labels are filled in by one % call per run, whose
+        # only % are the label fields: the digits and the other template
+        # bytes hold none
+        labelled = np.fromiter(map(is_not, s.labels, repeat(None)), bool, len(xs))
+        key = s.kind_codes() * 2 + labelled
+        bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(xs)]
+        for start, stop in zip(bounds, bounds[1:]):
+            has_label = bool(labelled[start])
+            template = _node_template(s.kinds[start], has_label)
+            text = _joined_rows(template, [field[start:stop] for field in nodes])
+            if has_label:
+                text %= tuple(map(encode_basestring_ascii, s.labels[start:stop]))
+            runs.append(text)
+        if len(segs):
+            segment_text.append(_joined_rows(_SEGMENT, [digits(segs[:, 0]), digits(segs[:, 1])]))
     return "".join(
         [
-            _HEAD % d.scene.n,
+            _HEAD % s.n,
             *_json_list(runs),
             _MIDDLE,
-            *_json_list([segment_text] if segments else []),
+            *_json_list(segment_text),
             _TAIL % (s.side, d.junction_count(), len(d.segments)),
         ]
     )

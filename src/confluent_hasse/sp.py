@@ -35,6 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .diagram import Diagram
 from .grid import JUNCTION, VERTEX, GridScene, bound_points
 from .poset import Poset
@@ -239,7 +241,10 @@ def sp_layout(t: SpTree) -> Diagram:
     labels: list[str] = []
     jxs: list[int] = []
     below: list[int] = []  # per junction, the vertex whose y it sits just above
-    segments: list[tuple[int, int]] = []
+    # the segments as two columns: lower ids and upper ids
+    los: list[int] = []
+    his: list[int] = []
+    lo_, hi_ = los.append, his.append
     next_min = [-1] * n
     next_max = [-1] * n
     next2 = [-1] * n
@@ -275,21 +280,25 @@ def sp_layout(t: SpTree) -> Diagram:
             below.append(lmax)
             q = lmax
             while q >= 0:
-                segments.append((q, jid))
+                lo_(q)
+                hi_(jid)
                 q = next_max[q]
             q = rmin
             while q >= 0:
-                segments.append((jid, q))
+                lo_(jid)
+                hi_(q)
                 q = next_min[q]
         elif lmax == lmax_tail:
             q = rmin
             while q >= 0:
-                segments.append((lmax, q))
+                lo_(lmax)
+                hi_(q)
                 q = next_min[q]
         else:
             q = lmax
             while q >= 0:
-                segments.append((q, rmin))
+                lo_(q)
+                hi_(rmin)
                 q = next_max[q]
         done.append((lmin, lmin_tail, rmax, rmax_tail))
 
@@ -309,11 +318,13 @@ def sp_layout(t: SpTree) -> Diagram:
     if bottom is not None:
         q = minima
         while q >= 0:
-            segments.append((bottom, q))
+            lo_(bottom)
+            hi_(q)
             q = next_min[q]
     if top is not None:
         q = maxima
         while q >= 0:
-            segments.append((q, top))
+            lo_(q)
+            hi_(top)
             q = next_max[q]
-    return Diagram(scene, segments)
+    return Diagram(scene, np.array([los, his], np.int64).T)

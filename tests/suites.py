@@ -283,7 +283,7 @@ def reference_to_json(d: Diagram) -> str:
     doc = {
         "n": d.scene.n,
         "nodes": nodes,
-        "segments": [{"from": lo, "to": hi} for lo, hi in sorted(d.segments)],
+        "segments": [{"from": lo, "to": hi} for lo, hi in sorted(d.segments.tolist())],
         "stats": {
             "junctions": d.junction_count(),
             "segments": len(d.segments),
@@ -309,10 +309,10 @@ def reference_to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     rot = [(p.x - p.y, p.x + p.y) for p in points]
     if opts.show_invisible:
         vis_ids = range(len(points))
-        vis_segs = d.segments
+        vis_segs = d.segments.tolist()
     else:
         vis_ids = [i for i, p in enumerate(points) if p.kind != INVISIBLE]
-        vis_segs = d.drawn_segments()
+        vis_segs = d.drawn_segments().tolist()
 
     s = CANVAS_SCALE
     margin = 1.2 * s
@@ -477,7 +477,7 @@ def reference_smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     must match exactly, on any segment list. Test-only; the package
     never imports it."""
     out: dict[int, list[int]] = {}
-    for lo, hi in d.segments:
+    for lo, hi in d.segments.tolist():
         out.setdefault(lo, []).append(hi)
     points = d.scene.points
     result: set[tuple[str, str]] = set()
@@ -508,7 +508,7 @@ def reference_planar_conflicts(d: Diagram) -> int:
     coords_of = [(q.x, q.y) for q in points]
     conflicts = 0
     boxes = []
-    for lo, hi in d.drawn_segments():
+    for lo, hi in d.drawn_segments().tolist():
         (x1, y1), (x2, y2) = coords_of[lo], coords_of[hi]
         boxes.append((min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2), lo, hi))
     boxes.sort()
@@ -533,7 +533,7 @@ def reference_blocked_rays(d: Diagram, p: Poset) -> list[tuple[str, str]]:
     rot = [(q.x - q.y, q.x + q.y) for q in d.scene.points]
     ext = extremes(p)
     verts = {q.label: pid for pid, q in enumerate(d.scene.points) if q.kind == VERTEX}
-    rendered_rot = [(rot[lo], rot[hi]) for lo, hi in d.drawn_segments()]
+    rendered_rot = [(rot[lo], rot[hi]) for lo, hi in d.drawn_segments().tolist()]
     blocked = []
     for label in sorted(ext.minimal | ext.maximal):
         u0, v0 = rot[verts[label]]
@@ -587,7 +587,10 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     if len(points) <= COVERS_CHECK_LIMIT:
         coords = [(q.x, q.y) for q in points]
         expected = reference_dominance_covers(coords)
-        actual = {((points[a].x, points[a].y), (points[b].x, points[b].y)) for a, b in d.segments}
+        actual = {
+            ((points[a].x, points[a].y), (points[b].x, points[b].y))
+            for a, b in d.segments.tolist()
+        }
         extra = actual - expected
         missing = expected - actual
         report.add(
@@ -611,7 +614,7 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
 
     indeg: dict[int, int] = {}
     outdeg: dict[int, int] = {}
-    for lo, hi in d.segments:
+    for lo, hi in d.segments.tolist():
         outdeg[lo] = outdeg.get(lo, 0) + 1
         indeg[hi] = indeg.get(hi, 0) + 1
     bad_junctions = [

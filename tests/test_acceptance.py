@@ -103,13 +103,16 @@ def test_criterion_2_sweep_vs_oracle(realizer_suite, sp_suite):
     bad = 0
     for r, _p, diagram in realizer_suite:
         pts = diagram.scene.points
-        got = {((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in diagram.segments}
+        got = {((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in diagram.segments.tolist()}
         if got != dominance_covers([(q.x, q.y) for q in pts]) or len(got) != len(diagram.segments):
             bad += 1
     for _tree, _p, sp_diag, general in sp_suite:
         for diagram in (sp_diag, general):
             pts = diagram.scene.points
-            got = {((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in diagram.segments}
+            got = {
+                ((pts[a].x, pts[a].y), (pts[b].x, pts[b].y))
+                for a, b in diagram.segments.tolist()
+            }
             if got != dominance_covers([(q.x, q.y) for q in pts]):
                 bad += 1
     ok = bad == 0
@@ -185,7 +188,7 @@ def test_criterion_5_planarity_and_degrees(medium_suite, realizer_suite):
     # the worst-case instance has no poset handy; check degrees directly
     wc = medium_suite[-1][2]
     indeg, outdeg = {}, {}
-    for lo, hi in wc.segments:
+    for lo, hi in wc.segments.tolist():
         outdeg[lo] = outdeg.get(lo, 0) + 1
         indeg[hi] = indeg.get(hi, 0) + 1
     for qid, q in enumerate(wc.scene.points):
@@ -372,7 +375,7 @@ def test_criterion_11_rendering_invariants(medium_suite, realizer_suite):
     diagrams = [d for _r, _p, d in realizer_suite[:40]] + [d for _r, _p, d in medium_suite]
     for diagram in diagrams:
         hulls = []
-        for lo, hi in diagram.drawn_segments():
+        for lo, hi in diagram.drawn_segments().tolist():
             p0, c1, c2, p3 = bezier_controls(diagram.scene, lo, hi, delta)
             if not (p0[1] <= c1[1] <= c2[1] <= p3[1] and p0[1] < p3[1]):
                 violations += 1

@@ -39,7 +39,7 @@ from suites import (
 
 def coord_segments(d):
     pts = d.scene.points
-    return {((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in d.segments}
+    return {((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in d.segments.tolist()}
 
 
 def k22_diagram():
@@ -58,7 +58,7 @@ def test_k22_segments():
         ((6, 8), (9, 9)),
         ((8, 6), (9, 9)),
     }
-    assert len(d.segments) == len(set(d.segments))
+    assert len(d.segments) == len(np.unique(d.segments, axis=0))
 
 
 def test_chain_segments():
@@ -68,7 +68,7 @@ def test_chain_segments():
 
 def test_single_vertex_no_segments():
     d = build_diagram(Realizer(("x",), ("x",)))
-    assert d.segments == []
+    assert d.segments.shape == (0, 2)
 
 
 def test_k22_smooth_adjacency():
@@ -87,7 +87,7 @@ def test_antichain_smooth_adjacency_empty():
     # all segments touch only the invisible bounds
     kinds = [q.kind for q in d.scene.points]
     assert all(
-        kinds[a] == "invisible" or kinds[b] == "invisible" for a, b in d.segments
+        kinds[a] == "invisible" or kinds[b] == "invisible" for a, b in d.segments.tolist()
     )
 
 
@@ -106,7 +106,7 @@ def test_sweep_equals_cover_oracle(n, seed):
     s = insert_junctions(place_on_grid(gen_random(n, seed)))
     d = sweep_cover_edges(s)
     assert coord_segments(d) == dominance_covers([(q.x, q.y) for q in s.points])
-    assert len(d.segments) == len(set(d.segments))
+    assert len(d.segments) == len(np.unique(d.segments, axis=0))
 
 
 def test_sweep_spot_check_larger():
@@ -154,7 +154,9 @@ def sweep_cases():
 
 def test_sweep_equals_the_reference_sweep_in_order():
     for name, s in sweep_cases():
-        assert sweep_cover_edges(s).segments == reference_sweep_cover_edges(s).segments, name
+        got, ref = sweep_cover_edges(s).segments, reference_sweep_cover_edges(s).segments
+        assert got.dtype == np.int64 and got.shape == (len(ref), 2), name
+        assert np.array_equal(got, ref), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,7 +165,7 @@ def test_junction_degrees(n, seed):
     d = build_diagram(gen_random(n, seed))
     indeg: dict[int, int] = {}
     outdeg: dict[int, int] = {}
-    for lo, hi in d.segments:
+    for lo, hi in d.segments.tolist():
         outdeg[lo] = outdeg.get(lo, 0) + 1
         indeg[hi] = indeg.get(hi, 0) + 1
     for qid, q in enumerate(d.scene.points):
@@ -197,7 +199,7 @@ def test_validate_skips_segments_beyond_the_cover_oracle(monkeypatch):
 def test_validate_flags_spurious_segment():
     d = k22_diagram()
     ids = {q.label: i for i, q in enumerate(d.scene.points)}
-    spiked = Diagram(d.scene, d.segments + [(ids["a"], ids["c"])])
+    spiked = Diagram(d.scene, np.vstack((d.segments, [(ids["a"], ids["c"])])))
     p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
     report = validate_diagram(spiked, p)
     assert not report.ok
@@ -255,7 +257,7 @@ def test_forced_comparison_rejects_an_unforced_smooth_pair():
     assert smooth_adjacency(d) == forced
     (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
     x = {q.label: i for i, q in enumerate(d.scene.points)}["x"]
-    spliced = Diagram(d.scene, d.segments + [(x, junction)])
+    spliced = Diagram(d.scene, np.vstack((d.segments, [(x, junction)])))
     assert smooth_adjacency(spliced) - forced == {("x", "b"), ("x", "b2")}
 
 
@@ -318,7 +320,7 @@ def test_validate_equals_the_reference_on_planarity_faults():
     r = gen_random(5, 0)
     d = build_diagram(r)
     ids = {q.label: i for i, q in enumerate(d.scene.points)}
-    spliced = Diagram(d.scene, d.segments + [(ids["e0"], ids["e4"])])
+    spliced = Diagram(d.scene, np.vstack((d.segments, [(ids["e0"], ids["e4"])])))
     assert checks_of(spliced, poset_from_realizer(r))["planar"] == "FAIL: 1 crossing pairs"
     assert_matches_reference(spliced, poset_from_realizer(r))
     # a chain plus a -> c: collinear overlap beyond the shared a and c
@@ -337,7 +339,7 @@ def test_validate_equals_the_reference_on_planarity_faults():
     # the same segment twice
     d = k22_diagram()
     p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
-    twice = Diagram(d.scene, d.segments + d.drawn_segments()[:1])
+    twice = Diagram(d.scene, np.vstack((d.segments, d.drawn_segments()[:1])))
     assert checks_of(twice, p)["planar"] == "FAIL: 1 crossing pairs"
     assert_matches_reference(twice, p)
 
@@ -363,7 +365,7 @@ def test_planarity_equals_the_reference_on_segment_soups():
         d, p = segment_soup(seed)
         xs = np.array([q.x for q in d.scene.points])
         ys = np.array([q.y for q in d.scene.points])
-        segs = np.array(d.drawn_segments()).reshape(-1, 2)
+        segs = d.drawn_segments()
         assert _conflicting_pairs(xs, ys, segs) == reference_planar_conflicts(d), seed
         if seed % 10 == 0:
             assert validate_diagram(d, p).summary() == reference_validate_diagram(d, p).summary()
@@ -373,8 +375,9 @@ def test_degrees_equal_the_reference_on_a_junction_of_in_degree_one():
     d = k22_diagram()
     p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
     (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
-    into = next(seg for seg in d.segments if seg[1] == junction)
-    cut = Diagram(d.scene, [seg for seg in d.segments if seg != into])
+    segments = d.segments.tolist()
+    into = next(seg for seg in segments if seg[1] == junction)
+    cut = Diagram(d.scene, [seg for seg in segments if seg != into])
     assert checks_of(cut, p)["degrees"] == f"FAIL: junctions with degree < 2: [{junction}]"
     assert_matches_reference(cut, p)
 
@@ -385,15 +388,15 @@ def test_smooth_equals_the_reference_on_spliced_segments():
     p = poset_from_realizer(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")))
     ids = {q.label: i for i, q in enumerate(d.scene.points)}
     (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
-    down = Diagram(d.scene, d.segments + [(ids["c"], junction)])
+    down = Diagram(d.scene, np.vstack((d.segments, [(ids["c"], junction)])))
     assert smooth_adjacency(down) - smooth_adjacency(d) == {("c", "c"), ("c", "d")}
     assert_matches_reference(down, p)
     # a junction -> junction segment reversed: a cycle through junctions
     r = gen_worstcase(3)
     d = build_diagram(r)
     kinds = [q.kind for q in d.scene.points]
-    lo, hi = next((a, b) for a, b in d.segments if kinds[a] == kinds[b] == JUNCTION)
-    cycle = Diagram(d.scene, d.segments + [(hi, lo)])
+    lo, hi = next((a, b) for a, b in d.segments.tolist() if kinds[a] == kinds[b] == JUNCTION)
+    cycle = Diagram(d.scene, np.vstack((d.segments, [(hi, lo)])))
     assert smooth_adjacency(cycle) > smooth_adjacency(d)
     assert_matches_reference(cycle, poset_from_realizer(r))
 

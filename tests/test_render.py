@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from confluent_hasse import (
@@ -28,6 +29,7 @@ from confluent_hasse import (
 )
 from confluent_hasse.cli import EXIT_OK, run
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from confluent_hasse.render import _digit_table
 from suites import reference_to_json, reference_to_svg, scene_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -61,7 +63,7 @@ def test_rotation_makes_every_segment_ascend():
     d = k22_diagram()
     rot = rotated(d)
     assert len(d.segments) == 8
-    for lo, hi in d.segments:
+    for lo, hi in d.segments.tolist():
         assert rot[hi][1] > rot[lo][1]
 
 
@@ -126,7 +128,7 @@ def test_junction_controls_share_vertical_tangent():
     (junction,) = [i for i, p in enumerate(d.scene.points) if p.kind == JUNCTION]
     ju, jv = rotated(d)[junction]
     delta = Fraction(1, 2)
-    for lo, hi in d.segments:
+    for lo, hi in d.segments.tolist():
         p0, c1, c2, p3 = bezier_controls(d.scene, lo, hi, delta)
         if lo == junction:
             assert c1 == (ju, jv + delta)
@@ -138,7 +140,7 @@ def test_controls_are_v_monotone():
     for n, seed in ((9, 0), (20, 1)):
         d = build_diagram(gen_random(n, seed))
         delta = Fraction(1, 2)
-        for lo, hi in d.segments:
+        for lo, hi in d.segments.tolist():
             p0, c1, c2, p3 = bezier_controls(d.scene, lo, hi, delta)
             assert p0[1] <= c1[1] <= c2[1] <= p3[1]
             assert p0[1] < p3[1]
@@ -193,6 +195,10 @@ def _writer_cases():
     yield "labels-k22", build_diagram(Realizer(odd[:4], (odd[1], odd[0], odd[3], odd[2])))
     not_xml = ("&amp;<", "a\x00>", "b\x01&", "c\x1b", "d\ufffe", "e\uffff", "\x0b\x0c\t")
     yield "labels-not-xml", build_diagram(Realizer(not_xml, not_xml[::-1]))
+    # one run of labels whose escaped texts differ in width: \u00e9, a
+    # surrogate pair, \" and a % that stays text
+    widths = ("é", "😀", '"', "%s")
+    yield "label-widths", build_diagram(Realizer(widths, widths[::-1]))
     for k in (1, 5, 20):
         yield f"worst{k}", build_diagram(gen_worstcase(k))
     for seed in range(50):
@@ -221,6 +227,16 @@ def _writer_cases():
     yield "edges/n256/s0", build_diagram(
         realizer_of(parse_edge_list(workloads.build("edges/n256/s0").text))
     )
+
+
+def test_digit_table_is_the_text_of_each_integer():
+    # every width from 1 to 6 digits, both signs, and 0
+    lo, hi = -(10**4), 10**5
+    table = _digit_table(lo, hi)
+    width = len(str(hi))
+    assert table.shape == (hi - lo + 1, width)
+    expected = np.array([str(i).encode() for i in range(lo, hi + 1)], f"S{width}")
+    assert table.tobytes() == expected.tobytes()
 
 
 def hand_built(*points):
