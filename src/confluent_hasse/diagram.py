@@ -30,8 +30,13 @@ the scene's kind codes (``GridScene.kind_codes``) as they are:
   four integer orientations: a proper crossing, an endpoint resting on
   the other segment away from its ends, or a collinear overlap of
   positive length;
-- visibility tests each extreme vertex's ray against the segments with
-  one integer mask over the arrays of their rotated endpoints.
+- visibility sorts the extreme vertices by rotated u, lists with two
+  ``searchsorted`` calls the vertices within each segment's u-span, and
+  decides all those (vertex, segment) pairs with one integer side test.
+
+The pair sets the segments and smooth checks compare are built from
+index arrays (``np.nonzero`` of a pair matrix, or the segment columns)
+by ``poset.pairs_of``, with no Python loop per pair.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, GridScene
-from .poset import Poset, extremes, transitive_reduction
+from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, VERTEX_CODE, GridScene
+from .poset import Poset, extremes, masks_to_rows, pairs_of, transitive_reduction
 
 # one segment as a pair (lower id, upper id), a row of Diagram.segments
 Segment = tuple[int, int]
@@ -182,7 +187,8 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     of the junction-to-junction segments (Kahn's algorithm); junctions
     on or below a cycle of such segments, which no drawing has, are
     iterated to the least fixed point instead. A vertex's pairs are the
-    OR over its out-segments.
+    OR over its out-segments, unpacked into one vertices x vertices
+    matrix whose ``np.nonzero`` lists them.
     """
     kinds = d.scene.kinds
     out: list[list[int]] = [[] for _ in kinds]
@@ -223,21 +229,18 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
                 reach[j] = acc
                 changed = True
 
-    labels = [d.scene.labels[pid] for pid in vertices]
-    result: set[tuple[str, str]] = set()
-    for bit, pid in enumerate(vertices):
+    pairs = []
+    for pid in vertices:
         acc = 0
         for t in out[pid]:
             acc |= reach[t]
-        while acc:
-            low = acc & -acc
-            result.add((labels[bit], labels[low.bit_length() - 1]))
-            acc ^= low
-    return frozenset(result)
+        pairs.append(acc)
+    labels = [d.scene.labels[pid] for pid in vertices]
+    return pairs_of(labels, *np.nonzero(masks_to_rows(pairs, len(vertices))))
 
 
-# the cover oracle behind the segments check holds a points x points
-# int32 matrix, so it runs only up to here
+# the cover oracle behind the segments check takes time quadratic in the
+# points, so it runs only up to here
 COVERS_CHECK_LIMIT = 1500
 
 
@@ -280,8 +283,8 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
 
     - segments: the segment set equals the cover pairs of the dominance
       order, by ``oracle.dominance_covers`` (a row-wise running minimum
-      over a points x points integer matrix, quadratic); skipped above
-      COVERS_CHECK_LIMIT points.
+      over blocks of rows of a points x points integer matrix, quadratic
+      in time); skipped above COVERS_CHECK_LIMIT points.
     - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
       the cover pairs of p (``transitive_reduction``).
     - planar: drawn segments only meet at shared endpoints. Candidate
@@ -290,9 +293,11 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     - degrees: every junction has at least two incoming and two
       outgoing segments, from one ``bincount`` per direction.
     - visibility: the open vertical rays below minimal and above
-      maximal vertices, in the rotated frame, meet no drawn segment; one
-      mask over the segment arrays per vertex, and the first blocking
-      segment in drawn order is reported (``_blocked_rays``).
+      maximal vertices, in the rotated frame, meet no drawn segment. The
+      candidates are the (vertex, segment) pairs whose u-spans meet,
+      found by ``searchsorted`` over the vertices sorted by u, and the
+      first blocking segment in drawn order is reported per vertex
+      (``_blocked_rays``).
     """
     from .oracle import dominance_covers
 
@@ -302,7 +307,7 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     if len(s.xs) <= COVERS_CHECK_LIMIT:
         coords = list(zip(s.xs, s.ys))
         expected = dominance_covers(coords)
-        actual = {(coords[a], coords[b]) for a, b in zip(*d.segments.T.tolist())}
+        actual = pairs_of(coords, d.segments[:, 0], d.segments[:, 1])
         extra = actual - expected
         missing = expected - actual
         report.add(
@@ -385,17 +390,9 @@ def _conflicting_pairs(xs: np.ndarray, ys: np.ndarray, segs: np.ndarray) -> int:
     by_key = np.argsort(key, kind="stable")
     box, strip, key = box[by_key], strip[by_key], key[by_key]
     ends = np.searchsorted(key, key + (x1 - x0)[box], side="right")
-    counts = ends - np.arange(1, len(key) + 1)
-    cum = np.cumsum(counts)
     conflicts = 0
-    start = 0
-    while start < len(counts):
-        base = cum[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(cum, base + PAIR_CHUNK, side="right")))
-        run = counts[start:stop]
-        s = np.repeat(np.arange(start, stop), run)
-        i, j = box[s], box[s + 1 + _positions(run)]
-        start = stop
+    for s, k in _pair_chunks(ends - np.arange(1, len(key) + 1)):
+        i, j = box[s], box[s + 1 + k]
         keep = (y0[j] <= y1[i]) & (y0[i] <= y1[j]) & (np.maximum(y0[i], y0[j]) // tall == strip[s])
         i, j = i[keep], j[keep]
         a, b, c, e = (ax[i], ay[i]), (bx[i], by[i]), (ax[j], ay[j]), (bx[j], by[j])
@@ -416,6 +413,19 @@ def _conflicting_pairs(xs: np.ndarray, ys: np.ndarray, segs: np.ndarray) -> int:
         )
         conflicts += int(np.count_nonzero(conflict))
     return conflicts
+
+
+def _pair_chunks(counts: np.ndarray):
+    """(row, k) arrays, for k in 0 .. counts[row] - 1 of each row in
+    turn, about PAIR_CHUNK pairs at a time."""
+    cum = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = cum[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(cum, base + PAIR_CHUNK, side="right")))
+        run = counts[start:stop]
+        yield np.repeat(np.arange(start, stop), run), _positions(run)
+        start = stop
 
 
 def _positions(runs: np.ndarray) -> np.ndarray:
@@ -447,34 +457,48 @@ def _blocked_rays(
     in label order, whose open vertical ray in the rotated frame meets
     a drawn segment.
 
-    Per vertex, one mask over the segments picks those spanning its u;
-    on those, the ray test of a sloped segment compares
+    With the extreme vertices sorted by u, two ``searchsorted`` calls
+    give each segment the run of vertices within its u-span, and the
+    (vertex, segment) candidates are decided about PAIR_CHUNK at a time.
+    The ray test of a sloped segment compares
     ``v1 * den + (v2 - v1) * (u0 - u1)`` with ``v0 * den``, den = u2 - u1,
     and a segment on the ray's own line compares its lower or upper end
-    with v0. The first blocking segment in ``drawn_segments()`` order
-    is reported, "below" before "above" when it blocks both.
+    with v0. One ``lexsort`` of the hits finds each vertex's first
+    blocking segment in ``drawn_segments()`` order, reported "below"
+    when the vertex is minimal and it blocks below, else "above".
     """
     ext = extremes(p)
-    vertex = {lab: pid for pid, (kind, lab) in enumerate(zip(s.kinds, s.labels)) if kind == VERTEX}
+    names = sorted(ext.minimal | ext.maximal)
+    ids = np.flatnonzero(s.kind_codes() == VERTEX_CODE).tolist()
+    vertex = dict(zip(map(s.labels.__getitem__, ids), ids))
+    pid = np.array([vertex[label] for label in names], np.int64)
+    by_u = np.argsort(us[pid], kind="stable")
+    u_sorted, v_sorted = us[pid][by_u], vs[pid][by_u]
+    down = np.array([label in ext.minimal for label in names], bool)[by_u]
+    up = np.array([label in ext.maximal for label in names], bool)[by_u]
     u1, v1, u2, v2 = us[segs[:, 0]], vs[segs[:, 0]], us[segs[:, 1]], vs[segs[:, 1]]
-    umin, umax = np.minimum(u1, u2), np.maximum(u1, u2)
-    vmin, vmax = np.minimum(v1, v2), np.maximum(v1, v2)
-    den = u2 - u1
-    blocked = []
-    for label in sorted(ext.minimal | ext.maximal):
-        u0, v0 = us[vertex[label]], vs[vertex[label]]
-        down = label in ext.minimal
-        up = label in ext.maximal
-        k = np.flatnonzero((umin <= u0) & (u0 <= umax))
-        if not len(k):
-            continue
-        dk = den[k]
+    first = np.searchsorted(u_sorted, np.minimum(u1, u2), side="left")
+    count = np.searchsorted(u_sorted, np.maximum(u1, u2), side="right") - first
+    hit_vertex, hit_segment, hit_below = [], [], []
+    for k, i in _pair_chunks(count):
+        x = first[k] + i
+        u0, v0, den = u_sorted[x], v_sorted[x], u2[k] - u1[k]
         # sign of (v where the segment meets u = u0) - v0
-        side = np.sign(v1[k] * dk + (v2[k] - v1[k]) * (u0 - u1[k]) - v0 * dk) * np.sign(dk)
-        vertical = dk == 0
-        below = np.where(vertical, vmin[k] < v0, side < 0)
-        above = np.where(vertical, vmax[k] > v0, side > 0)
-        hits = np.flatnonzero((below & down) | (above & up))
-        if len(hits):
-            blocked.append((label, "below" if down and below[hits[0]] else "above"))
-    return blocked
+        side = np.sign(v1[k] * den + (v2[k] - v1[k]) * (u0 - u1[k]) - v0 * den) * np.sign(den)
+        vertical = den == 0
+        below = np.where(vertical, np.minimum(v1[k], v2[k]) < v0, side < 0) & down[x]
+        above = np.where(vertical, np.maximum(v1[k], v2[k]) > v0, side > 0) & up[x]
+        hit = below | above
+        hit_vertex.append(by_u[x[hit]])
+        hit_segment.append(k[hit])
+        hit_below.append(below[hit])
+    if not hit_vertex:
+        return []
+    x, k, below = (np.concatenate(a) for a in (hit_vertex, hit_segment, hit_below))
+    order = np.lexsort((k, x))
+    x, below = x[order], below[order]
+    firsts = np.flatnonzero(np.diff(x, prepend=-1))
+    return [
+        (names[v], "below" if b else "above")
+        for v, b in zip(x[firsts].tolist(), below[firsts].tolist())
+    ]

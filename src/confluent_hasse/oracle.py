@@ -1,10 +1,10 @@
 """Brute-force ground truth for small instances.
 
 Everything here is deliberately plain: cut enumeration for the lattice
-completion, and dominance covers from a points × points integer matrix
-in quadratic time. These routines certify the fast pipeline in tests
-and back the CLI --verify mode, so none of them may share code with
-the constructions they check.
+completion, and dominance covers from a points × points integer matrix,
+a block of rows at a time, in quadratic time. These routines certify
+the fast pipeline in tests and back the CLI --verify mode, so none of
+them may share code with the constructions they check.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ def dm_completion(p: Poset, *, max_n: int = 20) -> Completion:
     return Completion(tuple(cuts), Poset(labels, leq))
 
 
+# rows of the dominance matrix that dominance_covers holds at once
+ROW_BLOCK = 128
+
+
 def dominance_covers(
     points: Sequence[tuple[int, int]]
 ) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
@@ -144,26 +148,37 @@ def dominance_covers(
     covers q iff p dominates q and p's y is strictly below that of
     every earlier dominator of q: iff the running minimum of the
     dominators' y along q's row drops at p. The y values are compared
-    as ranks, exact whatever the coordinates' size.
+    as ranks, exact whatever the coordinates' size. The rows are taken
+    ROW_BLOCK at a time, each block over the columns after its first
+    row only, so memory stays O(ROW_BLOCK x points).
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise DuplicatePointError("points must occupy distinct grid cells")
     n = len(pts)
-    if not n:
-        return frozenset()
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])
     order = np.lexsort((ys, xs))
     y = np.unique(ys, return_inverse=True)[1].astype(np.int32)[order]
-    i = np.arange(n, dtype=np.int32)
-    dominates = y[None, :] >= y[:, None]  # [q, p], in (x, y) order
-    dominates &= i[None, :] > i[:, None]
-    # the lowest y among q's dominators so far; n stands for none yet
-    low = np.where(dominates, y[None, :], np.int32(n))
-    np.minimum.accumulate(low, axis=1, out=low)
-    q, p = np.divmod(np.flatnonzero(low[:, 1:] < low[:, :-1]), n - 1)
-    return frozenset((pts[a], pts[b]) for a, b in zip(order[q].tolist(), order[p + 1].tolist()))
+    lower, upper = [], []
+    # the last row has no column after it
+    for top in range(0, n - 1, ROW_BLOCK):
+        q = np.arange(top, min(top + ROW_BLOCK, n - 1))
+        p = np.arange(top + 1, n)
+        yp = y[top + 1 :]
+        # column 0 holds n, for no dominator yet; column c + 1 the y of
+        # point p[c] where it dominates the row's point
+        low = np.full((len(q), len(p) + 1), n, np.int32)
+        dominates = (yp[None, :] >= y[q][:, None]) & (p[None, :] > q[:, None])
+        np.copyto(low[:, 1:], yp[None, :], where=dominates)
+        np.minimum.accumulate(low, axis=1, out=low)
+        row, col = np.divmod(np.flatnonzero(low[:, 1:] < low[:, :-1]), len(p))
+        lower.append(order[q[row]])
+        upper.append(order[p[col]])
+    if not lower:
+        return frozenset()
+    a, b = np.concatenate(lower).tolist(), np.concatenate(upper).tolist()
+    return frozenset(zip(map(pts.__getitem__, a), map(pts.__getitem__, b)))
 
 
 def scene_matches_completion(scene, p: Poset) -> bool:

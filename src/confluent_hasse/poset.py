@@ -10,6 +10,7 @@ order, and unpacks into the matrix once.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -93,11 +94,18 @@ class Poset:
         return f"Poset(n={self.n}, labels={self.labels!r})"
 
 
-def _masks_to_rows(masks: list[int], n: int) -> np.ndarray:
-    """n int bitmasks (bit j = column j) as an n x n bool matrix."""
+def masks_to_rows(masks: list[int], n: int) -> np.ndarray:
+    """int bitmasks (bit j = column j), one per row, as a bool matrix
+    with n columns."""
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
+    rows = packed.reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+
+
+def pairs_of(names: Sequence, a: np.ndarray, b: np.ndarray) -> frozenset:
+    """(names[i], names[j]) for each i, j of the index arrays a, b."""
+    return frozenset(zip(map(names.__getitem__, a.tolist()), map(names.__getitem__, b.tolist())))
 
 
 def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -155,7 +163,7 @@ def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
                             mask |= reach[y]
                     for x in members:
                         reach[x] = mask
-    return _masks_to_rows(reach, n)
+    return masks_to_rows(reach, n)
 
 
 def poset_from_relations(
@@ -193,24 +201,26 @@ def transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
     # are at most n, and float32 holds every integer below 2**24 exactly
     assert p.n < 1 << 24
     two_step = strict.astype(np.float32) @ strict.astype(np.float32)
-    covers = strict & (two_step == 0)
-    return frozenset(
-        (p.labels[a], p.labels[b]) for a, b in np.argwhere(covers).tolist()
-    )
+    return pairs_of(p.labels, *np.nonzero(strict & (two_step == 0)))
 
 
 def extremes(p: Poset) -> Extremes:
-    """Minimal and maximal elements plus least/greatest when they exist."""
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    minimal = frozenset(p.labels[i] for i in range(p.n) if not strict[:, i].any())
-    maximal = frozenset(p.labels[i] for i in range(p.n) if not strict[i, :].any())
-    least = greatest = None
-    for i in range(p.n):
-        if p.leq[i, :].all():
-            least = p.labels[i]
-        if p.leq[:, i].all():
-            greatest = p.labels[i]
-    return Extremes(minimal, maximal, least, greatest)
+    """Minimal and maximal elements plus least/greatest when they exist.
+
+    One reduction per axis over the strict order finds the minimal and
+    maximal elements, and one per axis over the order the least and
+    greatest; by antisymmetry at most one element is either.
+    """
+    strict = p.leq.copy()
+    np.fill_diagonal(strict, False)
+    least = np.flatnonzero(p.leq.all(axis=1)).tolist()
+    greatest = np.flatnonzero(p.leq.all(axis=0)).tolist()
+    return Extremes(
+        frozenset(compress(p.labels, (~strict.any(axis=0)).tolist())),
+        frozenset(compress(p.labels, (~strict.any(axis=1)).tolist())),
+        p.labels[least[0]] if least else None,
+        p.labels[greatest[0]] if greatest else None,
+    )
 
 
 def parse_edge_list(text: str) -> Poset:

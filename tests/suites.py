@@ -26,7 +26,7 @@ from confluent_hasse import (
 from confluent_hasse.diagram import COVERS_CHECK_LIMIT, Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
 from confluent_hasse.oracle import Completion, DuplicatePointError
-from confluent_hasse.poset import extremes
+from confluent_hasse.poset import Extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import (
     DuplicateLeafError,
@@ -527,11 +527,27 @@ def reference_planar_conflicts(d: Diagram) -> int:
     return conflicts
 
 
+def reference_extremes(p: Poset) -> Extremes:
+    """One loop over the elements per query: the minimal, maximal,
+    least and greatest elements ``poset.extremes`` must match.
+    Test-only."""
+    strict = p.leq & ~np.eye(p.n, dtype=bool)
+    minimal = frozenset(p.labels[i] for i in range(p.n) if not strict[:, i].any())
+    maximal = frozenset(p.labels[i] for i in range(p.n) if not strict[i, :].any())
+    least = greatest = None
+    for i in range(p.n):
+        if p.leq[i, :].all():
+            least = p.labels[i]
+        if p.leq[:, i].all():
+            greatest = p.labels[i]
+    return Extremes(minimal, maximal, least, greatest)
+
+
 def reference_blocked_rays(d: Diagram, p: Poset) -> list[tuple[str, str]]:
     """Every extreme vertex against every drawn segment, in segment
     order, "below" tested before "above". Test-only."""
     rot = [(q.x - q.y, q.x + q.y) for q in d.scene.points]
-    ext = extremes(p)
+    ext = reference_extremes(p)
     verts = {q.label: pid for pid, q in enumerate(d.scene.points) if q.kind == VERTEX}
     rendered_rot = [(rot[lo], rot[hi]) for lo, hi in d.drawn_segments().tolist()]
     blocked = []

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,18 +25,22 @@ from confluent_hasse import (
     transitive_reduction,
     validate_diagram,
 )
-from confluent_hasse.diagram import Diagram, _conflicting_pairs
+from confluent_hasse.diagram import Diagram, _blocked_rays, _conflicting_pairs, rotate45
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from suites import (
     all_sp_trees,
     forced_smooth_pairs,
     random_realizer_suite,
+    reference_blocked_rays,
     reference_planar_conflicts,
     reference_smooth_adjacency,
     reference_sweep_cover_edges,
     reference_validate_diagram,
     scene_of,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def coord_segments(d):
@@ -435,6 +441,61 @@ def test_visibility_equals_the_reference_on_blocked_rays():
     )
     assert checks_of(d, p)["visibility"] == "FAIL: obstructed rays: [('z', 'below')]"
     assert_matches_reference(d, p)
+
+
+def blocked_rays(d, p):
+    us, vs = rotate45(np.array(d.scene.xs, np.int64), np.array(d.scene.ys, np.int64))
+    return _blocked_rays(d.scene, p, us, vs, d.drawn_segments())
+
+
+def test_visibility_hand_cases_equal_the_reference():
+    z = [(VERTEX, 4, 4, "z")]  # rotated (0, 8), minimal and maximal
+    cases = [
+        # vertical in the rotated frame, on z's own line, below z...
+        (z + [(JUNCTION, 1, 1, None), (JUNCTION, 2, 2, None)], [(1, 2)], [], [("z", "below")]),
+        # ...above z...
+        (z + [(JUNCTION, 6, 6, None), (JUNCTION, 7, 7, None)], [(1, 2)], [], [("z", "above")]),
+        # ...and ending at z from below
+        (z + [(JUNCTION, 2, 2, None)], [(1, 0)], [], [("z", "below")]),
+        # sloped, ending at z: it meets the line at z only
+        (z + [(JUNCTION, 2, 4, None)], [(1, 0)], [], []),
+        (z + [(JUNCTION, 6, 4, None)], [(0, 1)], [], []),
+        # one segment through the maximal b of a < b blocks both of its
+        # sides: "above", as b is not minimal
+        (
+            [(VERTEX, 2, 2, "a"), (VERTEX, 4, 4, "b"), (JUNCTION, 3, 3, None), (JUNCTION, 6, 6, None)],
+            [(2, 3)],
+            [("a", "b")],
+            [("b", "above")],
+        ),
+        # no segments at all
+        (z + [(VERTEX, 6, 2, "y")], [], [], []),
+    ]
+    for points, segs, relations, expected in cases:
+        d, p = custom(points, segs, relations)
+        assert blocked_rays(d, p) == reference_blocked_rays(d, p) == expected, (points, segs)
+        assert_matches_reference(d, p)
+
+
+def test_visibility_equals_the_reference_on_spliced_benchmark_items():
+    # every --verify benchmark item with 0 to 15 seeded random segments
+    # spliced in, under its own order and under the antichain on its
+    # labels, where every vertex casts both rays and most rays are blocked
+    blocked = 0
+    keys = sorted(workloads.WORKLOADS["verify-mixed"].universe)
+    for i, key in enumerate(keys):
+        r = Realizer(*workloads.build(key).realizer)
+        d = build_diagram(r)
+        rng = random.Random(key)
+        ids = range(len(d.scene.xs))
+        extra = np.reshape([rng.sample(ids, 2) for _ in range(i % 16)], (-1, 2))
+        spliced = Diagram(d.scene, np.vstack((d.segments, extra)))
+        for p in (poset_from_realizer(r), poset_from_relations(r.l1, [])):
+            found = blocked_rays(spliced, p)
+            assert found == reference_blocked_rays(spliced, p), key
+            blocked += len(found)
+        assert_matches_reference(spliced, poset_from_realizer(r))
+    assert blocked
 
 
 def test_validate_scales_to_the_worst_case_at_index_128():

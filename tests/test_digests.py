@@ -51,30 +51,78 @@ def test_output_matches_the_stored_digest(tmp_path, capsys, key):
     assert {"exit": rc, "sha256": sha} == DIGESTS[key]
 
 
-VERIFY_REPORTS = {
-    # the segments oracle runs at 1,219 points...
-    "verify-worst/k32": (
-        0,
-        "PASS segments\nPASS smooth\nPASS planar\nPASS degrees\nPASS visibility\n"
-        "SKIP completion: instance exceeds oracle size limit\n",
-    ),
-    # ...and skips at 2,595, above COVERS_CHECK_LIMIT
-    "verify-worst/k48": (
-        0,
-        "SKIP segments: too many points for the cover oracle\nPASS smooth\nPASS planar\n"
-        "PASS degrees\nPASS visibility\nSKIP completion: instance exceeds oracle size limit\n",
-    ),
-    "verify-random/n128/s0": (
-        3,
-        "PASS segments\nFAIL smooth: smooth 3703 pairs vs covers 441\nPASS planar\n"
-        "PASS degrees\nPASS visibility\nSKIP completion: instance exceeds oracle size limit\n",
-    ),
-    "verify-random/n12/s0": (
-        3,
-        "PASS segments\nFAIL smooth: smooth 21 pairs vs covers 18\nPASS planar\n"
-        "PASS degrees\nPASS visibility\nPASS completion\n",
-    ),
+# the lines of a --verify report that every item of verify-mixed shares
+SEGMENTS_SKIP = "SKIP segments: too many points for the cover oracle"
+COMPLETION_SKIP = "SKIP completion: instance exceeds oracle size limit"
+
+
+def _report(smooth="PASS smooth", *, segments="PASS segments", completion="PASS completion"):
+    """The full stderr of one --verify run: planar, degrees and
+    visibility pass on every item."""
+    lines = (segments, smooth, "PASS planar", "PASS degrees", "PASS visibility", completion)
+    return "\n".join(lines) + "\n"
+
+
+# (smooth pairs, covers) of the items whose smooth check fails
+SMOOTH_FAILS = {
+    "verify-random/n12/s0": (21, 18),
+    "verify-random/n12/s1": (17, 16),
+    "verify-random/n12/s3": (18, 17),
+    "verify-random/n12/s4": (20, 15),
+    "verify-random/n12/s5": (17, 16),
+    "verify-random/n12/s6": (16, 15),
+    "verify-random/n12/s7": (17, 15),
+    "verify-random/n20/s0": (57, 38),
+    "verify-random/n20/s1": (50, 34),
+    "verify-random/n20/s2": (29, 28),
+    "verify-random/n20/s3": (60, 42),
+    "verify-random/n20/s4": (45, 32),
+    "verify-random/n20/s5": (57, 35),
+    "verify-random/n20/s6": (39, 32),
+    "verify-random/n20/s7": (66, 39),
+    "verify-random/n128/s0": (3703, 441),
+    "verify-random/n128/s1": (3748, 440),
+    "verify-random/n128/s2": (3581, 423),
+    "verify-random/n128/s3": (3928, 454),
+    "verify-random/n128/s4": (3412, 468),
+    "verify-random/n128/s5": (3834, 475),
+    "verify-random/n128/s6": (3151, 425),
+    "verify-random/n128/s7": (3469, 437),
+    "verify-random/n128/s8": (3318, 471),
+    "verify-random/n128/s9": (3288, 432),
+    "verify-random/n128/s10": (3318, 432),
+    "verify-random/n128/s11": (3987, 455),
+    "verify-random/n128/s12": (3167, 428),
+    "verify-random/n128/s13": (3886, 434),
+    "verify-random/n128/s14": (3309, 463),
+    "verify-random/n128/s15": (3390, 434),
 }
+
+# exit code and stderr of every verify-mixed item, recorded before the
+# checks became whole-array passes
+VERIFY_REPORTS = {
+    **{f"verify-worst/k{k}": (0, _report()) for k in (1, 2, 3, 4)},
+    "verify-random/n12/s2": (0, _report()),
+    **{
+        key: (
+            3,
+            _report(
+                f"FAIL smooth: smooth {smooth} pairs vs covers {covers}",
+                # the completion oracle runs up to 20 elements
+                completion="PASS completion" if "/n128/" not in key else COMPLETION_SKIP,
+            ),
+        )
+        for key, (smooth, covers) in SMOOTH_FAILS.items()
+    },
+    # the segments oracle runs at 1,219 points...
+    "verify-worst/k32": (0, _report(completion=COMPLETION_SKIP)),
+    # ...and skips at 2,595, above COVERS_CHECK_LIMIT
+    "verify-worst/k48": (0, _report(segments=SEGMENTS_SKIP, completion=COMPLETION_SKIP)),
+}
+
+
+def test_every_verify_mixed_item_is_pinned():
+    assert set(VERIFY_REPORTS) == set(workloads.WORKLOADS["verify-mixed"].universe)
 
 
 @pytest.mark.parametrize("key", sorted(VERIFY_REPORTS))

@@ -15,7 +15,7 @@ from confluent_hasse import (
     poset_from_relations,
     transitive_reduction,
 )
-from confluent_hasse.oracle import DuplicatePointError
+from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError
 from suites import (
     element_cut_index,
     is_lattice,
@@ -193,6 +193,19 @@ def test_dominance_covers_equals_the_reference():
         cases.append(list(zip(s.xs, s.ys)))
     for pts in cases:
         assert dominance_covers(pts) == reference_dominance_covers(pts), pts
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_dominance_covers_equals_the_reference_at_the_block_edges(count):
+    # the rows go ROW_BLOCK at a time, the last row in no block
+    rng = random.Random(count)
+    for side in (count, 2 * count + 1):
+        cells = [(x, y) for x in range(side) for y in range(side)]
+        pts = rng.sample(cells, count)
+        assert dominance_covers(pts) == reference_dominance_covers(pts), pts
+    chain = [(i, i) for i in range(count)]
+    rng.shuffle(chain)
+    assert dominance_covers(chain) == reference_dominance_covers(chain)
 
 
 @pytest.mark.parametrize("dx, dy", [(2**40, 0), (0, -(2**40)), (-(2**40), 2**40), (-7, -3)])

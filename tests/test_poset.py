@@ -11,11 +11,19 @@ from confluent_hasse import (
     UnknownLabelError,
     extremes,
     parse_edge_list,
+    poset_from_realizer,
     poset_from_relations,
+    sp_to_poset,
     transitive_reduction,
 )
 from confluent_hasse.poset import _closure
-from suites import random_poset, reference_transitive_closure
+from suites import (
+    all_sp_trees,
+    random_poset,
+    random_realizer_suite,
+    reference_extremes,
+    reference_transitive_closure,
+)
 
 
 def k22():
@@ -151,6 +159,19 @@ def test_extremes_on_k22():
 def test_extremes_single_element():
     ext = extremes(poset_from_relations(["x"], []))
     assert ext == (frozenset({"x"}), frozenset({"x"}), "x", "x")
+
+
+def test_extremes_equal_the_reference_loops():
+    orders = [poset_from_realizer(r) for r in random_realizer_suite()]
+    orders += [sp_to_poset(t) for t in all_sp_trees(6)]
+    orders += [poset_from_relations([], []), poset_from_relations(["x"], [])]
+    for n in (2, 3, 7):
+        labels = [f"e{i}" for i in range(n)]
+        orders.append(poset_from_relations(labels, zip(labels, labels[1:])))
+        orders.append(poset_from_relations(list(reversed(labels)), zip(labels, labels[1:])))
+        orders.append(poset_from_relations(labels, []))
+    for p in orders:
+        assert extremes(p) == reference_extremes(p), p
 
 
 @settings(max_examples=60, deadline=None)
