@@ -17,7 +17,7 @@ from statistics import median
 from .diagram import Diagram, sweep_cover_edges
 from .grid import insert_junctions, place_on_grid
 from .realizer import Realizer
-from .sp import SpLeaf, SpParallel, SpSeries, SpTree
+from .sp import LEAF, PARALLEL, SERIES, SpTree
 
 CSV_HEADER = "n,junctions,segments,ms_phase1,ms_phase2,ms_phase3,ms_total"
 _CSV_TIMES = ("phase1", "phase2", "phase3", "total")
@@ -56,25 +56,24 @@ def gen_random_sp(n: int, seed: int) -> SpTree:
     if n < 1:
         raise ValueError("need at least one leaf")
     rng = random.Random(seed)
-    next_label = iter(range(n))
-    out: list[SpTree] = []
-    tasks: list[tuple[str, int]] = [("build", n)]
+    ops = bytearray()
+    # a part of k leaves to build as k > 0, and an operator to emit
+    # once both its parts are built as -SERIES or -PARALLEL; the stack
+    # runs the leaves left to right and the opcodes in postorder
+    tasks = [n]
     while tasks:
-        op, arg = tasks.pop()
-        if op == "build":
-            if arg == 1:
-                out.append(SpLeaf(f"e{next(next_label)}"))
-            else:
-                left_size = rng.randint(1, arg - 1)
-                series = rng.random() < 0.5
-                tasks.append(("join", int(series)))
-                tasks.append(("build", arg - left_size))
-                tasks.append(("build", left_size))
+        task = tasks.pop()
+        if task == 1:
+            ops.append(LEAF)
+        elif task > 1:
+            left_size = rng.randint(1, task - 1)
+            series = rng.random() < 0.5
+            tasks.append(-SERIES if series else -PARALLEL)
+            tasks.append(task - left_size)
+            tasks.append(left_size)
         else:
-            right = out.pop()
-            left = out.pop()
-            out.append(SpSeries(left, right) if arg else SpParallel(left, right))
-    return out[0]
+            ops.append(-task)
+    return SpTree.from_postorder([f"e{i}" for i in range(n)], ops)
 
 
 def timed_pipeline(r: Realizer) -> tuple[Diagram, dict[str, float]]:

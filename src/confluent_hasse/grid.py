@@ -5,8 +5,9 @@ coordinates twice their ranks in the two realizing orders. Junction
 points then fill odd cells wherever the four neighbour conditions hold,
 and invisible bound points cap the diagonal when the order lacks a
 least or greatest element. The scene is four columns, x, y, kind and
-label, that the producers append to; a point's id is its index in
-them, and segments and the renderers refer to points by it. The
+label, that the producers append to, and the kinds again as one byte
+code per point for masks; a point's id is its index in them, and
+segments and the renderers refer to points by it. The
 dominance order on the resulting point set is the smallest complete
 lattice containing the input order; the test suite certifies this
 against the cut-enumeration oracle.
@@ -26,6 +27,7 @@ INVISIBLE = "invisible"
 # the kinds as small ints, for masks over the scene (GridScene.kind_codes)
 VERTEX_CODE, JUNCTION_CODE, INVISIBLE_CODE = range(3)
 _KIND_CODE = {VERTEX: VERTEX_CODE, JUNCTION: JUNCTION_CODE, INVISIBLE: INVISIBLE_CODE}
+_KIND_BYTE = {kind: bytes((code,)) for kind, code in _KIND_CODE.items()}
 
 
 @dataclass(slots=True)
@@ -45,6 +47,11 @@ class GridScene:
     ys: list[int] = field(default_factory=list)
     kinds: list[str] = field(default_factory=list)
     labels: list[str | None] = field(default_factory=list)
+    # the kinds as codes, one byte per id, kept in step with kinds
+    codes: bytearray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.codes = bytearray(map(_KIND_CODE.__getitem__, self.kinds))
 
     @property
     def side(self) -> int:
@@ -58,7 +65,7 @@ class GridScene:
     def kind_codes(self) -> np.ndarray:
         """The kinds as an int8 column of VERTEX_CODE, JUNCTION_CODE and
         INVISIBLE_CODE, indexed by id."""
-        return np.fromiter(map(_KIND_CODE.__getitem__, self.kinds), np.int8, len(self.kinds))
+        return np.frombuffer(self.codes, np.int8).copy()
 
     def add(self, kind: str, xs: list[int], ys: list[int], labels: list | None = None) -> int:
         """Append points of one kind (labels None by default); returns the first id."""
@@ -66,6 +73,7 @@ class GridScene:
         self.xs += xs
         self.ys += ys
         self.kinds += [kind] * len(xs)
+        self.codes += _KIND_BYTE[kind] * len(xs)
         self.labels += [None] * len(xs) if labels is None else labels
         return first
 

@@ -1,12 +1,20 @@
 """Series-parallel orders: expression parser, decomposition trees, and
 the linear-time confluent layout.
 
+A tree is two flat sequences: its leaf labels left to right, and one
+opcode per node in postorder (``LEAF``, ``SERIES`` or ``PARALLEL``),
+which fixes a full binary tree. ``SpLeaf``, ``SpSeries`` and
+``SpParallel`` are the types of a tree, chosen by its root's opcode.
+Their constructors join the sequences of the parts, ``.left`` and
+``.right`` are views into the same sequences, and ``==``, ``hash`` and
+``repr`` read the sequences, so no operation on a tree recurses.
+
 The parser pads the four punctuation characters with spaces and splits
 the text with ``str.split()``, which splits at exactly the characters
-``str.isspace`` accepts. It builds the tree with an operator stack in
-one pass over the tokens, noting a repeated leaf as it goes (a syntax
-error anywhere still wins over a repeated leaf). Tree nodes are
-slotted frozen dataclasses.
+``str.isspace`` accepts. Its operator stack emits the postorder
+directly, one opcode per leaf and per reduced operator, in one pass
+over the tokens; a repeated leaf is looked for afterwards, so a syntax
+error anywhere wins over it.
 
 The layout puts vertices where the general pipeline's
 ``place_on_grid`` puts the tree's realizer: x from the leaves left to
@@ -15,25 +23,21 @@ every parallel composition. Each subtree's vertices then fill one box,
 and the boxes compose corner to corner: a series composition has the
 second box up-and-right of the first (everything in it dominates the
 first box), a parallel composition has it down-and-right (nothing
-comparable). One postorder pass adds the segments and threads the
-second order through the leaves as a linked list; one walk of that
-list then gives every vertex its y, and each junction the y just above
-the lower part's top vertex. A series step inserts a junction at the
-cell up-and-right of the lower box's corner exactly when the lower part has
-several maximal elements and the upper part several minimal ones;
-otherwise the unique extreme vertex fans out directly. Invisible bounds
-come from ``grid.bound_points``, as in the general pipeline, so the
-result is that pipeline's diagram of the same realizer without its
-quadratic scan of the grid.
+comparable). One forward pass over the opcodes adds the segments and
+threads the second order through the leaves as a linked list; one walk
+of that list then gives every vertex its y, and each junction the y
+just above the lower part's top vertex. A series step inserts a
+junction at the cell up-and-right of the lower box's corner exactly
+when the lower part has several maximal elements and the upper part
+several minimal ones; otherwise the unique extreme vertex fans out
+directly. Invisible bounds come from ``grid.bound_points``, as in the
+general pipeline, so the result is that pipeline's diagram of the same
+realizer without its quadratic scan of the grid.
 """
 
 from __future__ import annotations
 
-import gc
 import re
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -42,19 +46,10 @@ from .grid import JUNCTION, VERTEX, GridScene, bound_points
 from .poset import Poset
 from .realizer import Realizer, poset_from_realizer
 
-
-@contextmanager
-def _collector_paused():
-    """Hold the cyclic garbage collector off while the parser builds a
-    tree or the layout a diagram: neither makes a reference cycle, yet
-    each full collection would traverse the growing tree again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+# the opcodes of a tree's postorder; _OPEN marks an open group on the
+# parser's operator stack only
+LEAF, SERIES, PARALLEL = range(3)
+_OPEN = 3
 
 
 class SpSyntaxError(ValueError):
@@ -69,24 +64,148 @@ class DuplicateLeafError(ValueError):
     """The same element label occurs in two leaves."""
 
 
-@dataclass(frozen=True, slots=True)
-class SpLeaf:
-    label: str
+class SpTree:
+    """A series-parallel tree: leaf labels left to right and postorder
+    opcodes. A subtree is the opcodes ``ops[lo:hi]`` with its leaves
+    from ``labels[first]`` on; ``starts``, once computed, gives the
+    first opcode of the subtree ending at each position."""
+
+    __slots__ = ("_labels", "_ops", "_lo", "_hi", "_first", "_starts")
+
+    @staticmethod
+    def from_postorder(labels, ops) -> SpTree:
+        """The tree of leaf labels left to right and postorder opcodes,
+        checked to be one full binary tree over exactly those leaves."""
+        labels, ops = tuple(labels), bytes(ops)
+        depth = leaves = 0
+        for op in ops:
+            if op == LEAF:
+                depth += 1
+                leaves += 1
+            elif op in (SERIES, PARALLEL) and depth >= 2:
+                depth -= 1
+            else:
+                raise ValueError("opcodes do not form a postorder of one binary tree")
+        if depth != 1 or leaves != len(labels):
+            raise ValueError("opcodes do not form a postorder of one binary tree")
+        return _tree(labels, ops)
+
+    def postorder(self) -> tuple[tuple[str, ...], bytes]:
+        """The leaf labels left to right and the opcodes in postorder."""
+        lo, hi = self._lo, self._hi
+        if lo == 0 and hi == len(self._ops):
+            return self._labels, self._ops
+        first = self._first
+        return self._labels[first : first + (hi - lo + 1) // 2], self._ops[lo:hi]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpTree):
+            return NotImplemented
+        return self.postorder() == other.postorder()
+
+    def __hash__(self) -> int:
+        return hash(self.postorder())
+
+    def __repr__(self) -> str:
+        # nested (name, left, right) per operator, then written out
+        # from an explicit stack
+        labels, ops = self.postorder()
+        leaf = iter(labels)
+        done: list = []
+        for op in ops:
+            if op == LEAF:
+                done.append(f"SpLeaf({next(leaf)!r})")
+            else:
+                right = done.pop()
+                done[-1] = (_CLASS[op].__name__, done[-1], right)
+        out: list[str] = []
+        todo = [done[0]]
+        while todo:
+            part = todo.pop()
+            if isinstance(part, str):
+                out.append(part)
+            else:
+                name, left, right = part
+                todo += [")", right, ", ", left, name + "("]
+        return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
-class SpSeries:
-    left: "SpTree"
-    right: "SpTree"
+class SpLeaf(SpTree):
+    __slots__ = ()
+
+    def __init__(self, label: str):
+        _init(self, (label,), bytes((LEAF,)))
+
+    @property
+    def label(self) -> str:
+        return self._labels[self._first]
 
 
-@dataclass(frozen=True, slots=True)
-class SpParallel:
-    left: "SpTree"
-    right: "SpTree"
+class _SpComposition(SpTree):
+    """A tree whose root is a series or a parallel composition."""
+
+    __slots__ = ()
+    _OP: int  # SERIES or PARALLEL, per subclass
+
+    def __init__(self, left: SpTree, right: SpTree):
+        left_labels, left_ops = left.postorder()
+        right_labels, right_ops = right.postorder()
+        _init(self, left_labels + right_labels, left_ops + right_ops + bytes((self._OP,)))
+
+    def _split(self) -> int:
+        """Where the right part's opcodes start."""
+        if self._starts is None:
+            self._starts = _subtree_starts(self._ops)
+        return self._starts[self._hi - 2]
+
+    @property
+    def left(self) -> SpTree:
+        return _tree(self._labels, self._ops, self._lo, self._split(), self._first, self._starts)
+
+    @property
+    def right(self) -> SpTree:
+        mid = self._split()
+        first = self._first + (mid - self._lo + 1) // 2
+        return _tree(self._labels, self._ops, mid, self._hi - 1, first, self._starts)
 
 
-SpTree = Union[SpLeaf, SpSeries, SpParallel]
+class SpSeries(_SpComposition):
+    __slots__ = ()
+    _OP = SERIES
+
+
+class SpParallel(_SpComposition):
+    __slots__ = ()
+    _OP = PARALLEL
+
+
+_CLASS = {LEAF: SpLeaf, SERIES: SpSeries, PARALLEL: SpParallel}
+
+
+def _init(t: SpTree, labels, ops, lo=0, hi=None, first=0, starts=None) -> SpTree:
+    hi = len(ops) if hi is None else hi
+    t._labels, t._ops, t._lo, t._hi, t._first, t._starts = labels, ops, lo, hi, first, starts
+    return t
+
+
+def _tree(labels, ops, lo=0, hi=None, first=0, starts=None) -> SpTree:
+    """The subtree ops[lo:hi] of well-formed sequences, unchecked."""
+    hi = len(ops) if hi is None else hi
+    return _init(object.__new__(_CLASS[ops[hi - 1]]), labels, ops, lo, hi, first, starts)
+
+
+def _subtree_starts(ops: bytes) -> list[int]:
+    """Per opcode, the position of the first opcode of its subtree."""
+    starts = list(range(len(ops)))
+    pending: list[int] = []  # starts of the finished subtrees not yet joined
+    for i, op in enumerate(ops):
+        if op != LEAF:
+            pending.pop()
+            starts[i] = pending[-1]
+        else:
+            pending.append(i)
+    return starts
+
 
 _PUNCT = {";", "|", "(", ")"}
 # the tokens parse_sp splits off, as a pattern that gives their offsets
@@ -101,14 +220,13 @@ def _token_position(text: str, k: int) -> int:
     return len(text)
 
 
-@_collector_paused()
 def parse_sp(text: str) -> SpTree:
     """Parse a series-parallel expression.
 
     ';' is series composition (lowest precedence), '|' parallel; both
     associate to the left, parentheses group, whitespace is ignored.
     Leaf names are any tokens free of whitespace and punctuation.
-    Operator precedence with explicit stacks, so nesting depth is
+    Operator precedence with an explicit stack, so nesting depth is
     bounded by memory only. A syntax error is reported before a
     repeated leaf.
     """
@@ -119,20 +237,18 @@ def parse_sp(text: str) -> SpTree:
     if not tokens:
         raise SpSyntaxError("empty expression", 0)
     tokens.append("")  # the end of the text
-    operands: list[SpTree] = []
-    ops: list[str] = []  # pending ';' and '|', and '(' for each open group
-    seen: set[str] = set()
-    duplicate = None
+    labels: list[str] = []
+    ops = bytearray()
+    emit = ops.append
+    pending: list[int] = []  # SERIES and PARALLEL not yet emitted, _OPEN per open group
     want_operand = True
     for k, tok in enumerate(tokens):
         if want_operand:
             if tok == "(":
-                ops.append(tok)
+                pending.append(_OPEN)
             elif tok and tok not in _PUNCT:
-                if duplicate is None and tok in seen:
-                    duplicate = tok
-                seen.add(tok)
-                operands.append(SpLeaf(tok))
+                labels.append(tok)
+                emit(LEAF)
                 want_operand = False
             else:
                 found = f", found {tok!r}" if tok else ""
@@ -140,67 +256,70 @@ def parse_sp(text: str) -> SpTree:
                     f"expected element name or '('{found}", _token_position(text, k)
                 )
         elif tok == "|":
-            # '|' binds tighter than ';', so only pending '|' reduce
-            while ops and ops[-1] == "|":
-                ops.pop()
-                right = operands.pop()
-                operands[-1] = SpParallel(operands[-1], right)
-            ops.append(tok)
+            # '|' binds tighter than ';', so only a pending '|' reduces
+            while pending and pending[-1] == PARALLEL:
+                emit(pending.pop())
+            pending.append(PARALLEL)
             want_operand = True
         else:
             # ';', or an operand ends here: reduce back to the innermost
             # open group
-            while ops and ops[-1] != "(":
-                right = operands.pop()
-                left = operands[-1]
-                operands[-1] = SpSeries(left, right) if ops.pop() == ";" else SpParallel(left, right)
+            while pending and pending[-1] != _OPEN:
+                emit(pending.pop())
             if tok == ";":
-                ops.append(tok)
+                pending.append(SERIES)
                 want_operand = True
-            elif tok == ")" and ops:
-                ops.pop()
-            elif ops:
+            elif tok == ")" and pending:
+                pending.pop()
+            elif pending:
                 found = f", found {tok!r}" if tok else ""
                 raise SpSyntaxError(f"expected ')'{found}", _token_position(text, k))
             elif tok:
                 raise SpSyntaxError(
                     f"unexpected {tok!r} after complete expression", _token_position(text, k)
                 )
-    if duplicate is not None:
-        raise DuplicateLeafError(f"leaf {duplicate!r} occurs twice")
-    return operands[0]
+    if len(set(labels)) != len(labels):
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise DuplicateLeafError(f"leaf {label!r} occurs twice")
+            seen.add(label)
+    return _tree(tuple(labels), bytes(ops))
 
 
 def sp_leaves(t: SpTree) -> list[str]:
     """Leaf labels in left-to-right order."""
-    labels: list[str] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SpLeaf):
-            labels.append(node.label)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return labels
+    return list(t.postorder()[0])
 
 
 def _swapped_leaves(t: SpTree) -> list[str]:
     """Leaf labels left to right, with the two parts of every parallel
-    composition swapped."""
-    labels: list[str] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SpLeaf):
-            labels.append(node.label)
-        elif isinstance(node, SpSeries):
-            stack.append(node.right)
-            stack.append(node.left)
+    composition swapped: one forward pass over the opcodes links the
+    leaves in that order, as sp_layout does."""
+    labels, ops = t.postorder()
+    after = [-1] * len(labels)  # the next leaf in the swapped order; -1 ends it
+    heads: list[int] = []  # per finished subtree, its first and last leaf in that order
+    tails: list[int] = []
+    v = 0
+    for op in ops:
+        if op == LEAF:
+            heads.append(v)
+            tails.append(v)
+            v += 1
+            continue
+        rhead, rtail = heads.pop(), tails.pop()
+        if op == SERIES:
+            after[tails[-1]] = rhead
+            tails[-1] = rtail
         else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return labels
+            after[rtail] = heads[-1]
+            heads[-1] = rhead
+    out: list[str] = []
+    q = heads[0]
+    while q >= 0:
+        out.append(labels[q])
+        q = after[q]
+    return out
 
 
 def sp_realizer(t: SpTree) -> Realizer:
@@ -218,27 +337,19 @@ def sp_to_poset(t: SpTree) -> Poset:
     return poset_from_realizer(sp_realizer(t))
 
 
-@_collector_paused()
 def sp_layout(t: SpTree) -> Diagram:
     """Confluent diagram of the tree's order, in time linear in the
     tree size: the vertices, junctions and invisible bounds the general
     pipeline puts on the (2n+1)-sided grid for ``sp_realizer(t)``, and
     their cover segments, without scanning the grid."""
-    # One postorder walk, which meets the leaves left to right, i.e. by
-    # point id: the reverse of a preorder that visits the right part
-    # first. Minima and maxima chains are linked through next_min and
+    labels, ops = t.postorder()
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise DuplicateLeafError("a leaf label occurs twice")
+    # The opcodes meet the leaves left to right, i.e. by point id.
+    # Minima and maxima chains are linked through next_min and
     # next_max, and the leaves in the second order of sp_realizer
     # through next2; -1 ends a chain.
-    mirrored: list[SpTree] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        mirrored.append(node)
-        if node.__class__ is not SpLeaf:
-            stack.append(node.left)
-            stack.append(node.right)
-    n = (len(mirrored) + 1) // 2  # a full binary tree
-    labels: list[str] = []
     jxs: list[int] = []
     below: list[int] = []  # per junction, the vertex whose y it sits just above
     # the segments as two columns: lower ids and upper ids
@@ -255,21 +366,21 @@ def sp_layout(t: SpTree) -> Diagram:
     # box, so the box of a series node's left part has its top-right
     # corner at (2 * rmin, y of lmax).
     done: list[tuple[int, int, int, int]] = []
-    for node in reversed(mirrored):
-        if node.__class__ is SpLeaf:
-            v = len(labels)
-            labels.append(node.label)
+    v = 0
+    for op in ops:
+        if op == LEAF:
             done.append((v, v, v, v))
+            v += 1
             continue
         rmin, rmin_tail, rmax, rmax_tail = done.pop()
-        lmin, lmin_tail, lmax, lmax_tail = done.pop()
-        if node.__class__ is SpParallel:
+        lmin, lmin_tail, lmax, lmax_tail = done[-1]
+        if op == PARALLEL:
             # the right box sits down-and-right of the left one, so the
             # second order puts the right part first
             next_min[lmin_tail] = rmin
             next_max[lmax_tail] = rmax
             next2[rmax] = lmin_tail
-            done.append((lmin, rmin_tail, lmax, rmax_tail))
+            done[-1] = (lmin, rmin_tail, lmax, rmax_tail)
             continue
         # series: the right box sits up-and-right of the left one;
         # connect left maxima to right minima
@@ -300,10 +411,8 @@ def sp_layout(t: SpTree) -> Diagram:
                 lo_(q)
                 hi_(rmin)
                 q = next_max[q]
-        done.append((lmin, lmin_tail, rmax, rmax_tail))
+        done[-1] = (lmin, lmin_tail, rmax, rmax_tail)
 
-    if len(set(labels)) != n:
-        raise DuplicateLeafError("a leaf label occurs twice")
     minima, minima_tail, maxima, maxima_tail = done.pop()
     # y: ranks in the second order
     ys = [0] * n

@@ -390,3 +390,28 @@ def test_stdout_without_a_byte_buffer_gets_the_text(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdout", text_only)
     assert run([src]) == EXIT_OK
     assert text_only.getvalue() == out.read_text(encoding="utf-8")
+
+
+def test_sp_input_goes_through_parse_sp_and_sp_layout_once_each(tmp_path, capsys, monkeypatch):
+    # the per-layer trace wraps cli.parse_sp and cli.sp_layout and counts
+    # the leaves of parse_sp's result with sp_leaves
+    from confluent_hasse import cli
+    from confluent_hasse.sp import sp_leaves
+
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append((name, result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_sp", recorded("parse_sp", cli.parse_sp))
+    monkeypatch.setattr(cli, "sp_layout", recorded("sp_layout", cli.sp_layout))
+    src = write(tmp_path, "k22.sp", "(a|b);(c|d)\n")
+    assert run([src, "--input-format", "sp"]) == EXIT_OK
+    assert [name for name, _ in calls] == ["parse_sp", "sp_layout"]
+    assert sp_leaves(calls[0][1]) == ["a", "b", "c", "d"]
+    assert capsys.readouterr().out.count("<text") == 4

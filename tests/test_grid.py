@@ -1,5 +1,6 @@
 import gc
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,15 @@ from confluent_hasse import (
     poset_from_realizer,
     scene_matches_completion,
 )
-from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from confluent_hasse.grid import (
+    INVISIBLE,
+    INVISIBLE_CODE,
+    JUNCTION,
+    JUNCTION_CODE,
+    VERTEX,
+    VERTEX_CODE,
+    GridScene,
+)
 from suites import (
     of_kind,
     random_realizer_suite,
@@ -147,3 +156,17 @@ def test_insert_junctions_tracks_no_object_per_point():
     added = len(gc.get_objects()) - before
     assert len(s.kinds) == 4483
     assert added < 100, added
+
+
+def test_kind_codes_stay_in_step_with_the_kinds():
+    code = {VERTEX: VERTEX_CODE, JUNCTION: JUNCTION_CODE, INVISIBLE: INVISIBLE_CODE}
+    s = GridScene(2, [2, 4], [4, 2], [VERTEX, VERTEX], ["a", "b"])
+    s.add(JUNCTION, [3, 5], [3, 5])
+    s.add(INVISIBLE, [1], [1])
+    codes = s.kind_codes()
+    assert codes.dtype == np.int8 and codes.tolist() == [code[k] for k in s.kinds]
+    codes[0] = INVISIBLE_CODE  # a copy: the scene keeps its codes
+    assert s.kind_codes()[0] == VERTEX_CODE
+    for r in [gen_worstcase(3), gen_random(9, 4), Realizer((), ())]:
+        t = insert_junctions(place_on_grid(r))
+        assert t.kind_codes().tolist() == [code[k] for k in t.kinds]

@@ -13,6 +13,7 @@ from confluent_hasse import (
     SpParallel,
     SpSeries,
     SpSyntaxError,
+    SpTree,
     build_diagram,
     dominance_covers,
     extremes,
@@ -370,3 +371,53 @@ def test_deep_chain_layout_is_iterative():
     d = sp_layout(parse_sp(expr))
     assert d.junction_count() == 0
     assert len(d.segments) == 4999
+
+
+def test_deep_trees_compare_hash_and_print_without_recursion():
+    # a 10^5-leaf left comb: ==, hash and repr read the flat sequences
+    n = 10**5
+    expr = ";".join(f"v{i}" for i in range(n))
+    comb = parse_sp(expr)
+    assert comb == parse_sp(expr)
+    assert hash(comb) == hash(parse_sp(expr))
+    text = repr(comb)
+    assert text.startswith("SpSeries(" * (n - 1) + "SpLeaf('v0'), SpLeaf('v1')), SpLeaf('v2'))")
+    assert text.endswith("SpLeaf('v99999'))")
+    # the same leaves as a right comb, and with the last step parallel
+    right = parse_sp(";".join(f"(v{i}" for i in range(n - 1)) + f";v{n - 1}" + ")" * (n - 1))
+    assert sp_leaves(right) == sp_leaves(comb)
+    assert right != comb
+    assert parse_sp(expr[: expr.rindex(";")] + "|" + f"v{n - 1}") != comb
+
+
+def test_tree_views_and_constructors_agree():
+    t = parse_sp("(a|b);((c;d)|e)")
+    assert isinstance(t, SpSeries) and isinstance(t.left, SpParallel)
+    assert t.left == SpParallel(SpLeaf("a"), SpLeaf("b"))
+    assert t.right.left.right == SpLeaf("d") and t.right.right.label == "e"
+    assert SpSeries(t.left, t.right) == t and hash(SpSeries(t.left, t.right)) == hash(t)
+    assert repr(t) == (
+        "SpSeries(SpParallel(SpLeaf('a'), SpLeaf('b')), "
+        "SpParallel(SpSeries(SpLeaf('c'), SpLeaf('d')), SpLeaf('e')))"
+    )
+    assert eval(repr(t)) == t
+    assert SpLeaf("a") != "a" and SpSeries(SpLeaf("a"), SpLeaf("b")) != SpParallel(
+        SpLeaf("a"), SpLeaf("b")
+    )
+    with pytest.raises(AttributeError):
+        t.left = SpLeaf("z")
+
+
+@pytest.mark.parametrize(
+    "labels, ops",
+    [([], b""), (["a"], b""), (["a", "b"], b"\x00\x00"), (["a"], b"\x00\x01"), (["a"], b"\x03")],
+)
+def test_from_postorder_rejects_what_is_not_one_tree(labels, ops):
+    with pytest.raises(ValueError):
+        SpTree.from_postorder(labels, ops)
+
+
+def test_from_postorder_round_trips():
+    t = gen_random_sp(40, 2)
+    assert SpTree.from_postorder(*t.postorder()) == t
+    assert SpTree.from_postorder(*t.right.postorder()) == t.right
