@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, VERTEX_CODE, GridScene
-from .poset import Poset, extremes, masks_to_rows, pairs_of, transitive_reduction
+from .poset import Poset, extremes, mask_blocks, pairs_of, transitive_reduction
 
 # one segment as a pair (lower id, upper id), a row of Diagram.segments
 Segment = tuple[int, int]
@@ -187,8 +187,8 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     of the junction-to-junction segments (Kahn's algorithm); junctions
     on or below a cycle of such segments, which no drawing has, are
     iterated to the least fixed point instead. A vertex's pairs are the
-    OR over its out-segments, unpacked into one vertices x vertices
-    matrix whose ``np.nonzero`` lists them.
+    OR over its out-segments, unpacked ``poset.MASK_ROW_BLOCK`` vertices
+    at a time into a bool matrix whose ``np.nonzero`` lists them.
     """
     kinds = d.scene.kinds
     out: list[list[int]] = [[] for _ in kinds]
@@ -236,7 +236,12 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
             acc |= reach[t]
         pairs.append(acc)
     labels = [d.scene.labels[pid] for pid in vertices]
-    return pairs_of(labels, *np.nonzero(masks_to_rows(pairs, len(vertices))))
+    lower, upper = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for top, block in mask_blocks(pairs, len(vertices)):
+        rows, cols = np.nonzero(block)
+        lower.append(rows + top)
+        upper.append(cols)
+    return pairs_of(labels, np.concatenate(lower), np.concatenate(upper))
 
 
 # the cover oracle behind the segments check takes time quadratic in the

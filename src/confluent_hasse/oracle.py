@@ -86,13 +86,7 @@ def dm_completion(p: Poset, *, max_n: int = 20) -> Completion:
     n = p.n
     if n > max_n:
         raise TooLargeForOracle(f"completion oracle limited to n <= {max_n}")
-    up = [0] * n
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if p.leq[i, j]:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    up, down = p.up, p.down
     full = (1 << n) - 1
 
     def bounds_above(mask: int) -> int:
@@ -217,11 +211,6 @@ def scene_matches_completion(scene, p: Poset) -> bool:
     # vertices must key to their own element cut
     for v, key in zip(ids, keys):
         if kinds[v] == "vertex":
-            down = 0
-            vi = p.index(labels[v])
-            for j in range(p.n):
-                if p.leq[j, vi]:
-                    down |= 1 << j
-            if key != down:
+            if key != p.down[p.index(labels[v])]:
                 return False
     return True

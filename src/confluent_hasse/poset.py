@@ -1,17 +1,25 @@
-"""Finite partial orders stored as a dense boolean comparability matrix.
+"""Finite partial orders stored as int bitmasks: per element, its
+up-set and its down-set.
 
-Elements are identified by unique string labels; the matrix entry
-``leq[i, j]`` holds exactly when element i is less than or equal to
-element j. The dense representation keeps every query O(1) and the
-reduction one matrix product. Closure works on one int bitmask per
-element instead, ORed along the input pairs in reverse topological
-order, and unpacks into the matrix once.
+Elements are identified by unique string labels and numbered in label
+order; bit j of ``up[i]`` holds exactly when element i is less than or
+equal to element j, and bit j of ``down[i]`` when j <= i. Each factory
+makes the masks directly: closure ORs them along the input pairs, by
+strongly connected components in reverse topological order for the
+up-sets and in topological order for the down-sets, and the
+intersection of two linear orders takes suffix ORs along each. The
+extremes are compares of one mask per element, and the reduction walks
+each down-set from its highest bit, one cover at a time. This module is
+the only one that converts the masks to and from a bool matrix: the
+``Poset(labels, leq)`` constructor packs one, ``leq`` unpacks one for
+reference code, and ``mask_blocks`` unpacks masks a block of rows at a
+time.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,37 +46,72 @@ class Extremes(NamedTuple):
 class Poset:
     """Immutable finite poset over labelled elements.
 
-    The constructor trusts ``leq`` to be transitive (the factory
-    functions below always close their input) but verifies shape,
-    reflexivity and antisymmetry, which are cheap.
+    ``up`` and ``down`` hold the order as one int bitmask per element.
+    The constructor takes it as an n x n bool matrix instead,
+    ``leq[i, j]`` when element i <= element j: it trusts the matrix to
+    be transitive (the factory functions below always close their
+    input) but verifies shape, reflexivity and antisymmetry, which are
+    cheap. ``leq`` is a read-only matrix view of the masks, built on
+    first read.
     """
 
-    __slots__ = ("labels", "leq", "_index")
+    __slots__ = ("labels", "up", "down", "_index", "_leq")
 
     def __init__(self, labels: Iterable[str], leq: np.ndarray):
-        self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
-            raise DuplicateLabelError("duplicate element labels")
+        self._set_labels(labels)
         mat = np.array(leq, dtype=bool)
         n = len(self.labels)
         if mat.shape != (n, n):
             raise ValueError(f"relation matrix must be {n}x{n}, got {mat.shape}")
         if n and not mat.diagonal().all():
             raise ValueError("relation must be reflexive")
-        sym = mat & mat.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            a, b = map(int, np.argwhere(sym)[0])
-            raise CycleError(
-                f"antisymmetry violated: {self.labels[a]!r} and {self.labels[b]!r}"
-            )
+        self.up = _masks_of_rows(mat)
+        self.down = _masks_of_rows(mat.T)
+        self._check_antisymmetric()
         mat.setflags(write=False)
-        self.leq = mat
+        self._leq = mat
+
+    @classmethod
+    def _of_masks(cls, labels: Iterable[str], up: list[int], down: list[int]) -> Poset:
+        """The poset of reflexive, transitive up-set and down-set masks,
+        down the transpose of up; antisymmetry is checked."""
+        p = object.__new__(cls)
+        p._set_labels(labels)
+        p.up, p.down, p._leq = up, down, None
+        p._check_antisymmetric()
+        return p
+
+    def _set_labels(self, labels: Iterable[str]) -> None:
+        self.labels = tuple(labels)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
+            raise DuplicateLabelError("duplicate element labels")
+
+    def _check_antisymmetric(self) -> None:
+        """Raise CycleError naming the first pair (a, b), a != b, in
+        label order with a <= b and b <= a. Bit i is in both masks of
+        element i, so another is there exactly when the AND has more."""
+        for a, (u, d) in enumerate(zip(self.up, self.down)):
+            if (u & d).bit_count() > 1:
+                both = u & d & ~(1 << a)
+                b = (both & -both).bit_length() - 1
+                raise CycleError(
+                    f"antisymmetry violated: {self.labels[a]!r} and {self.labels[b]!r}"
+                )
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def leq(self) -> np.ndarray:
+        """The order as a read-only n x n bool matrix: ``leq[i, j]``
+        holds exactly when element i <= element j."""
+        if self._leq is None:
+            mat = masks_to_rows(self.up, self.n)
+            mat.setflags(write=False)
+            self._leq = mat
+        return self._leq
 
     def index(self, label: str) -> int:
         try:
@@ -78,11 +121,13 @@ class Poset:
 
     def holds(self, a: str, b: str) -> bool:
         """True iff a <= b."""
-        return bool(self.leq[self.index(a), self.index(b)])
+        return bool(self.up[self.index(a)] >> self.index(b) & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
+        if self.labels == other.labels:
+            return self.up == other.up
         if set(self.labels) != set(other.labels):
             return False
         perm = [other.index(lab) for lab in self.labels]
@@ -94,6 +139,12 @@ class Poset:
         return f"Poset(n={self.n}, labels={self.labels!r})"
 
 
+def _masks_of_rows(mat: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as an int bitmask (bit j = column j)."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def masks_to_rows(masks: list[int], n: int) -> np.ndarray:
     """int bitmasks (bit j = column j), one per row, as a bool matrix
     with n columns."""
@@ -103,29 +154,44 @@ def masks_to_rows(masks: list[int], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
+# rows of masks that mask_blocks unpacks at once
+MASK_ROW_BLOCK = 1024
+
+
+def mask_blocks(masks: list[int], n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The masks as a bool matrix with n columns, MASK_ROW_BLOCK rows at
+    a time: (index of the block's first row, its rows)."""
+    for top in range(0, len(masks), MASK_ROW_BLOCK):
+        yield top, masks_to_rows(masks[top : top + MASK_ROW_BLOCK], n)
+
+
 def pairs_of(names: Sequence, a: np.ndarray, b: np.ndarray) -> frozenset:
     """(names[i], names[j]) for each i, j of the index arrays a, b."""
     return frozenset(zip(map(names.__getitem__, a.tolist()), map(names.__getitem__, b.tolist())))
 
 
-def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
     """Reflexive-transitive closure of a relation on range(n), given as
-    index pairs, as an n x n bool matrix.
+    index pairs, as up-set and down-set masks.
 
     Every member of a strongly connected component reaches the
     component and whatever its successors reach. Tarjan's algorithm
     (SIAM J. Comput. 1(2), 1972) finishes the components in reverse
-    topological order, so each successor's bitmask is complete when a
-    component ORs it in. A cyclic relation is closed the same way; the
-    Poset constructor then rejects it.
+    topological order, so each successor's up-set is complete when a
+    component ORs it in; the down-sets are ORed along the in-edges with
+    the components taken the other way round. A cyclic relation is
+    closed the same way; the Poset check then rejects it.
     """
     out: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         out[a].append(b)
+        into[b].append(a)
     order = [-1] * n  # discovery number, -1 until visited
     low = [0] * n
     reach = [0] * n  # nonzero exactly when the vertex's component is finished
     stack: list[int] = []  # visited vertices whose component is not finished
+    finished: list[list[int]] = []  # the components, in reverse topological order
     count = 0
     for root in range(n):
         if order[root] >= 0:
@@ -163,7 +229,43 @@ def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
                             mask |= reach[y]
                     for x in members:
                         reach[x] = mask
-    return masks_to_rows(reach, n)
+                    finished.append(members)
+    down = [0] * n  # nonzero exactly when the vertex's component is done
+    for members in reversed(finished):
+        mask = 0
+        for x in members:
+            mask |= 1 << x
+            for y in into[x]:
+                mask |= down[y]
+        for x in members:
+            down[x] = mask
+    return reach, down
+
+
+def up_sets(first: Sequence[int], second: Sequence[int]) -> list[int]:
+    """Up-set masks of the intersection of two linear orders on
+    range(n), each listed from bottom to top: bit j of entry i holds
+    exactly when j comes at or after i in both. One suffix OR along
+    each order, so O(n) int operations and no n x n array."""
+    up = [0] * len(first)
+    acc = 0
+    for i in reversed(first):
+        acc |= 1 << i
+        up[i] = acc
+    acc = 0
+    for i in reversed(second):
+        acc |= 1 << i
+        up[i] &= acc
+    return up
+
+
+def intersection_order(labels: Sequence[str], second: Sequence[int]) -> Poset:
+    """The intersection of the label order with a second linear order,
+    given as indices into labels from bottom to top. The label order is
+    then a linear extension. The down-sets are the up-sets of the two
+    orders reversed."""
+    first = range(len(labels))
+    return Poset._of_masks(labels, up_sets(first, second), up_sets(first[::-1], second[::-1]))
 
 
 def poset_from_relations(
@@ -187,37 +289,54 @@ def poset_from_relations(
         if b not in index:
             raise UnknownLabelError(f"unknown element {b!r}")
         edges.append((index[a], index[b]))
-    return Poset(labels, _closure(len(index), edges))
+    return Poset._of_masks(labels, *_closure(len(index), edges))
 
 
 def transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
     """Cover pairs (lower, upper) of the poset.
 
     (a, b) is kept iff a < b and no x satisfies a < x < b; the closure
-    of the result equals the original relation.
+    of the result equals the original relation (Aho, Garey & Ullman,
+    SIAM J. Comput. 1(2), 1972). Per element, its lower covers are the
+    maximal elements of its strict down-set. With the elements numbered
+    along a linear extension, the highest bit left there is one of
+    them; it is taken, its own down-set is cleared from the rest, and
+    so on. That is a few int operations per cover. Posets made from
+    realizers number the elements along a linear extension already;
+    other numberings are first renumbered by down-set size, which a
+    strictly smaller element always has less of.
     """
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    # counts paths of length two through the strict order; the counts
-    # are at most n, and float32 holds every integer below 2**24 exactly
-    assert p.n < 1 << 24
-    two_step = strict.astype(np.float32) @ strict.astype(np.float32)
-    return pairs_of(p.labels, *np.nonzero(strict & (two_step == 0)))
+    down, labels = p.down, p.labels
+    if any(d.bit_length() != i + 1 for i, d in enumerate(down)):
+        order = sorted(range(p.n), key=lambda i: down[i].bit_count())
+        blocks = mask_blocks([down[i] for i in order], p.n)
+        down = [m for _, rows in blocks for m in _masks_of_rows(rows[:, order])]
+        labels = [labels[i] for i in order]
+    covers = []
+    add = covers.append
+    for j, rest in enumerate(down):
+        lab = labels[j]
+        rest ^= 1 << j
+        while rest:
+            b = rest.bit_length() - 1
+            add((labels[b], lab))
+            rest ^= rest & down[b]
+    return frozenset(covers)
 
 
 def extremes(p: Poset) -> Extremes:
     """Minimal and maximal elements plus least/greatest when they exist.
 
-    One reduction per axis over the strict order finds the minimal and
-    maximal elements, and one per axis over the order the least and
-    greatest; by antisymmetry at most one element is either.
+    An element is minimal when its down-set holds itself alone, and
+    least when its up-set holds every element; by antisymmetry at most
+    one element is least, and likewise greatest.
     """
-    strict = p.leq.copy()
-    np.fill_diagonal(strict, False)
-    least = np.flatnonzero(p.leq.all(axis=1)).tolist()
-    greatest = np.flatnonzero(p.leq.all(axis=0)).tolist()
+    n = p.n
+    least = [i for i, u in enumerate(p.up) if u.bit_count() == n]
+    greatest = [i for i, d in enumerate(p.down) if d.bit_count() == n]
     return Extremes(
-        frozenset(compress(p.labels, (~strict.any(axis=0)).tolist())),
-        frozenset(compress(p.labels, (~strict.any(axis=1)).tolist())),
+        frozenset(compress(p.labels, [d.bit_count() == 1 for d in p.down])),
+        frozenset(compress(p.labels, [u.bit_count() == 1 for u in p.up])),
         p.labels[least[0]] if least else None,
         p.labels[greatest[0]] if greatest else None,
     )
@@ -249,4 +368,4 @@ def parse_edge_list(text: str) -> Poset:
             raise ValueError(
                 f"line {lineno}: expected 'u v' or 'node u', got {line!r}"
             )
-    return Poset(index, _closure(len(index), pairs))
+    return Poset._of_masks(index, *_closure(len(index), pairs))

@@ -6,23 +6,23 @@ classic forcing procedure (implication classes, Golumbic 1980, ch. 5):
 pick an unoriented incomparable pair, orient it, and propagate every
 orientation this forces; a class that meets its own reverse certifies
 that no transitive orientation exists. The unoriented graph and the
-orientation are int bitmasks per element, successors and predecessors.
+orientation are int bitmasks per element, successors and predecessors,
+read off the poset's own up-set and down-set masks.
 A class grows one level at a time over whole rows: the pairs forced by
 all the last level's pairs out of one element are that element's row
 minus an AND of their heads' rows, so each pair costs one AND per side.
 The two output orders are the poset united with the orientation and
 with its reverse; each rank is a popcount. The result is always
-re-checked with verify_realizer, so an accepted realizer is correct by
-construction *and* by checking.
+re-checked with verify_realizer, which compares the up-sets of the two
+orders' intersection with the poset's, so an accepted realizer is
+correct by construction *and* by checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .poset import Poset
+from .poset import Poset, intersection_order, up_sets
 
 
 class MismatchedElementsError(ValueError):
@@ -56,26 +56,17 @@ class Realizer:
 
 
 def poset_from_realizer(r: Realizer) -> Poset:
-    """Intersection order: a <= b iff a precedes-or-equals b in both."""
-    n = r.n
-    pos2 = {lab: i for i, lab in enumerate(r.l2)}
-    p1 = np.arange(n)
-    p2 = np.array([pos2[lab] for lab in r.l1], dtype=int)
-    leq = (p1[:, None] <= p1[None, :]) & (p2[:, None] <= p2[None, :])
-    return Poset(r.l1, leq)
+    """Intersection order: a <= b iff a precedes-or-equals b in both.
+    Its elements are numbered along l1."""
+    index = {lab: i for i, lab in enumerate(r.l1)}
+    return intersection_order(r.l1, [index[lab] for lab in r.l2])
 
 
 def verify_realizer(p: Poset, r: Realizer) -> bool:
     """True iff the realizer's intersection order equals p exactly."""
     if set(p.labels) != set(r.l1):
         raise MismatchedElementsError("poset and realizer have different elements")
-    return poset_from_realizer(r) == p
-
-
-def _rows_to_masks(mat: np.ndarray) -> list[int]:
-    """Each row of an n x n bool matrix as an int bitmask (bit j = column j)."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return up_sets([p.index(lab) for lab in r.l1], [p.index(lab) for lab in r.l2]) == p.up
 
 
 def _forced_orientation(p: Poset) -> tuple[list[int], list[int]] | None:
@@ -90,9 +81,10 @@ def _forced_orientation(p: Poset) -> tuple[list[int], list[int]] | None:
     oriented once.
     """
     n = p.n
-    # adjacency of the not-yet-oriented incomparability graph; leq is
-    # reflexive, so the diagonal is already clear
-    rem = _rows_to_masks(~(p.leq | p.leq.T))
+    # adjacency of the not-yet-oriented incomparability graph; each
+    # element is in its own up-set, so the diagonal is already clear
+    full = (1 << n) - 1
+    rem = [full & ~(u | d) for u, d in zip(p.up, p.down)]
 
     succ = [0] * n  # chosen orientation, as successor bitmasks
     pred = [0] * n  # its reverse: bit w of pred[u] iff succ[w] has u
@@ -187,7 +179,7 @@ def realizer_of(p: Poset) -> Realizer:
     # orientation is transitive, and an element's rank is then fixed by
     # how many elements lie above it; verify_realizer catches the rest
     succ, pred = orient
-    up = _rows_to_masks(p.leq)
+    up = p.up
     first = sorted(range(p.n), key=lambda i: -(up[i] | succ[i]).bit_count())
     second = sorted(range(p.n), key=lambda i: -(up[i] | pred[i]).bit_count())
     r = Realizer(

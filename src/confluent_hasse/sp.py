@@ -7,7 +7,10 @@ which fixes a full binary tree. ``SpLeaf``, ``SpSeries`` and
 ``SpParallel`` are the types of a tree, chosen by its root's opcode.
 Their constructors join the sequences of the parts, ``.left`` and
 ``.right`` are views into the same sequences, and ``==``, ``hash`` and
-``repr`` read the sequences, so no operation on a tree recurses.
+``repr`` read the sequences, so no operation on a tree recurses. The
+constructors, ``SpTree.from_postorder`` and the parser each reject a
+repeated leaf, so every tree has distinct leaves and the layout need
+not look again.
 
 The parser pads the four punctuation characters with spaces and splits
 the text with ``str.split()``, which splits at exactly the characters
@@ -75,7 +78,8 @@ class SpTree:
     @staticmethod
     def from_postorder(labels, ops) -> SpTree:
         """The tree of leaf labels left to right and postorder opcodes,
-        checked to be one full binary tree over exactly those leaves."""
+        checked to be one full binary tree over exactly those leaves,
+        no two of them the same."""
         labels, ops = tuple(labels), bytes(ops)
         depth = leaves = 0
         for op in ops:
@@ -88,6 +92,7 @@ class SpTree:
                 raise ValueError("opcodes do not form a postorder of one binary tree")
         if depth != 1 or leaves != len(labels):
             raise ValueError("opcodes do not form a postorder of one binary tree")
+        _check_leaves(labels)
         return _tree(labels, ops)
 
     def postorder(self) -> tuple[tuple[str, ...], bytes]:
@@ -150,7 +155,9 @@ class _SpComposition(SpTree):
     def __init__(self, left: SpTree, right: SpTree):
         left_labels, left_ops = left.postorder()
         right_labels, right_ops = right.postorder()
-        _init(self, left_labels + right_labels, left_ops + right_ops + bytes((self._OP,)))
+        labels = left_labels + right_labels
+        _check_leaves(labels)
+        _init(self, labels, left_ops + right_ops + bytes((self._OP,)))
 
     def _split(self) -> int:
         """Where the right part's opcodes start."""
@@ -180,6 +187,11 @@ class SpParallel(_SpComposition):
 
 
 _CLASS = {LEAF: SpLeaf, SERIES: SpSeries, PARALLEL: SpParallel}
+
+
+def _check_leaves(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise DuplicateLeafError("a leaf label occurs twice")
 
 
 def _init(t: SpTree, labels, ops, lo=0, hi=None, first=0, starts=None) -> SpTree:
@@ -344,8 +356,6 @@ def sp_layout(t: SpTree) -> Diagram:
     their cover segments, without scanning the grid."""
     labels, ops = t.postorder()
     n = len(labels)
-    if len(set(labels)) != n:
-        raise DuplicateLeafError("a leaf label occurs twice")
     # The opcodes meet the leaves left to right, i.e. by point id.
     # Minima and maxima chains are linked through next_min and
     # next_max, and the leaves in the second order of sp_realizer

@@ -29,9 +29,12 @@ from confluent_hasse.oracle import Completion, DuplicatePointError
 from confluent_hasse.poset import Extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import (
+    PARALLEL,
+    SERIES,
     DuplicateLeafError,
     SpSyntaxError,
     SpTree,
+    _tree,
     sp_realizer,
 )
 
@@ -527,6 +530,20 @@ def reference_planar_conflicts(d: Diagram) -> int:
     return conflicts
 
 
+def reference_transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
+    """Cover pairs (lower, upper): the strict pairs that no path of
+    length two joins, from one float32 matrix product over the strict
+    order. The cubic product that ``poset.transitive_reduction``
+    replaced with a walk over its bitsets; test-only."""
+    strict = p.leq & ~np.eye(p.n, dtype=bool)
+    # counts paths of length two through the strict order; the counts
+    # are at most n, and float32 holds every integer below 2**24 exactly
+    assert p.n < 1 << 24
+    two_step = strict.astype(np.float32) @ strict.astype(np.float32)
+    covers = np.argwhere(strict & (two_step == 0)).tolist()
+    return frozenset((p.labels[a], p.labels[b]) for a, b in covers)
+
+
 def reference_extremes(p: Poset) -> Extremes:
     """One loop over the elements per query: the minimal, maximal,
     least and greatest elements ``poset.extremes`` must match.
@@ -618,7 +635,7 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         report.skip("segments", "too many points for the cover oracle")
 
     smooth = reference_smooth_adjacency(d)
-    covers = transitive_reduction(p)
+    covers = reference_transitive_reduction(p)
     report.add(
         "smooth",
         smooth == covers,
@@ -795,7 +812,9 @@ def vertical_ray_hits_segment(
 # --- the series-parallel front end before the one-pass rewrite, verbatim
 # but for names: parse_sp, _tokenize, sp_layout and _Chain, with the
 # _postorder walk and sp_leaves they use. The rewrite must give the same trees,
-# errors, points and segments.
+# errors, points and segments. The parser joins its operands unchecked,
+# because the tree constructors now reject a repeated leaf, which this
+# parser reports only after the whole text.
 
 _REFERENCE_PUNCT = {";", "|", "(", ")"}
 
@@ -830,9 +849,10 @@ def reference_parse_sp(text: str) -> SpTree:
     ops: list[str] = []  # pending ';' and '|', and '(' for each open group
 
     def reduce() -> None:
-        right = operands.pop()
-        left = operands.pop()
-        operands.append(SpSeries(left, right) if ops.pop() == ";" else SpParallel(left, right))
+        right_labels, right_ops = operands.pop().postorder()
+        left_labels, left_ops = operands.pop().postorder()
+        op = SERIES if ops.pop() == ";" else PARALLEL
+        operands.append(_tree(left_labels + right_labels, left_ops + right_ops + bytes((op,))))
 
     want_operand = True
     for tok, at in tokens + [("", len(text))]:

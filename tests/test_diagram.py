@@ -25,6 +25,7 @@ from confluent_hasse import (
     transitive_reduction,
     validate_diagram,
 )
+from confluent_hasse import poset
 from confluent_hasse.diagram import Diagram, _blocked_rays, _conflicting_pairs, rotate45
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from suites import (
@@ -294,6 +295,14 @@ def assert_matches_reference(d, p):
 
 def checks_of(d, p):
     return {c.name: c.status + (f": {c.detail}" if c.detail else "") for c in validate_diagram(d, p).checks}
+
+
+def test_smooth_equals_the_reference_across_row_blocks(monkeypatch):
+    # with blocks of 3 rows, every vertex set here is unpacked in several
+    monkeypatch.setattr(poset, "MASK_ROW_BLOCK", 3)
+    for r in random_realizer_suite(40) + [gen_worstcase(3), gen_random(40, 3)]:
+        d = build_diagram(r)
+        assert smooth_adjacency(d) == reference_smooth_adjacency(d)
 
 
 def test_validate_equals_the_reference_loops_on_the_suites():

@@ -8,21 +8,26 @@ from hypothesis import strategies as st
 from confluent_hasse import (
     CycleError,
     DuplicateLabelError,
+    Poset,
     UnknownLabelError,
     extremes,
+    gen_random,
+    gen_worstcase,
     parse_edge_list,
     poset_from_realizer,
     poset_from_relations,
     sp_to_poset,
     transitive_reduction,
 )
-from confluent_hasse.poset import _closure
+from confluent_hasse import poset
+from confluent_hasse.poset import _closure, masks_to_rows
 from suites import (
     all_sp_trees,
     random_poset,
     random_realizer_suite,
     reference_extremes,
     reference_transitive_closure,
+    reference_transitive_reduction,
 )
 
 
@@ -86,9 +91,10 @@ def test_closure_matches_the_reference_closure():
         for a, b in pairs:
             mat[a, b] = True
         expected = reference_transitive_closure(mat)
-        got = _closure(n, pairs)
-        assert got.dtype == bool and got.shape == (n, n)
-        assert (got == expected).all(), (n, pairs)
+        up, down = _closure(n, pairs)
+        assert len(up) == len(down) == n
+        assert (masks_to_rows(up, n) == expected).all(), (n, pairs)
+        assert (masks_to_rows(down, n) == expected.T).all(), (n, pairs)
 
         # the same relation as an edge list whose "node" lines declare
         # the elements in index order
@@ -108,6 +114,44 @@ def test_closure_matches_the_reference_closure():
         seen["duplicate"] += len(set(pairs)) < len(pairs)
         seen["isolated"] += len({x for pair in pairs for x in pair}) < n
     assert min(seen.values()) >= 50, seen
+
+
+def relabelled(p: Poset, rng: random.Random) -> Poset:
+    """The same order with its elements numbered in a shuffled order."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    return Poset([p.labels[i] for i in perm], p.leq[np.ix_(perm, perm)])
+
+
+def shuffled_edge_list(p: Poset, rng: random.Random) -> str:
+    """Every strict pair of p, and a "node" line per element, as
+    edge-list lines in shuffled order: the first appearance of the
+    labels, which numbers them, is then no linear extension."""
+    lines = [f"{a} {b}" for a in p.labels for b in p.labels if a != b and p.holds(a, b)]
+    lines += [f"node {lab}" for lab in p.labels]
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+def is_linear_extension(p: Poset) -> bool:
+    return all(u >> i << i == u for i, u in enumerate(p.up))
+
+
+def test_masks_are_reflexive_and_down_is_the_transpose_of_up():
+    rng = random.Random(3)
+    orders = [poset_from_realizer(r) for r in random_realizer_suite(40)]
+    orders += [sp_to_poset(t) for t in all_sp_trees(4)]
+    orders += [random_poset(n, seed) for n in range(10) for seed in range(3)]
+    orders += [parse_edge_list(shuffled_edge_list(p, rng)) for p in orders[::3]]
+    orders += [poset_from_relations(["a", "b", "c"], [("a", "b"), ("b", "c")])]
+    orders += [poset_from_relations([], []), Poset([], np.zeros((0, 0), bool))]
+    for p in orders:
+        assert len(p.up) == len(p.down) == p.n
+        assert all(u >> i & 1 for i, u in enumerate(p.up)), p
+        assert (masks_to_rows(p.down, p.n) == masks_to_rows(p.up, p.n).T).all(), p
+        # the matrix view and the matrix constructor agree with the masks
+        assert (p.leq == masks_to_rows(p.up, p.n)).all()
+        assert Poset(p.labels, p.leq).up == p.up and Poset(p.labels, p.leq).down == p.down
 
 
 def test_duplicate_and_unknown_labels():
@@ -172,6 +216,33 @@ def test_extremes_equal_the_reference_loops():
         orders.append(poset_from_relations(labels, []))
     for p in orders:
         assert extremes(p) == reference_extremes(p), p
+
+
+@pytest.mark.parametrize("block", [poset.MASK_ROW_BLOCK, 3])
+def test_reduction_equals_the_reference_product(block, monkeypatch):
+    # with blocks of 3 rows, the renumbering unpacks most orders in several
+    monkeypatch.setattr(poset, "MASK_ROW_BLOCK", block)
+    orders = [poset_from_realizer(r) for r in random_realizer_suite(200)]
+    orders += [sp_to_poset(t) for t in all_sp_trees(6)]
+    orders += [poset_from_realizer(gen_worstcase(k)) for k in range(1, 21)]
+    orders += [poset_from_realizer(gen_random(n, n)) for n in range(0, 301, 20)]
+    # numbered in label order, each of these is a linear extension
+    assert all(is_linear_extension(p) for p in orders)
+    rng = random.Random(5)
+    shuffled = [relabelled(random_poset(n, seed), rng) for n in range(12) for seed in range(8)]
+    shuffled += [relabelled(random_poset(60, seed, 0.05), rng) for seed in range(4)]
+    shuffled += [parse_edge_list(shuffled_edge_list(p, rng)) for p in orders[::7]]
+    # chains numbered bottom last, top first, and top to bottom
+    chain = [f"c{i} c{i + 1}" for i in range(49)]
+    shuffled += [
+        parse_edge_list("\n".join([f"node c{i}" for i in range(1, 50)] + chain)),
+        parse_edge_list("\n".join(["node c49"] + chain)),
+        parse_edge_list("\n".join(reversed(chain))),
+    ]
+    # these are not, so the reduction renumbers them first
+    assert sum(not is_linear_extension(p) for p in shuffled) >= 100
+    for p in orders + shuffled:
+        assert transitive_reduction(p) == reference_transitive_reduction(p), p
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,22 @@ def test_verify_realizer_examples():
     assert not verify_realizer(anti, Realizer(("a", "b"), ("a", "b")))
     with pytest.raises(MismatchedElementsError):
         verify_realizer(chain, Realizer(("a", "c"), ("a", "c")))
+
+
+def test_a_long_chain_is_closed_and_recognised_in_linear_memory():
+    # the order is held as two bitmasks per element, about 2 MB at this
+    # size; an n x n bool matrix and its int64 or float copies would not fit
+    n = 4000
+    text = "".join(f"v{i} v{i + 1}\n" for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        p = parse_edge_list(text)
+        r = realizer_of(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.l1 == r.l2 == tuple(f"v{i}" for i in range(n))
+    assert peak < 8 * 2**20, peak
 
 
 def test_empty_poset():

@@ -31,6 +31,7 @@ from confluent_hasse import (
     verify_realizer,
 )
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
+from confluent_hasse.sp import LEAF, PARALLEL, SERIES
 from suites import (
     all_sp_trees,
     reference_parse_sp,
@@ -44,29 +45,28 @@ import workloads  # noqa: E402
 
 
 def sp_trees(max_leaves=8):
-    labels = st.integers(0, 10**6)
-
+    # shapes: None for a leaf, (series?, left, right) otherwise; a tree
+    # cannot repeat a leaf, so the leaves are labelled once the shape
+    # is drawn
     def build(children):
-        return st.tuples(st.booleans(), children, children).map(
-            lambda t: SpSeries(t[1], t[2]) if t[0] else SpParallel(t[1], t[2])
-        )
+        return st.tuples(st.booleans(), children, children)
 
-    raw = st.recursive(labels.map(lambda i: SpLeaf(f"n{i}")), build, max_leaves=max_leaves)
+    shapes = st.recursive(st.none(), build, max_leaves=max_leaves)
 
-    def relabel(t):
-        # force unique labels, keeping the shape
+    def relabel(shape):
         counter = [0]
 
         def walk(node):
-            if isinstance(node, SpLeaf):
+            if node is None:
                 counter[0] += 1
                 return SpLeaf(f"n{counter[0]}")
-            cls = type(node)
-            return cls(walk(node.left), walk(node.right))
+            series, left, right = node
+            cls = SpSeries if series else SpParallel
+            return cls(walk(left), walk(right))
 
-        return walk(t)
+        return walk(shape)
 
-    return raw.map(relabel)
+    return shapes.map(relabel)
 
 
 def test_parse_series_left_assoc():
@@ -223,6 +223,22 @@ def test_parse_and_layout_equal_the_reference_on_fuzzed_text():
 def test_layout_rejects_a_tree_that_repeats_a_leaf():
     with pytest.raises(ValueError):
         sp_layout(SpSeries(SpLeaf("a"), SpParallel(SpLeaf("b"), SpLeaf("a"))))
+
+
+@pytest.mark.parametrize("cls", [SpSeries, SpParallel])
+def test_constructors_reject_a_repeated_leaf(cls):
+    with pytest.raises(DuplicateLeafError):
+        cls(SpLeaf("a"), SpLeaf("a"))
+    with pytest.raises(DuplicateLeafError):
+        cls(SpParallel(SpLeaf("a"), SpLeaf("b")), SpSeries(SpLeaf("c"), SpLeaf("b")))
+
+
+def test_from_postorder_rejects_a_repeated_leaf():
+    with pytest.raises(DuplicateLeafError):
+        SpTree.from_postorder(["a", "b", "a"], bytes((LEAF, LEAF, SERIES, LEAF, PARALLEL)))
+    labels, ops = gen_random_sp(40, 2).postorder()
+    with pytest.raises(DuplicateLeafError):
+        SpTree.from_postorder(labels[:-1] + labels[:1], ops)
 
 
 def test_sp_to_poset_k22():
