@@ -117,7 +117,9 @@ def _build_parser() -> _Parser:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # strict UTF-8 like a file; a stdin with no byte buffer gives its text
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if buffer is None else str(buffer.read(), "utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

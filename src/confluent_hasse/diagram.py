@@ -20,7 +20,7 @@ sweep order over their segment counts gives the upper column.
 
 The checks of ``validate_diagram`` run in array passes, so that
 ``--verify`` scales with the drawing. They read the segment array and
-the scene's kind codes (``GridScene.kind_codes``) as they are:
+the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
 
 - smooth adjacency propagates one int bitset of reachable vertices per
   junction, in the order the junction-to-junction segments give, and
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, VERTEX_CODE, GridScene
+from .grid import INVISIBLE_CODE, JUNCTION_CODE, VERTEX_CODE, GridScene
 from .poset import Poset, extremes, mask_blocks, pairs_of, transitive_reduction
 
 # one segment as a pair (lower id, upper id), a row of Diagram.segments
@@ -65,12 +65,12 @@ class Diagram:
         self.segments = np.asarray(self.segments, np.int64).reshape(-1, 2)
 
     def junction_count(self) -> int:
-        return self.scene.kinds.count(JUNCTION)
+        return int(np.count_nonzero(self.scene.codes == JUNCTION_CODE))
 
     def drawn_segments(self) -> np.ndarray:
         """The rows of the segments a drawing shows: those with no
         invisible end."""
-        invisible = self.scene.kind_codes() == INVISIBLE_CODE
+        invisible = self.scene.codes == INVISIBLE_CODE
         return self.segments[~invisible[self.segments].any(axis=1)]
 
 
@@ -103,12 +103,10 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     worst-case family at index 128 and 256, and 1.5 on random
     realizers at n = 256, 1024 and 2048.
     """
-    xs = np.array(s.xs, np.int64)
-    ys = np.array(s.ys, np.int64)
     width = 2 * s.n + 2
     # the points in (row, column) order, as lists made in that order:
     # read front to back, they touch memory in order too
-    order = np.argsort(ys * width + xs, kind="stable")
+    order = np.argsort(s.ys * width + s.xs, kind="stable")
     # node c for column c in 1..width - 1; node 0 is null, and its two
     # child slots collect the halves of a split; node `head` holds the
     # root as its right child, so that a row starts from rch[head]
@@ -125,7 +123,7 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     end = ends.append
     row = 0
     prev = head
-    for pid, c, r in zip(order.tolist(), xs[order].tolist(), ys[order].tolist()):
+    for pid, c, r in zip(order.tolist(), s.xs[order].tolist(), s.ys[order].tolist()):
         if r != row:
             row = r
             prev = head
@@ -190,22 +188,22 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     OR over its out-segments, unpacked ``poset.MASK_ROW_BLOCK`` vertices
     at a time into a bool matrix whose ``np.nonzero`` lists them.
     """
-    kinds = d.scene.kinds
-    out: list[list[int]] = [[] for _ in kinds]
-    reach = [0] * len(kinds)
-    vertices = [pid for pid, kind in enumerate(kinds) if kind == VERTEX]
+    codes = d.scene.codes.tolist()
+    out: list[list[int]] = [[] for _ in codes]
+    reach = [0] * len(codes)
+    vertices = [pid for pid, code in enumerate(codes) if code == VERTEX_CODE]
     for bit, pid in enumerate(vertices):
         reach[pid] = 1 << bit
     # per junction: its junction predecessors, and its junction
     # successors not yet settled
     preds: dict[int, list[int]] = {}
-    pending = [0] * len(kinds)
+    pending = [0] * len(codes)
     for lo, hi in zip(*d.segments.T.tolist()):
         out[lo].append(hi)
-        if kinds[lo] == JUNCTION and kinds[hi] == JUNCTION:
+        if codes[lo] == JUNCTION_CODE == codes[hi]:
             pending[lo] += 1
             preds.setdefault(hi, []).append(lo)
-    junctions = [pid for pid, kind in enumerate(kinds) if kind == JUNCTION]
+    junctions = [pid for pid, code in enumerate(codes) if code == JUNCTION_CODE]
     ready = [j for j in junctions if not pending[j]]
     while ready:
         j = ready.pop()
@@ -310,7 +308,7 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     s = d.scene
 
     if len(s.xs) <= COVERS_CHECK_LIMIT:
-        coords = list(zip(s.xs, s.ys))
+        coords = list(zip(s.xs.tolist(), s.ys.tolist()))
         expected = dominance_covers(coords)
         actual = pairs_of(coords, d.segments[:, 0], d.segments[:, 1])
         extra = actual - expected
@@ -331,14 +329,12 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
     )
 
-    xs = np.array(s.xs, np.int64)
-    ys = np.array(s.ys, np.int64)
     rendered = d.drawn_segments()
-    conflicts = _conflicting_pairs(xs, ys, rendered)
+    conflicts = _conflicting_pairs(s.xs, s.ys, rendered)
     report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
 
-    outdeg, indeg = (np.bincount(d.segments[:, k], minlength=len(xs)) for k in (0, 1))
-    junction = s.kind_codes() == JUNCTION_CODE
+    outdeg, indeg = (np.bincount(d.segments[:, k], minlength=len(s.xs)) for k in (0, 1))
+    junction = s.codes == JUNCTION_CODE
     bad_junctions = np.flatnonzero(junction & ((indeg < 2) | (outdeg < 2))).tolist()
     report.add(
         "degrees",
@@ -346,7 +342,7 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         f"junctions with degree < 2: {bad_junctions}" if bad_junctions else "",
     )
 
-    blocked = _blocked_rays(s, p, *rotate45(xs, ys), rendered)
+    blocked = _blocked_rays(s, p, *rotate45(s.xs, s.ys), rendered)
     report.add(
         "visibility",
         not blocked,
@@ -474,7 +470,7 @@ def _blocked_rays(
     """
     ext = extremes(p)
     names = sorted(ext.minimal | ext.maximal)
-    ids = np.flatnonzero(s.kind_codes() == VERTEX_CODE).tolist()
+    ids = np.flatnonzero(s.codes == VERTEX_CODE).tolist()
     vertex = dict(zip(map(s.labels.__getitem__, ids), ids))
     pid = np.array([vertex[label] for label in names], np.int64)
     by_u = np.argsort(us[pid], kind="stable")

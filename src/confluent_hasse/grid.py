@@ -4,30 +4,25 @@ Elements go to even grid cells, one per even row and even column, with
 coordinates twice their ranks in the two realizing orders. Junction
 points then fill odd cells wherever the four neighbour conditions hold,
 and invisible bound points cap the diagonal when the order lacks a
-least or greatest element. The scene is four columns, x, y, kind and
-label, that the producers append to, and the kinds again as one byte
-code per point for masks; a point's id is its index in them, and
-segments and the renderers refer to points by it. The
-dominance order on the resulting point set is the smallest complete
-lattice containing the input order; the test suite certifies this
-against the cut-enumeration oracle.
+least or greatest element. The scene is four columns indexed by point
+id, x, y, kind code and label, which segments and the renderers refer
+to; this module alone builds them, each producer whole columns at once,
+and the arrays are read-only. The dominance order on the resulting
+point set is the smallest complete lattice containing the input order;
+the test suite certifies this against the cut-enumeration oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .realizer import Realizer
 
-VERTEX = "vertex"
-JUNCTION = "junction"
-INVISIBLE = "invisible"
-# the kinds as small ints, for masks over the scene (GridScene.kind_codes)
+# the kind names, indexed by kind code: the names are JSON text
+KINDS = VERTEX, JUNCTION, INVISIBLE = ("vertex", "junction", "invisible")
 VERTEX_CODE, JUNCTION_CODE, INVISIBLE_CODE = range(3)
-_KIND_CODE = {VERTEX: VERTEX_CODE, JUNCTION: JUNCTION_CODE, INVISIBLE: INVISIBLE_CODE}
-_KIND_BYTE = {kind: bytes((code,)) for kind, code in _KIND_CODE.items()}
 
 
 @dataclass(slots=True)
@@ -38,52 +33,54 @@ class GridPoint:
     label: str | None = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class GridScene:
-    """Points on the (2n+1) x (2n+1) grid, as columns indexed by id."""
+    """Points on the (2n+1) x (2n+1) grid, as columns indexed by id: x and
+    y (int64), kind code (int8) and label (None but on vertices)."""
 
     n: int
-    xs: list[int] = field(default_factory=list)
-    ys: list[int] = field(default_factory=list)
-    kinds: list[str] = field(default_factory=list)
-    labels: list[str | None] = field(default_factory=list)
-    # the kinds as codes, one byte per id, kept in step with kinds
-    codes: bytearray = field(init=False, repr=False, compare=False)
+    xs: np.ndarray
+    ys: np.ndarray
+    codes: np.ndarray
+    labels: list[str | None]
 
     def __post_init__(self) -> None:
-        self.codes = bytearray(map(_KIND_CODE.__getitem__, self.kinds))
+        self.xs, self.ys = np.asarray(self.xs, np.int64), np.asarray(self.ys, np.int64)
+        self.codes, self.labels = np.asarray(self.codes, np.int8), list(self.labels)
+        for column in (self.xs, self.ys, self.codes):
+            column.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridScene):
+            return NotImplemented
+        columns = zip((self.xs, self.ys, self.codes), (other.xs, other.ys, other.codes))
+        same = all(np.array_equal(a, b) for a, b in columns)
+        return self.n == other.n and same and self.labels == other.labels
 
     @property
     def side(self) -> int:
         return 2 * self.n + 1
 
     @property
+    def kinds(self) -> tuple[str, ...]:
+        """The kind names by id, derived from the codes on each read."""
+        return tuple(map(KINDS.__getitem__, self.codes.tolist()))
+
+    @property
     def points(self) -> tuple[GridPoint, ...]:
         """The points as records, built anew: a view for outside callers."""
-        return tuple(map(GridPoint, self.kinds, self.xs, self.ys, self.labels))
+        return tuple(map(GridPoint, self.kinds, self.xs.tolist(), self.ys.tolist(), self.labels))
 
-    def kind_codes(self) -> np.ndarray:
-        """The kinds as an int8 column of VERTEX_CODE, JUNCTION_CODE and
-        INVISIBLE_CODE, indexed by id."""
-        return np.frombuffer(self.codes, np.int8).copy()
 
-    def add(self, kind: str, xs: list[int], ys: list[int], labels: list | None = None) -> int:
-        """Append points of one kind (labels None by default); returns the first id."""
-        first = len(self.xs)
-        self.xs += xs
-        self.ys += ys
-        self.kinds += [kind] * len(xs)
-        self.codes += _KIND_BYTE[kind] * len(xs)
-        self.labels += [None] * len(xs) if labels is None else labels
-        return first
+def vertex_scene(n: int, ys, labels) -> GridScene:
+    """The scene of n vertices, vertex k at (2k + 2, ys[k]) labelled labels[k]."""
+    return GridScene(n, np.arange(2, 2 * n + 1, 2), ys, np.full(n, VERTEX_CODE, np.int8), labels)
 
 
 def place_on_grid(r: Realizer) -> GridScene:
     """One vertex per element at (2 * rank1, 2 * rank2)."""
     pos2 = {lab: 2 * i + 2 for i, lab in enumerate(r.l2)}
-    s = GridScene(r.n)
-    s.add(VERTEX, list(range(2, 2 * r.n + 1, 2)), [pos2[lab] for lab in r.l1], list(r.l1))
-    return s
+    return vertex_scene(r.n, [pos2[lab] for lab in r.l1], r.l1)
 
 
 def insert_junctions(s: GridScene) -> GridScene:
@@ -101,37 +98,51 @@ def insert_junctions(s: GridScene) -> GridScene:
     """
     n = s.n
     side = 2 * n + 1
-    cells = [(x, y) for x, y, kind in zip(s.xs, s.ys, s.kinds) if kind == VERTEX]
-    verts = np.array(cells, np.int64).reshape(-1, 2)
+    vertex = s.codes == VERTEX_CODE
     ycol = np.zeros(side + 1, np.int64)
     xrow = np.zeros(side + 1, np.int64)
-    ycol[verts[:, 0]] = verts[:, 1]
-    xrow[verts[:, 1]] = verts[:, 0]
+    ycol[s.xs[vertex]] = s.ys[vertex]
+    xrow[s.ys[vertex]] = s.xs[vertex]
 
-    out = GridScene(n, s.xs.copy(), s.ys.copy(), s.kinds.copy(), s.labels.copy())
     j = np.arange(3, side - 1, 2)
     left, right = xrow[j - 1], xrow[j + 1]
+    columns, rows = [], []
     for i in range(3, side - 1, 2):
         # the column conditions leave the odd rows ycol[i-1] < j-1, j+1 < ycol[i+1]
         lo, hi = ycol[i - 1] // 2, ycol[i + 1] // 2 - 2
         if lo < hi:
-            rows = j[lo:hi][(left[lo:hi] < i - 1) & (right[lo:hi] > i + 1)].tolist()
-            out.add(JUNCTION, [i] * len(rows), rows)
+            columns.append(i)
+            rows.append(j[lo:hi][(left[lo:hi] < i - 1) & (right[lo:hi] > i + 1)])
+    jxs = np.repeat(columns, [len(r) for r in rows])
+    jys = np.concatenate(rows) if rows else []
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
-    bound_points(out, has_least, has_greatest)
-    return out
+    return with_junctions(s, jxs, jys, has_least, has_greatest)[0]
+
+
+def with_junctions(
+    s: GridScene, jxs, jys, has_least: bool, has_greatest: bool
+) -> tuple[GridScene, int | None, int | None]:
+    """The scene's points, then junctions at (jxs, jys), then the
+    invisible bounds of ``bound_points``; and the bounds' ids."""
+    jxs, jys = np.asarray(jxs, np.int64), np.asarray(jys, np.int64)
+    cells, bottom, top = bound_points(s.n, len(s.xs) + len(jxs), has_least, has_greatest)
+    codes = np.repeat(np.int8([JUNCTION_CODE, INVISIBLE_CODE]), [len(jxs), len(cells)])
+    xs, ys = np.concatenate((s.xs, jxs, cells)), np.concatenate((s.ys, jys, cells))
+    labels = s.labels + [None] * len(codes)
+    return GridScene(s.n, xs, ys, np.concatenate((s.codes, codes)), labels), bottom, top
 
 
 def bound_points(
-    s: GridScene, has_least: bool, has_greatest: bool
-) -> tuple[int | None, int | None]:
-    """Append the invisible (bottom, top) bounds that cap the diagonal
-    of an n-element order's grid, and return their ids: one at (1, 1)
-    unless the order has a least element, one at (side, side) unless it
-    has a greatest; the empty order gets only (1, 1). None stands for a
-    bound the order does not need."""
-    bottom = None if has_least else s.add(INVISIBLE, [1], [1])
-    top = None if has_greatest or s.n == 0 else s.add(INVISIBLE, [s.side], [s.side])
-    return bottom, top
+    n: int, first: int, has_least: bool, has_greatest: bool
+) -> tuple[np.ndarray, int | None, int | None]:
+    """The cells (x = y) and the ids (bottom, top), numbered from first,
+    of the invisible bounds that cap the diagonal of an n-element
+    order's grid: one at (1, 1) unless the order has a least element,
+    one at (side, side) unless it has a greatest; the empty order gets
+    only (1, 1). None stands for a bound the order does not need."""
+    bottom = None if has_least else first
+    top = None if has_greatest or n == 0 else first + (bottom is not None)
+    cells = [c for c, pid in ((1, bottom), (2 * n + 1, top)) if pid is not None]
+    return np.array(cells, np.int64), bottom, top

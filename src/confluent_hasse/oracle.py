@@ -16,8 +16,6 @@ import numpy as np
 
 from .poset import Poset
 
-Pair = tuple[int, int]
-
 
 class TooLargeForOracle(ValueError):
     """Instance exceeds the exponential-enumeration guard."""
@@ -185,7 +183,7 @@ def scene_matches_completion(scene, p: Poset) -> bool:
     sets and point dominance coincides with key containment.
     """
     comp = dm_completion(p)
-    xs, ys, kinds, labels = scene.xs, scene.ys, scene.kinds, scene.labels
+    xs, ys, kinds, labels = scene.xs.tolist(), scene.ys.tolist(), scene.kinds, scene.labels
     ids = range(len(kinds))
     if len(ids) != len(comp.cuts):
         return False

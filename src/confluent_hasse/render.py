@@ -4,8 +4,8 @@ The grid diagram lives in dominance orientation (up and to the right);
 ``diagram.rotate45`` maps (x, y) to (u, v), which turns dominance into
 plain "higher v" so every track runs upward. Both writers read the
 ``Diagram`` itself and take the columns u and v of its scene from one
-``rotate45`` call over the x and y columns; ``bezier_controls`` rotates
-the two ends of one track the same way. Tracks are cubic Bezier
+``rotate45`` call over the scene's x and y arrays; ``bezier_controls``
+rotates the two ends of one track the same way. Tracks are cubic Bezier
 curves; at a junction endpoint the control point sits a fixed small
 distance directly above or below the junction so that all tracks
 through it share a vertical tangent, and at vertex endpoints the
@@ -48,7 +48,7 @@ from operator import is_not
 import numpy as np
 
 from .diagram import Diagram, rotate45
-from .grid import INVISIBLE_CODE, JUNCTION, JUNCTION_CODE, VERTEX, GridScene
+from .grid import INVISIBLE_CODE, JUNCTION_CODE, KINDS, VERTEX_CODE, GridScene
 
 
 # radii in rotated grid units; CANVAS_SCALE is SVG pixels per unit
@@ -67,18 +67,13 @@ class RenderOptions:
             raise ValueError("bezier offset must lie strictly between 0 and 1")
 
 
-def _rotated(s: GridScene) -> tuple[np.ndarray, np.ndarray]:
-    """The columns u and v of the scene's points, by id."""
-    return rotate45(np.array(s.xs, np.int64), np.array(s.ys, np.int64))
-
-
-def _control_shift(kind: str, delta):
+def _control_shift(code: int, delta):
     """How far a track's control point sits from its endpoint of this
-    kind: straight above the lower end, straight below the upper end.
-    A junction pushes it by delta, so that all tracks through the
+    kind code: straight above the lower end, straight below the upper
+    end. A junction pushes it by delta, so that all tracks through the
     junction share a vertical tangent; at a vertex or an invisible
     point the control degenerates onto the endpoint (0)."""
-    return delta if kind == JUNCTION else 0
+    return delta if code == JUNCTION_CODE else 0
 
 
 def bezier_controls(s: GridScene, lo: int, hi: int, delta):
@@ -88,21 +83,20 @@ def bezier_controls(s: GridScene, lo: int, hi: int, delta):
     ``delta`` may be a float for drawing or a Fraction for exact
     checks; ``to_svg`` draws every track by the same rule.
     """
-    u0, v0 = rotate45(s.xs[lo], s.ys[lo])
-    u3, v3 = rotate45(s.xs[hi], s.ys[hi])
-    c1 = (u0, v0 + _control_shift(s.kinds[lo], delta))
-    c2 = (u3, v3 - _control_shift(s.kinds[hi], delta))
+    u0, v0 = rotate45(int(s.xs[lo]), int(s.ys[lo]))
+    u3, v3 = rotate45(int(s.xs[hi]), int(s.ys[hi]))
+    c1 = (u0, v0 + _control_shift(s.codes[lo], delta))
+    c2 = (u3, v3 - _control_shift(s.codes[hi], delta))
     return (u0, v0), c1, c2, (u3, v3)
 
 
 def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     """Deterministic standalone SVG of the diagram, turned upward."""
-    kinds, labels = d.scene.kinds, d.scene.labels
-    us, vs = _rotated(d.scene)
-    codes = d.scene.kind_codes()
+    codes, labels = d.scene.codes, d.scene.labels
+    us, vs = rotate45(d.scene.xs, d.scene.ys)
     # the points in drawing order, bottom to top; the columns below are
     # indexed by this rank
-    vis = np.arange(len(kinds)) if opts.show_invisible else np.flatnonzero(codes != INVISIBLE_CODE)
+    vis = np.arange(len(codes)) if opts.show_invisible else np.flatnonzero(codes != INVISIBLE_CODE)
     order = vis[np.lexsort((vis, us[vis], vs[vis]))]
     u, v = us[order], vs[order]
 
@@ -127,7 +121,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     ys = list(map(fmt, ((vmax - v) * s + margin).tolist()))
     above, below = ys.copy(), ys.copy()
     junctions = np.flatnonzero(codes[order] == JUNCTION_CODE)
-    vj, shift = v[junctions], _control_shift(JUNCTION, opts.bezier_offset)
+    vj, shift = v[junctions], _control_shift(JUNCTION_CODE, opts.bezier_offset)
     for r, a, b in zip(
         junctions.tolist(),
         map(fmt, ((vmax - (vj + shift)) * s + margin).tolist()),
@@ -145,7 +139,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     # without those that have an invisible end unless these are shown
     segs = d.segments if opts.show_invisible else d.drawn_segments()
     lo, hi = segs[:, 0], segs[:, 1]
-    rank = np.empty(len(kinds), np.int64)
+    rank = np.empty(len(codes), np.int64)
     rank[order] = np.arange(len(order))
     rank_lo, rank_hi = rank[lo], rank[hi]
     tracks = np.lexsort((rank_hi, rank_lo))
@@ -158,9 +152,8 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     node_r = f"{NODE_RADIUS * s:.2f}"
     junction_r = f"{JUNCTION_RADIUS * s:.2f}"
     font_size = f"{0.3 * s:.2f}"
-    for i, cx, cy in zip(order.tolist(), xs, ys):
-        kind = kinds[i]
-        if kind == VERTEX:
+    for i, code, cx, cy in zip(order.tolist(), codes[order].tolist(), xs, ys):
+        if code == VERTEX_CODE:
             out.append(
                 f'  <circle cx="{cx}" cy="{cy}" r="{node_r}" '
                 'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>'
@@ -169,7 +162,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
                 f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
                 f'font-family="Helvetica,sans-serif" font-size="{font_size}">{_esc(labels[i] or "")}</text>'
             )
-        elif kind == JUNCTION:
+        elif code == JUNCTION_CODE:
             out.append(f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" fill="#222222"/>')
         else:
             out.append(
@@ -225,9 +218,9 @@ _TAIL = """,
 """
 
 
-def _node_template(kind: str, labelled: bool) -> str:
-    """_NODE for one kind, with a label field (its %s left to fill) or none."""
-    return _NODE.replace("%s", encode_basestring_ascii(kind), 1).replace(
+def _node_template(code: int, labelled: bool) -> str:
+    """_NODE for one kind code, with a label field (its %s left to fill) or none."""
+    return _NODE.replace("%s", encode_basestring_ascii(KINDS[code]), 1).replace(
         "%s", _LABEL if labelled else "", 1
     )
 
@@ -292,17 +285,16 @@ def _joined_rows(template: str, fields: list[np.ndarray]) -> str:
 def to_json(d: Diagram) -> str:
     """Machine-readable layout with both grid and rotated coordinates."""
     s = d.scene
-    xs, ys = np.array(s.xs, np.int64), np.array(s.ys, np.int64)
-    us, vs = rotate45(xs, ys)
-    ids = np.arange(len(xs))
-    # the segments sorted by (lower id, upper id), the ids being < len(xs)
-    segs = d.segments[np.argsort(d.segments[:, 0] * len(xs) + d.segments[:, 1])]
+    us, vs = rotate45(s.xs, s.ys)
+    ids = np.arange(len(s.xs))
+    # the segments sorted by (lower id, upper id), the ids being < len(s.xs)
+    segs = d.segments[np.argsort(d.segments[:, 0] * len(s.xs) + d.segments[:, 1])]
     runs = []
     segment_text = []
-    if len(xs):
+    if len(s.xs):
         # every integer of the document is one row of this table
-        lo = min(0, int(xs.min()), int(ys.min()), int(us.min()))
-        hi = max(len(xs) - 1, int(xs.max()), int(ys.max()), int(vs.max()))
+        lo = min(0, int(s.xs.min()), int(s.ys.min()), int(us.min()))
+        hi = max(len(s.xs) - 1, int(s.xs.max()), int(s.ys.max()), int(vs.max()))
         table = _digit_table(lo, hi)
 
         def digits(column: np.ndarray) -> np.ndarray:
@@ -310,17 +302,17 @@ def to_json(d: Diagram) -> str:
             width = max(len(str(column.min())), len(str(column.max())))
             return np.take(table, column - lo, axis=0)[:, :width]
 
-        nodes = [digits(column) for column in (xs, ys, ids, us, vs)]
+        nodes = [digits(column) for column in (s.xs, s.ys, ids, us, vs)]
         # one template per run of points with the same kind and label
         # presence; the labels are filled in by one % call per run, whose
         # only % are the label fields: the digits and the other template
         # bytes hold none
-        labelled = np.fromiter(map(is_not, s.labels, repeat(None)), bool, len(xs))
-        key = s.kind_codes() * 2 + labelled
-        bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(xs)]
+        labelled = np.fromiter(map(is_not, s.labels, repeat(None)), bool, len(s.xs))
+        key = s.codes * 2 + labelled
+        bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(s.xs)]
         for start, stop in zip(bounds, bounds[1:]):
             has_label = bool(labelled[start])
-            template = _node_template(s.kinds[start], has_label)
+            template = _node_template(s.codes[start], has_label)
             text = _joined_rows(template, [field[start:stop] for field in nodes])
             if has_label:
                 text %= tuple(map(encode_basestring_ascii, s.labels[start:stop]))

@@ -33,9 +33,10 @@ just above the lower part's top vertex. A series step inserts a
 junction at the cell up-and-right of the lower box's corner exactly
 when the lower part has several maximal elements and the upper part
 several minimal ones; otherwise the unique extreme vertex fans out
-directly. Invisible bounds come from ``grid.bound_points``, as in the
-general pipeline, so the result is that pipeline's diagram of the same
-realizer without its quadratic scan of the grid.
+directly. ``grid.with_junctions`` adds the junctions and the invisible
+bounds to the vertices, as in the general pipeline, so the result is
+that pipeline's diagram of the same realizer without its quadratic scan
+of the grid.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import re
 import numpy as np
 
 from .diagram import Diagram
-from .grid import JUNCTION, VERTEX, GridScene, bound_points
+from .grid import vertex_scene, with_junctions
 from .poset import Poset
 from .realizer import Realizer, poset_from_realizer
 
@@ -430,10 +431,9 @@ def sp_layout(t: SpTree) -> Diagram:
     while q >= 0:
         ys[q] = y
         q, y = next2[q], y + 2
-    scene = GridScene(n)
-    scene.add(VERTEX, list(range(2, 2 * n + 1, 2)), ys, labels)
-    scene.add(JUNCTION, jxs, [ys[q] + 1 for q in below])
-    bottom, top = bound_points(scene, minima == minima_tail, maxima == maxima_tail)
+    jys = [ys[q] + 1 for q in below]
+    least, greatest = minima == minima_tail, maxima == maxima_tail
+    scene, bottom, top = with_junctions(vertex_scene(n, ys, labels), jxs, jys, least, greatest)
     if bottom is not None:
         q = minima
         while q >= 0:

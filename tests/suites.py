@@ -24,7 +24,7 @@ from confluent_hasse import (
     transitive_reduction,
 )
 from confluent_hasse.diagram import COVERS_CHECK_LIMIT, Segment, ValidationReport
-from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX, bound_points, place_on_grid
+from confluent_hasse.grid import INVISIBLE, JUNCTION, KINDS, VERTEX, bound_points, place_on_grid
 from confluent_hasse.oracle import Completion, DuplicatePointError
 from confluent_hasse.poset import Extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
@@ -126,10 +126,9 @@ def sp_preorder(t: SpTree) -> list[tuple[str, str | None]]:
 def scene_of(n: int, points) -> GridScene:
     """The scene on the (2n+1)-sided grid of explicit points (kind, x,
     y) or (kind, x, y, label), in id order."""
-    s = GridScene(n)
-    for kind, x, y, *label in points:
-        s.add(kind, [x], [y], label or None)
-    return s
+    points = [(*p, None) if len(p) == 3 else p for p in points]
+    kinds, xs, ys, labels = zip(*points) if points else ((), (), (), ())
+    return GridScene(n, xs, ys, [KINDS.index(kind) for kind in kinds], labels)
 
 
 def of_kind(s: GridScene, kind: str) -> list[GridPoint]:
@@ -412,9 +411,8 @@ def reference_insert_junctions(s: GridScene) -> GridScene:
 
     has_least = n >= 1 and ycol[2] == 2
     has_greatest = n >= 1 and ycol[2 * n] == 2 * n
-    scene = scene_of(n, points)
-    bound_points(scene, has_least, has_greatest)
-    return scene
+    cells, _, _ = bound_points(n, len(points), has_least, has_greatest)
+    return scene_of(n, points + [(INVISIBLE, c, c) for c in cells])
 
 
 def reference_sweep_cover_edges(s: GridScene) -> Diagram:
@@ -976,8 +974,8 @@ def reference_sp_layout(t: SpTree) -> Diagram:
         done.append((min_l, max_r, xr, yr))
 
     minima, maxima, _, _ = done.pop()
-    scene = scene_of(scene.n, points)
-    bottom, top = bound_points(scene, minima.size == 1, maxima.size == 1)
+    cells, bottom, top = bound_points(scene.n, len(points), minima.size == 1, maxima.size == 1)
+    scene = scene_of(scene.n, points + [(INVISIBLE, c, c) for c in cells])
     if bottom is not None:
         segments.extend((bottom, q) for q in minima)
     if top is not None:

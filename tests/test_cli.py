@@ -191,6 +191,48 @@ def test_non_utf8_input_exit_1(tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--emit", "json"], ["--out", "FILE"]])
+def test_invalid_utf8_on_stdin_exit_1(tmp_path, capsys, monkeypatch, flags):
+    # under the C locale Python reads stdin with surrogateescape, which
+    # turns the byte 0xff into a lone surrogate instead of an error
+    import io
+
+    out = tmp_path / "out.svg"
+    flags = [str(out) if flag == "FILE" else flag for flag in flags]
+    stdin = io.TextIOWrapper(io.BytesIO(b"a \xff\n"), "utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(["-", *flags]) == EXIT_INPUT
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.startswith("error: cannot read '-': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_invalid_utf8_on_stdin_under_the_c_locale(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, LC_ALL="C")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    for flags in ([], ["--emit", "json"], ["--out", str(tmp_path / "out.svg")]):
+        done = subprocess.run(
+            [sys.executable, "-m", "confluent_hasse", *flags],
+            input=b"a \xff\n",
+            env=env,
+            capture_output=True,
+        )
+        assert done.returncode == EXIT_INPUT, flags
+        assert done.stdout == b""
+        lines = done.stderr.decode("utf-8", "replace").splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read '-': "), lines
+        assert b"Traceback" not in done.stderr
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_bad_flag_exit_1(capsys):
     assert run(["--no-such-flag"]) == EXIT_INPUT
 

@@ -1,6 +1,7 @@
 import gc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +22,13 @@ from confluent_hasse.grid import (
     JUNCTION_CODE,
     VERTEX,
     VERTEX_CODE,
-    GridScene,
 )
+from confluent_hasse.sp import parse_sp, sp_layout
 from suites import (
     of_kind,
     random_realizer_suite,
     reference_insert_junctions,
+    scene_of,
     vertex_dominance_poset,
 )
 
@@ -147,8 +149,8 @@ def test_insert_junctions_equals_the_reference_loop():
 
 
 def test_insert_junctions_tracks_no_object_per_point():
-    # the columns hold ints and shared strings, which the cyclic
-    # collector does not track; the scene has 4,483 points
+    # the columns are three arrays and one list of labels, not an object
+    # per point; the scene has 4,483 points
     r = gen_worstcase(64)
     gc.collect()
     before = len(gc.get_objects())
@@ -159,14 +161,28 @@ def test_insert_junctions_tracks_no_object_per_point():
 
 
 def test_kind_codes_stay_in_step_with_the_kinds():
+    # every producer makes whole read-only columns of one length, and the
+    # kinds and points read on the scene are derived from its codes
     code = {VERTEX: VERTEX_CODE, JUNCTION: JUNCTION_CODE, INVISIBLE: INVISIBLE_CODE}
-    s = GridScene(2, [2, 4], [4, 2], [VERTEX, VERTEX], ["a", "b"])
-    s.add(JUNCTION, [3, 5], [3, 5])
-    s.add(INVISIBLE, [1], [1])
-    codes = s.kind_codes()
-    assert codes.dtype == np.int8 and codes.tolist() == [code[k] for k in s.kinds]
-    codes[0] = INVISIBLE_CODE  # a copy: the scene keeps its codes
-    assert s.kind_codes()[0] == VERTEX_CODE
+    points = [(VERTEX, 2, 4, "a"), (VERTEX, 4, 2, "b"), (JUNCTION, 3, 3), (INVISIBLE, 1, 1)]
+    scenes = [scene_of(2, points), scene_of(0, [])]
     for r in [gen_worstcase(3), gen_random(9, 4), Realizer((), ())]:
-        t = insert_junctions(place_on_grid(r))
-        assert t.kind_codes().tolist() == [code[k] for k in t.kinds]
+        scenes += [place_on_grid(r), insert_junctions(place_on_grid(r))]
+    scenes += [sp_layout(parse_sp(text)).scene for text in ("a", "(a|b);(c|d)", "a|b|c")]
+    for s in scenes:
+        assert s.xs.dtype == s.ys.dtype == np.int64 and s.codes.dtype == np.int8
+        assert len(s.xs) == len(s.ys) == len(s.codes) == len(s.labels)
+        for column in (s.xs, s.ys, s.codes):
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        assert [code[k] for k in s.kinds] == s.codes.tolist()
+        assert [code[p.kind] for p in s.points] == s.codes.tolist()
+        assert [(p.x, p.y) for p in s.points] == list(zip(s.xs.tolist(), s.ys.tolist()))
+        assert all(type(p.x) is int and type(p.y) is int for p in s.points)
+    assert [(p.kind, p.x, p.y, p.label) for p in scenes[0].points] == [
+        (*p, None)[:4] for p in points
+    ]
+    # equality reads n and every column
+    assert scene_of(2, points) == scenes[0] != scene_of(3, points)
+    for changed in [(VERTEX, 2, 4, "c"), (VERTEX, 2, 3, "a"), (VERTEX, 3, 4, "a"), (JUNCTION, 2, 4)]:
+        assert scene_of(2, [changed, *points[1:]]) != scenes[0]
