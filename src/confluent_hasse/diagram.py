@@ -22,6 +22,11 @@ The checks of ``validate_diagram`` run in array passes, so that
 ``--verify`` scales with the drawing. They read the segment array and
 the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
 
+- segments are certified as the dominance covers by
+  ``oracle.segments_are_dominance_covers``, from prefix counts of the
+  points in points + segments lookups; the quadratic oracle
+  ``dominance_covers`` runs only when the certificate fails, to count
+  the non-covers and the missing covers;
 - smooth adjacency propagates one int bitset of reachable vertices per
   junction, in the order the junction-to-junction segments give, and
   ORs them per vertex: one pass over the segments;
@@ -242,8 +247,8 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     return pairs_of(labels, np.concatenate(lower), np.concatenate(upper))
 
 
-# the cover oracle behind the segments check takes time quadratic in the
-# points, so it runs only up to here
+# the segments check runs only up to here: the cover oracle that a
+# failing certificate falls back on takes time quadratic in the points
 COVERS_CHECK_LIMIT = 1500
 
 
@@ -285,9 +290,13 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     Reported, never raised, in this order:
 
     - segments: the segment set equals the cover pairs of the dominance
-      order, by ``oracle.dominance_covers`` (a row-wise running minimum
-      over blocks of rows of a points x points integer matrix, quadratic
-      in time); skipped above COVERS_CHECK_LIMIT points.
+      order, each once. ``oracle.segments_are_dominance_covers``
+      certifies it from prefix counts of the points, in points +
+      segments lookups. When the certificate fails, the comparison with
+      ``oracle.dominance_covers`` (a row-wise running minimum over
+      blocks of rows of a points x points integer matrix, quadratic in
+      time) gives the verdict and its detail. Skipped above
+      COVERS_CHECK_LIMIT points.
     - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
       the cover pairs of p (``transitive_reduction``).
     - planar: drawn segments only meet at shared endpoints. Candidate
@@ -302,12 +311,17 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
       first blocking segment in drawn order is reported per vertex
       (``_blocked_rays``).
     """
-    from .oracle import dominance_covers
+    from .oracle import dominance_covers, segments_are_dominance_covers
 
     report = ValidationReport()
     s = d.scene
 
-    if len(s.xs) <= COVERS_CHECK_LIMIT:
+    if len(s.xs) > COVERS_CHECK_LIMIT:
+        report.skip("segments", "too many points for the cover oracle")
+    elif segments_are_dominance_covers(s.xs, s.ys, d.segments):
+        report.add("segments", True)
+    else:
+        # the certificate failed: the oracle's comparison says how
         coords = list(zip(s.xs.tolist(), s.ys.tolist()))
         expected = dominance_covers(coords)
         actual = pairs_of(coords, d.segments[:, 0], d.segments[:, 1])
@@ -318,8 +332,6 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
             not extra and not missing and len(actual) == len(d.segments),
             f"{len(extra)} non-cover, {len(missing)} missing" if extra or missing else "",
         )
-    else:
-        report.skip("segments", "too many points for the cover oracle")
 
     smooth = smooth_adjacency(d)
     covers = transitive_reduction(p)

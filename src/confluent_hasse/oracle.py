@@ -2,9 +2,12 @@
 
 Everything here is deliberately plain: cut enumeration for the lattice
 completion, and dominance covers from a points × points integer matrix,
-a block of rows at a time, in quadratic time. These routines certify
-the fast pipeline in tests and back the CLI --verify mode, so none of
-them may share code with the constructions they check.
+a block of rows at a time, in quadratic time. A certificate that a
+segment set is exactly those covers reads prefix counts of the points
+instead, in points + segments lookups: --verify runs it first, and the
+quadratic covers only when it fails. These routines certify the fast
+pipeline in tests and back the CLI --verify mode, so none of them may
+share code with the constructions they check.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ def dm_completion(p: Poset, *, max_n: int = 20) -> Completion:
     return Completion(tuple(cuts), Poset(labels, leq))
 
 
-# rows of the dominance matrix that dominance_covers holds at once
+# rows of the dominance matrix that dominance_covers holds at once, and
+# x ranks of the prefix counts that segments_are_dominance_covers holds
 ROW_BLOCK = 128
 
 
@@ -171,6 +175,105 @@ def dominance_covers(
         return frozenset()
     a, b = np.concatenate(lower).tolist(), np.concatenate(upper).tolist()
     return frozenset(zip(map(pts.__getitem__, a), map(pts.__getitem__, b)))
+
+
+def segments_are_dominance_covers(xs, ys, segments) -> bool:
+    """Whether the rows (q, p) of ``segments``, ids into the points
+    (xs[i], ys[i]), are the cover pairs of the dominance order on
+    distinct points, each once: True exactly when the points are
+    distinct and the rows, as coordinate pairs, equal
+    ``dominance_covers`` of the points with no row repeated.
+
+    A certificate, in points + segments lookups into prefix counts of
+    the points (``_prefix_counts``). With D(a, b) the number of points
+    with x <= a and y <= b, and l_1 .. l_k the lower ends of p's rows
+    sorted by x, it checks:
+
+    (i) every row rises: q <= p in both coordinates, q != p in one;
+    (ii) each point's l_1 .. l_k rise strictly in x and fall strictly
+         in y, so no two are comparable, equal or in one column;
+    (iii) each point p is alone in the rectangles
+         (x_{i-1}, x_i] x (y_i, y_p] for i = 1 .. k (x_0 = -inf) and
+         (x_k, x_p] x (-inf, y_p]. Their counts sum, telescoping, to
+         D(p) - sum D(l_i) + sum D(x_{i-1}, y_i), which must be 1.
+
+    Proof. Sound: by (i) and (ii), the rectangles of (iii) are disjoint
+    slabs in x whose union is exactly the points r <= p below no l_i;
+    p is one of them, so (iii) says every other point r <= p lies below
+    some l_i. A point sharing p's cell would be such an r, which it
+    cannot be, as every l_i is strictly below p: the points are
+    distinct. Every cover r of p is a row, since r <= l_i < p forces
+    r = l_i. Every row (q, p) is a cover: a point r strictly between
+    q and p lies below some l_j, so q < r <= l_j, and two lower ends
+    of p would be comparable, against (ii). By (ii) no row is repeated.
+    Complete: if the points are distinct and the rows are the covers,
+    once each, then (i) holds, a point's lower covers form an antichain
+    (ii), and every r < p lies below one of them (iii).
+    """
+    rows = np.asarray(segments, np.int64).reshape(-1, 2)
+    n = len(xs)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+        return False
+    if not n:
+        return True
+    x = np.unique(xs, return_inverse=True)[1]
+    y = np.unique(ys, return_inverse=True)[1]
+    # the rows by upper end, then by the lower end's x
+    by = np.lexsort((x[rows[:, 0]], rows[:, 1]))
+    q, p = rows[by, 0], rows[by, 1]
+    xq, yq, xp, yp = x[q], y[q], x[p], y[p]
+    first = np.diff(p, prepend=-1) != 0
+    rising = (xq <= xp) & (yq <= yp) & ((xq < xp) | (yq < yp))
+    staircase = first | (np.diff(xq, prepend=-1) > 0) & (np.diff(yq, prepend=-1) < 0)
+    if not (rising.all() and staircase.all()):
+        return False
+    # x of the previous lower end of the same point, or -1 for -inf
+    before = np.empty_like(xq)
+    before[1:] = xq[:-1]
+    before[first] = -1
+    # D(p) for every point, then D(x_{i-1}, y_i) for every row, each the
+    # prefix count P(a + 1, b + 1) of D(a, b)
+    counts = _prefix_counts(x, y, np.concatenate((x, before)) + 1, np.concatenate((y, yq)) + 1)
+    down, meets = counts[:n], counts[n:]
+    alone = down.copy()
+    if len(q):
+        alone[p[first]] -= np.add.reduceat(down[q] - meets, np.flatnonzero(first))
+    return bool((alone == 1).all())
+
+
+def _prefix_counts(x, y, i, j) -> np.ndarray:
+    """P(i, j), the number of points (x[k], y[k]) with x < i and y < j,
+    per entry of i and j, for ranks x, y and 0 <= i <= max(x) + 1,
+    0 <= j <= max(y) + 1.
+
+    The i values are taken ROW_BLOCK at a time. ``before`` holds
+    P(top, j) for every j at the block's first value top. Within the
+    block, a table over the block's rows and its own distinct y values
+    counts its points by cumulative sums over their histogram. So the
+    time is O(ROW_BLOCK x points) plus sorts, and memory is
+    O(ROW_BLOCK x distinct y).
+    """
+    stop = int(x.max()) + 2
+    counts = np.empty(len(i), np.int64)
+    before = np.zeros(int(y.max()) + 2, np.int64)
+    for top in range(0, stop, ROW_BLOCK):
+        rows = min(ROW_BLOCK, stop - top)
+        inside = (x >= top) & (x < top + rows)
+        cols, col = np.unique(y[inside], return_inverse=True)
+        width = len(cols) + 1
+        # row t + 1 gets the points of x = top + t, column c + 1 those
+        # of y = cols[c]; after both sums entry (t, c) counts the
+        # block's points with x < top + t and y < cols[c]
+        table = np.bincount(
+            (x[inside] - top + 1) * width + col + 1, minlength=(rows + 1) * width
+        ).reshape(rows + 1, width)
+        np.cumsum(table, axis=1, out=table)
+        np.cumsum(table, axis=0, out=table)
+        at = np.flatnonzero((i >= top) & (i < top + rows))
+        below = np.searchsorted(cols, j[at])
+        counts[at] = before[j[at]] + table.ravel()[(i[at] - top) * width + below]
+        before[1:] += np.cumsum(np.bincount(y[inside], minlength=len(before) - 1))
+    return counts
 
 
 def scene_matches_completion(scene, p: Poset) -> bool:

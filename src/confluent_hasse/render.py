@@ -98,7 +98,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     # indexed by this rank
     vis = np.arange(len(codes)) if opts.show_invisible else np.flatnonzero(codes != INVISIBLE_CODE)
     order = vis[np.lexsort((vis, us[vis], vs[vis]))]
-    u, v = us[order], vs[order]
+    u, v, order_codes = us[order], vs[order], codes[order]
 
     s = CANVAS_SCALE
     margin = 1.2 * s
@@ -120,7 +120,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     xs = list(map(fmt, ((u - umin) * s + margin).tolist()))
     ys = list(map(fmt, ((vmax - v) * s + margin).tolist()))
     above, below = ys.copy(), ys.copy()
-    junctions = np.flatnonzero(codes[order] == JUNCTION_CODE)
+    junctions = np.flatnonzero(order_codes == JUNCTION_CODE)
     vj, shift = v[junctions], _control_shift(JUNCTION_CODE, opts.bezier_offset)
     for r, a, b in zip(
         junctions.tolist(),
@@ -152,7 +152,13 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     node_r = f"{NODE_RADIUS * s:.2f}"
     junction_r = f"{JUNCTION_RADIUS * s:.2f}"
     font_size = f"{0.3 * s:.2f}"
-    for i, code, cx, cy in zip(order.tolist(), codes[order].tolist(), xs, ys):
+    # the vertex labels in drawing order, escaped only if one needs it
+    texts = [labels[i] or "" for i in order[order_codes == VERTEX_CODE].tolist()]
+    joined = "".join(texts)
+    if "&" in joined or "<" in joined or ">" in joined or not joined.isprintable():
+        texts = list(map(_esc, texts))
+    text = iter(texts)
+    for code, cx, cy in zip(order_codes.tolist(), xs, ys):
         if code == VERTEX_CODE:
             out.append(
                 f'  <circle cx="{cx}" cy="{cy}" r="{node_r}" '
@@ -160,7 +166,7 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
             )
             out.append(
                 f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
-                f'font-family="Helvetica,sans-serif" font-size="{font_size}">{_esc(labels[i] or "")}</text>'
+                f'font-family="Helvetica,sans-serif" font-size="{font_size}">{next(text)}</text>'
             )
         elif code == JUNCTION_CODE:
             out.append(f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" fill="#222222"/>')

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,14 @@ from confluent_hasse import (
     transitive_reduction,
     validate_diagram,
 )
-from confluent_hasse import poset
-from confluent_hasse.diagram import Diagram, _blocked_rays, _conflicting_pairs, rotate45
+from confluent_hasse import oracle, poset
+from confluent_hasse.diagram import (
+    COVERS_CHECK_LIMIT,
+    Diagram,
+    _blocked_rays,
+    _conflicting_pairs,
+    rotate45,
+)
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from suites import (
     all_sp_trees,
@@ -201,6 +208,38 @@ def test_validate_skips_segments_beyond_the_cover_oracle(monkeypatch):
     report = validate_diagram(build_diagram(r), poset_from_realizer(r))
     assert report.ok
     assert report.summary().splitlines()[0] == "SKIP segments: too many points for the cover oracle"
+
+
+def test_validate_passes_segments_without_the_cover_oracle(monkeypatch):
+    # the certificate passes a correct drawing; only a failing one goes
+    # on to the oracle's comparison
+    def no_oracle(points):
+        raise AssertionError("dominance_covers called")
+
+    monkeypatch.setattr(oracle, "dominance_covers", no_oracle)
+    for r in (gen_worstcase(32), gen_random(128, 0)):
+        report = validate_diagram(build_diagram(r), poset_from_realizer(r))
+        assert report.summary().splitlines()[0] == "PASS segments"
+
+
+def test_validate_memory_on_a_chain_at_the_cover_limit():
+    # all x and all y distinct: the most ranks the segments check meets
+    # within COVERS_CHECK_LIMIT points. The whole prefix-count table would
+    # take 1,497^2 int64 entries, about 18 MB
+    labels = tuple(f"e{i}" for i in range(1496))
+    r = Realizer(labels, labels)
+    d, p = build_diagram(r), poset_from_realizer(r)
+    assert len(d.scene.xs) == len(set(d.scene.xs.tolist())) == len(set(d.scene.ys.tolist())) == 1496
+    assert len(d.scene.xs) <= COVERS_CHECK_LIMIT
+    tracemalloc.start()
+    try:
+        report = validate_diagram(d, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.summary()
+    assert report.summary().splitlines()[0] == "PASS segments"
+    assert peak < 5_000_000
 
 
 def test_validate_flags_spurious_segment():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +14,13 @@ from confluent_hasse import (
     gen_random,
     gen_worstcase,
     poset_from_relations,
+    sp_layout,
     transitive_reduction,
 )
-from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError
+from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError, segments_are_dominance_covers
+from confluent_hasse.poset import pairs_of
 from suites import (
+    all_sp_trees,
     element_cut_index,
     is_lattice,
     linear_extensions,
@@ -232,6 +236,155 @@ def test_dominance_covers_rejects_duplicates_among_large_coordinates():
     big = 2**40
     with pytest.raises(DuplicatePointError):
         dominance_covers([(big, -big), (0, 0), (1, 2), (big, -big)])
+
+
+def oracle_verdict(points, rows) -> bool:
+    """The segments check as the oracles make it: the rows, as
+    coordinate pairs, equal the dominance covers, and no row repeats.
+    On points that share a cell both oracles raise, and it is False."""
+    if len(set(points)) != len(points):
+        with pytest.raises(DuplicatePointError):
+            dominance_covers(points)
+        return False
+    actual = pairs_of(points, rows[:, 0], rows[:, 1])
+    verdict = dominance_covers(points) == actual and len(actual) == len(rows)
+    assert verdict == (reference_dominance_covers(points) == actual and len(actual) == len(rows))
+    return verdict
+
+
+def certified(points, rows) -> bool:
+    xs = np.array([x for x, _ in points], np.int64)
+    ys = np.array([y for _, y in points], np.int64)
+    return segments_are_dominance_covers(xs, ys, np.asarray(rows, np.int64).reshape(-1, 2))
+
+
+def cover_rows(points) -> np.ndarray:
+    """The dominance covers of distinct points as id rows (lower, upper)."""
+    ids = {pt: i for i, pt in enumerate(points)}
+    rows = sorted((ids[a], ids[b]) for a, b in dominance_covers(points))
+    return np.array(rows, np.int64).reshape(-1, 2)
+
+
+def mutations(rows, n, rng):
+    """The rows shuffled, and with one row dropped, added, duplicated,
+    reversed, replaced by a random pair, or bent to a two-step pair
+    (r, p) for rows (r, q), (q, p)."""
+    m = len(rows)
+    yield rows[rng.sample(range(m), m)]
+    if n:
+        yield np.vstack((rows, [(rng.randrange(n), rng.randrange(n))]))
+    if not m:
+        return
+    k = rng.randrange(m)
+    yield np.delete(rows, k, axis=0)
+    replaced = rows.copy()
+    replaced[k] = (rng.randrange(n), rng.randrange(n))
+    yield replaced
+    yield np.vstack((rows, rows[k]))
+    reversed_row = rows.copy()
+    reversed_row[k] = rows[k, ::-1]
+    yield reversed_row
+    two_steps = [
+        (i, j) for i, (q, _) in enumerate(rows.tolist()) for j in np.flatnonzero(rows[:, 1] == q)
+    ]
+    if two_steps:
+        i, j = rng.choice(two_steps)
+        bent = rows.copy()
+        bent[i, 0] = rows[j, 0]
+        yield bent
+
+
+def assert_certificate_agrees(points, rows, rng):
+    """On the rows and on each of their mutations, the certificate's
+    verdict is the oracles'."""
+    assert certified(points, rows) == oracle_verdict(points, rows), (points, rows)
+    for mutated in mutations(rows, len(points), rng):
+        assert certified(points, mutated) == oracle_verdict(points, mutated), (points, mutated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=14),
+    st.integers(0, 2**32),
+)
+def test_certificate_agrees_with_the_oracles_on_point_sets(points, seed):
+    rng = random.Random(seed)
+    if len(set(points)) == len(points):
+        rows = cover_rows(points)
+    else:
+        # points sharing a cell: no segment set passes
+        rows = np.array([(rng.randrange(len(points)), rng.randrange(len(points))) for _ in range(3)])
+    assert_certificate_agrees(points, rows, rng)
+
+
+def suite_diagrams():
+    for r in random_realizer_suite():
+        yield build_diagram(r)
+    for k in range(1, 21):
+        yield build_diagram(gen_worstcase(k))
+    for t in all_sp_trees(6):
+        yield sp_layout(t)
+
+
+def test_certificate_agrees_with_the_oracles_on_the_suite_scenes():
+    rng = random.Random(0)
+    for d in suite_diagrams():
+        points = list(zip(d.scene.xs.tolist(), d.scene.ys.tolist()))
+        assert certified(points, d.segments)
+        assert_certificate_agrees(points, d.segments, rng)
+
+
+@pytest.mark.parametrize("d", [build_diagram(gen_worstcase(32)), build_diagram(gen_random(128, 0))])
+def test_certificate_agrees_with_the_oracles_on_benchmark_sized_scenes(d):
+    points = list(zip(d.scene.xs.tolist(), d.scene.ys.tolist()))
+    assert len(np.unique(d.scene.xs)) > ROW_BLOCK  # more than one block of x ranks
+    for seed in range(3):
+        assert_certificate_agrees(points, d.segments, random.Random(seed))
+
+
+def test_certificate_on_an_empty_and_a_one_point_scene():
+    assert certified([], [])
+    assert not certified([], [(0, 0)])
+    assert certified([(5, -3)], [])
+    assert not certified([(5, -3)], [(0, 0)])
+    assert not certified([(5, -3)], [(0, 1)])
+
+
+def test_certificate_takes_the_rows_in_any_order():
+    points = [(0, 0), (1, 1), (2, 2), (0, 3), (3, 0), (3, 3)]
+    rows = cover_rows(points)
+    assert len(rows) == 7
+    for seed in range(10):
+        shuffled = rows[random.Random(seed).sample(range(7), 7)]
+        assert certified(points, shuffled) and oracle_verdict(points, shuffled)
+
+
+def test_certificate_rejects_two_lower_ends_in_one_column():
+    # (0, 0) < (0, 1) < (1, 2): the lower of the two is no cover of the top
+    points = [(0, 0), (0, 1), (1, 2)]
+    assert certified(points, [(0, 1), (1, 2)])
+    for rows in ([(0, 2), (1, 2)], [(0, 1), (1, 2), (0, 2)], [(1, 2), (0, 2)]):
+        rows = np.array(rows)
+        assert not certified(points, rows)
+        assert not oracle_verdict(points, rows)
+
+
+def test_certificate_rejects_a_row_that_falls():
+    # (0, 2) -> (1, 1) falls in y; in place of the cover (1, 0) -> (1, 1)
+    # its signed rectangle counts at (1, 1) still sum to 1, -1 + 2, so
+    # only the check that rows rise rejects it
+    points = [(1, 0), (0, 2), (1, 1)]
+    assert certified(points, [(0, 2)])
+    assert not certified(points, [(1, 2)])
+    assert not oracle_verdict(points, np.array([(1, 2)]))
+
+
+@pytest.mark.parametrize("dx, dy", [(2**40, 0), (0, -(2**40)), (-7, -3)])
+def test_certificate_is_translation_invariant(dx, dy):
+    for pts in point_soups(200):
+        rows = cover_rows(pts)
+        moved = [(x + dx, y + dy) for x, y in pts]
+        assert certified(moved, rows)
 
 
 def test_dimension_oracle_accepts_chains_and_k22():

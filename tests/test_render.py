@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -199,6 +200,13 @@ def _writer_cases():
     # surrogate pair, \" and a % that stays text
     widths = ("é", "😀", '"', "%s")
     yield "label-widths", build_diagram(Realizer(widths, widths[::-1]))
+    # one label among many clean ones needs escaping: markup, a character
+    # XML cannot carry, or a tab, which is not printable but stays
+    for odd_one in ("a&b", "c\x01", "d\te"):
+        labels = [f"v{i}" for i in range(30)]
+        labels[17] = odd_one
+        shuffled = random.Random(7).sample(labels, len(labels))
+        yield f"one-odd-label-{odd_one!r}", build_diagram(Realizer(tuple(labels), tuple(shuffled)))
     for k in (1, 5, 20):
         yield f"worst{k}", build_diagram(gen_worstcase(k))
     for seed in range(50):
