@@ -40,7 +40,8 @@ def main() -> None:
     opts = RenderOptions(show_invisible=args.show_invisible)
     for name, make in EXAMPLES.items():
         path = out_dir / f"{name}.svg"
-        path.write_text(to_svg(make(), opts), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(to_svg(make(), opts))
         print(f"wrote {path}")
 
 

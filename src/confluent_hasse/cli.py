@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input, output or format problem (an
 unreadable or non-UTF-8 input, an unwritable --out, an input too large
-to draw, verify or render in the memory there is), 2 when the input
+to draw, verify, render or write in the memory there is), 2 when the input
 order has dimension greater than two (no upward confluent diagram
 exists in that case), 3 when --verify finds a failed check.
 """
@@ -150,25 +150,37 @@ def _check_writable(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
-def _write_output(path: str, payload: str) -> int:
-    """Write the payload and return the exit code: 1, with one error
-    line, when the path cannot be written."""
+def _out_of_memory(exc: MemoryError) -> int:
+    detail = f": {exc}" if str(exc) else ""
+    sys.stderr.write(f"error: out of memory{detail}\n")
+    return EXIT_INPUT
+
+
+def _write_output(path: str, chunks: list[str]) -> int:
+    """Write the document, given as chunks, and return the exit code:
+    1, with one error line, when the path cannot be written or memory
+    runs out. The chunks are written in turn, so the document is never
+    joined or encoded as one piece."""
     try:
         if path == "-":
             # UTF-8 bytes, as a file gets, whatever stdout's text encoding
             # is; a replaced stdout with no byte buffer takes the text
             buffer = getattr(sys.stdout, "buffer", None)
             if buffer is None:
-                sys.stdout.write(payload)
+                for chunk in chunks:
+                    sys.stdout.write(chunk)
             else:
                 sys.stdout.flush()
-                buffer.write(payload.encode("utf-8"))
+                for chunk in chunks:
+                    buffer.write(chunk.encode("utf-8"))
                 buffer.flush()
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
     except OSError as exc:
         return _cannot_write(path, exc)
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     return EXIT_OK
 
 
@@ -218,7 +230,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _cannot_write(args.out, exc)
 
     if args.bench is not None:
-        return _write_output(args.out, bench.scaling_report(list(args.bench), seed=args.seed))
+        return _write_output(args.out, [bench.scaling_report(list(args.bench), seed=args.seed)])
 
     try:
         text = _read_input(args.input)
@@ -248,16 +260,14 @@ def run(argv: Sequence[str] | None = None) -> int:
             opts = render.RenderOptions(
                 bezier_offset=args.bezier_offset, show_invisible=args.show_invisible
             )
-            payload = render.to_svg(diagram, opts)
+            chunks = render.to_svg(diagram, opts)
         elif args.emit == "json":
-            payload = render.to_json(diagram)
+            chunks = render.to_json(diagram)
         else:
-            payload = bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"
+            chunks = [bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"]
     except MemoryError as exc:
-        detail = f": {exc}" if str(exc) else ""
-        sys.stderr.write(f"error: out of memory{detail}\n")
-        return EXIT_INPUT
-    return _write_output(args.out, payload)
+        return _out_of_memory(exc)
+    return _write_output(args.out, chunks)
 
 
 def main() -> None:

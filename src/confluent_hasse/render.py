@@ -11,29 +11,36 @@ distance directly above or below the junction so that all tracks
 through it share a vertical tangent, and at vertex endpoints the
 control point degenerates onto the endpoint.
 
-Both writers fill fixed text templates and do little work per track.
-``to_svg`` works on numpy columns. One ``lexsort`` puts the visible
-points in drawing order (by v, u, id). Their coordinates, and the two
-control heights of each junction, are computed in float64 in the
-operation order of the scalar expressions, so they give the same
-``.2f`` text, and each is formatted once. ``Diagram.drawn_segments``
-drops the segments with an invisible end by one mask, and a second
-``lexsort`` orders the tracks by the ranks of their ends; a loop then
-writes the text of each track. ``to_json`` writes the text of
-``json.dumps(indent=2)`` without its indenting encoder, which runs in
-pure Python, and builds it in numpy. One table holds the decimal text
-of every integer the document needs (from the least rotated u to the
-largest of the point count and the rotated v), one NUL-padded row of
-ASCII bytes per integer, and it is gathered once per field: x, y, id,
-u, v, and the two ends of the segments, which are sorted by (lower id,
-upper id). The points split into runs of one kind and one label
-presence (vertices, then junctions, then bounds, as the scene lists
-them), found where the kind code or the label presence changes. Each
-run, and the segments, become one uint8 array of rows, the template's
-constant bytes between the gathered digits; one mask drops the NUL
-padding and the bytes are decoded as ASCII. A labelled run's labels are
-filled in after, by one ``%`` call. Their bytes are pinned by the
-reference writers in ``tests/suites.py`` and by the output digests in
+Both writers return the document as a list of chunks, each of at most
+``CHUNK`` lines, whose concatenation is the text; the CLI writes (and,
+for stdout, encodes) them one at a time, so the whole document is never
+held a second time as one joined or encoded piece. Both fill fixed text
+templates and do little work per track. ``to_svg`` works on numpy
+columns. One ``lexsort`` puts the visible points in drawing order (by
+v, u, id). Their coordinates, and the two control heights of each
+junction, are computed in float64 in the operation order of the scalar
+expressions, so they give the same ``.2f`` text; each distinct u, v and
+control height is computed and formatted once (``np.unique`` with its
+inverse), and each point gets its texts by one object-array gather.
+``Diagram.drawn_segments`` drops the segments with an invisible end by
+one mask, and a second ``lexsort`` orders the tracks by the ranks of
+their ends; the tracks, then the points, are written ``CHUNK`` lines at
+a time. ``to_json`` writes the text of ``json.dumps(indent=2)`` without
+its indenting encoder, which runs in pure Python, and builds it in
+numpy. One table holds the decimal text of every integer the document
+needs (from the least rotated u to the largest of the point count and
+the rotated v), one NUL-padded row of ASCII bytes per integer, and it
+is gathered once per field: x, y, id, u, v, and the two ends of the
+segments, which are sorted by (lower id, upper id). The points split
+into runs of one kind and one label presence (vertices, then
+junctions, then bounds, as the scene lists them), found where the kind
+code or the label presence changes. Each block of a run's rows, and of
+the segments, that fills at most ``CHUNK`` lines becomes one uint8
+array of rows, the template's constant bytes between the gathered
+digits; one mask drops the NUL padding and the bytes are decoded as
+ASCII. A labelled block's labels are filled in after, by one ``%``
+call. Their bytes are pinned by the reference writers in
+``tests/suites.py`` and by the output digests in
 ``perfbench/digests.json``.
 """
 
@@ -55,6 +62,9 @@ from .grid import INVISIBLE_CODE, JUNCTION_CODE, KINDS, VERTEX_CODE, GridScene
 NODE_RADIUS = 0.32
 JUNCTION_RADIUS = 0.11
 CANVAS_SCALE = 28.0
+
+# the most lines one chunk of a writer's output holds
+CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -90,8 +100,18 @@ def bezier_controls(s: GridScene, lo: int, hi: int, delta):
     return (u0, v0), c1, c2, (u3, v3)
 
 
-def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
-    """Deterministic standalone SVG of the diagram, turned upward."""
+def _formatted(values: np.ndarray, place) -> np.ndarray:
+    """The ``.2f`` text of place(value) for each value, as an object
+    array; each distinct value is placed and formatted once."""
+    distinct, at = np.unique(values, return_inverse=True)
+    texts = np.empty(len(distinct), object)
+    texts[:] = list(map("{:.2f}".format, place(distinct).tolist()))
+    return texts[at]
+
+
+def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> list[str]:
+    """Deterministic standalone SVG of the diagram, turned upward, as
+    chunks of at most CHUNK lines; their concatenation is the document."""
     codes, labels = d.scene.codes, d.scene.labels
     us, vs = rotate45(d.scene.xs, d.scene.ys)
     # the points in drawing order, bottom to top; the columns below are
@@ -110,43 +130,54 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     width = (umax - umin) * s + 2 * margin
     height = (vmax - vmin) * s + 2 * margin
 
-    # Each point's coordinates are formatted once, and so are the
-    # control-point y values above and below a junction (those of the
-    # tracks leaving it upward and arriving from below); elsewhere the
-    # control degenerates onto the point. The float64 arithmetic keeps
-    # the operation order of (vmax - (v +- shift)) * s + margin: any
-    # other grouping can change a .2f rounding.
-    fmt = "{:.2f}".format
-    xs = list(map(fmt, ((u - umin) * s + margin).tolist()))
-    ys = list(map(fmt, ((vmax - v) * s + margin).tolist()))
+    # Each point's coordinates are formatted once per distinct value,
+    # and so are the control-point y values above and below a junction
+    # (those of the tracks leaving it upward and arriving from below);
+    # elsewhere the control degenerates onto the point. The float64
+    # arithmetic keeps the operation order of (vmax - (v +- shift)) * s
+    # + margin: any other grouping can change a .2f rounding.
+    def y_at(w):
+        return (vmax - w) * s + margin
+
+    xs = _formatted(u, lambda w: (w - umin) * s + margin)
+    ys = _formatted(v, y_at)
     above, below = ys.copy(), ys.copy()
     junctions = np.flatnonzero(order_codes == JUNCTION_CODE)
     vj, shift = v[junctions], _control_shift(JUNCTION_CODE, opts.bezier_offset)
-    for r, a, b in zip(
-        junctions.tolist(),
-        map(fmt, ((vmax - (vj + shift)) * s + margin).tolist()),
-        map(fmt, ((vmax - (vj - shift)) * s + margin).tolist()),
-    ):
-        above[r], below[r] = a, b
+    above[junctions] = _formatted(vj + shift, y_at)
+    below[junctions] = _formatted(vj - shift, y_at)
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    chunks = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
-        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">\n'
     ]
 
     # tracks in order of (rank of the lower end, rank of the upper end),
     # without those that have an invisible end unless these are shown
     segs = d.segments if opts.show_invisible else d.drawn_segments()
-    lo, hi = segs[:, 0], segs[:, 1]
     rank = np.empty(len(codes), np.int64)
     rank[order] = np.arange(len(order))
-    rank_lo, rank_hi = rank[lo], rank[hi]
+    rank_lo, rank_hi = rank[segs[:, 0]], rank[segs[:, 1]]
     tracks = np.lexsort((rank_hi, rank_lo))
-    for a, b in zip(rank_lo[tracks].tolist(), rank_hi[tracks].tolist()):
-        out.append(
-            f'  <path d="M {xs[a]} {ys[a]} C {xs[a]} {above[a]}, {xs[b]} {below[b]}, '
-            f'{xs[b]} {ys[b]}" fill="none" stroke="#222222" stroke-width="1.6"/>'
+    rank_lo, rank_hi = rank_lo[tracks], rank_hi[tracks]
+    for top in range(0, len(tracks), CHUNK):
+        a, b = rank_lo[top : top + CHUNK], rank_hi[top : top + CHUNK]
+        chunks.append(
+            "".join(
+                [
+                    f'  <path d="M {xa} {ya} C {xa} {ca}, {xb} {cb}, {xb} {yb}" '
+                    'fill="none" stroke="#222222" stroke-width="1.6"/>\n'
+                    for xa, ya, ca, xb, cb, yb in zip(
+                        xs[a].tolist(),
+                        ys[a].tolist(),
+                        above[a].tolist(),
+                        xs[b].tolist(),
+                        below[b].tolist(),
+                        ys[b].tolist(),
+                    )
+                ]
+            )
         )
 
     node_r = f"{NODE_RADIUS * s:.2f}"
@@ -158,25 +189,30 @@ def to_svg(d: Diagram, opts: RenderOptions = RenderOptions()) -> str:
     if "&" in joined or "<" in joined or ">" in joined or not joined.isprintable():
         texts = list(map(_esc, texts))
     text = iter(texts)
-    for code, cx, cy in zip(order_codes.tolist(), xs, ys):
-        if code == VERTEX_CODE:
-            out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{node_r}" '
-                'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>'
-            )
-            out.append(
-                f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
-                f'font-family="Helvetica,sans-serif" font-size="{font_size}">{next(text)}</text>'
-            )
-        elif code == JUNCTION_CODE:
-            out.append(f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" fill="#222222"/>')
-        else:
-            out.append(
-                f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" '
-                'fill="none" stroke="#999999" stroke-width="1.0" stroke-dasharray="2,2"/>'
-            )
-    out.append("</svg>\n")
-    return "\n".join(out)
+    step = CHUNK // 2  # a vertex takes two lines
+    for top in range(0, len(order), step):
+        block = slice(top, top + step)
+        lines = []
+        cxs, cys = xs[block].tolist(), ys[block].tolist()
+        for code, cx, cy in zip(order_codes[block].tolist(), cxs, cys):
+            if code == VERTEX_CODE:
+                lines.append(
+                    f'  <circle cx="{cx}" cy="{cy}" r="{node_r}" '
+                    'fill="#ffffff" stroke="#222222" stroke-width="1.6"/>\n'
+                    f'  <text x="{cx}" y="{cy}" dy="0.34em" text-anchor="middle" '
+                    'font-family="Helvetica,sans-serif" '
+                    f'font-size="{font_size}">{next(text)}</text>\n'
+                )
+            elif code == JUNCTION_CODE:
+                lines.append(f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" fill="#222222"/>\n')
+            else:
+                lines.append(
+                    f'  <circle cx="{cx}" cy="{cy}" r="{junction_r}" '
+                    'fill="none" stroke="#999999" stroke-width="1.0" stroke-dasharray="2,2"/>\n'
+                )
+        chunks.append("".join(lines))
+    chunks.append("</svg>\n")
+    return chunks
 
 
 def _esc(text: str) -> str:
@@ -231,15 +267,19 @@ def _node_template(code: int, labelled: bool) -> str:
     )
 
 
-def _json_list(items: list[str]) -> list[str]:
-    """The pieces of a JSON list of the given element texts."""
-    if not items:
+def _json_list(blocks: list[str]) -> list[str]:
+    """The chunks of a JSON list whose element texts come in blocks,
+    each element followed by ",\n"."""
+    if not blocks:
         return ["[]"]
-    pieces = ["[\n"]
-    for item in items:
-        pieces += (item, ",\n")
-    pieces[-1] = "\n  ]"
-    return pieces
+    blocks[-1] = blocks[-1][:-2]  # no separator after the last element
+    return ["[\n", *blocks, "\n  ]"]
+
+
+def _rows_per_chunk(template: str) -> int:
+    """How many rows of the template, each followed by ",\n", fill at
+    most CHUNK lines."""
+    return max(1, CHUNK // (template.count("\n") + 1))
 
 
 def _digit_table(lo: int, hi: int) -> np.ndarray:
@@ -265,7 +305,7 @@ def _digit_table(lo: int, hi: int) -> np.ndarray:
 
 def _joined_rows(template: str, fields: list[np.ndarray]) -> str:
     """The template once per row, its k-th %d replaced by that row of
-    fields[k] (NUL-padded ASCII digits), the rows joined by ",\n".
+    fields[k] (NUL-padded ASCII digits), each row followed by ",\n".
 
     The rows are laid out side by side in one uint8 array, the template's
     constant bytes between the fields, and one mask then drops every NUL.
@@ -283,20 +323,21 @@ def _joined_rows(template: str, fields: list[np.ndarray]) -> str:
         at += len(constant)
         rows[:, at : at + width] = field
         at += width
-    rows[-1, -2:] = 0  # no separator after the last row
     flat = rows.ravel()
     return str(flat[flat != 0].data, "ascii")
 
 
-def to_json(d: Diagram) -> str:
-    """Machine-readable layout with both grid and rotated coordinates."""
+def to_json(d: Diagram) -> list[str]:
+    """Machine-readable layout with both grid and rotated coordinates,
+    as chunks of at most CHUNK lines; their concatenation is the
+    document."""
     s = d.scene
     us, vs = rotate45(s.xs, s.ys)
     ids = np.arange(len(s.xs))
     # the segments sorted by (lower id, upper id), the ids being < len(s.xs)
     segs = d.segments[np.argsort(d.segments[:, 0] * len(s.xs) + d.segments[:, 1])]
-    runs = []
-    segment_text = []
+    node_blocks = []
+    segment_blocks = []
     if len(s.xs):
         # every integer of the document is one row of this table
         lo = min(0, int(s.xs.min()), int(s.ys.min()), int(us.min()))
@@ -310,27 +351,32 @@ def to_json(d: Diagram) -> str:
 
         nodes = [digits(column) for column in (s.xs, s.ys, ids, us, vs)]
         # one template per run of points with the same kind and label
-        # presence; the labels are filled in by one % call per run, whose
-        # only % are the label fields: the digits and the other template
-        # bytes hold none
+        # presence, filled a bounded block of rows at a time; the labels
+        # are filled in by one % call per block, whose only % are the
+        # label fields: the digits and the other template bytes hold none
         labelled = np.fromiter(map(is_not, s.labels, repeat(None)), bool, len(s.xs))
         key = s.codes * 2 + labelled
         bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(s.xs)]
         for start, stop in zip(bounds, bounds[1:]):
             has_label = bool(labelled[start])
             template = _node_template(s.codes[start], has_label)
-            text = _joined_rows(template, [field[start:stop] for field in nodes])
-            if has_label:
-                text %= tuple(map(encode_basestring_ascii, s.labels[start:stop]))
-            runs.append(text)
+            step = _rows_per_chunk(template)
+            for top in range(start, stop, step):
+                block = slice(top, min(top + step, stop))
+                text = _joined_rows(template, [field[block] for field in nodes])
+                if has_label:
+                    text %= tuple(map(encode_basestring_ascii, s.labels[block]))
+                node_blocks.append(text)
         if len(segs):
-            segment_text.append(_joined_rows(_SEGMENT, [digits(segs[:, 0]), digits(segs[:, 1])]))
-    return "".join(
-        [
-            _HEAD % s.n,
-            *_json_list(runs),
-            _MIDDLE,
-            *_json_list(segment_text),
-            _TAIL % (s.side, d.junction_count(), len(d.segments)),
-        ]
-    )
+            ends = [digits(segs[:, 0]), digits(segs[:, 1])]
+            step = _rows_per_chunk(_SEGMENT)
+            for top in range(0, len(segs), step):
+                block = [end[top : top + step] for end in ends]
+                segment_blocks.append(_joined_rows(_SEGMENT, block))
+    return [
+        _HEAD % s.n,
+        *_json_list(node_blocks),
+        _MIDDLE,
+        *_json_list(segment_blocks),
+        _TAIL % (s.side, d.junction_count(), len(d.segments)),
+    ]

@@ -383,6 +383,28 @@ def test_running_out_of_memory_exits_1_and_writes_no_file(tmp_path, capsys, monk
     assert out.exists()
 
 
+def test_running_out_of_memory_while_writing_exits_1(tmp_path, capsys, monkeypatch):
+    import io
+
+    from confluent_hasse import cli
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise MemoryError
+
+    def open_full(path, mode="r", **kwargs):
+        return Full() if "w" in mode else open(path, mode, **kwargs)
+
+    sp = write(tmp_path, "k22.sp", "(a|b);(c|d)\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "open", open_full, raising=False)
+        assert run([sp, "--input-format", "sp", "--out", str(tmp_path / "out.svg")]) == EXIT_INPUT
+    with monkeypatch.context() as m:
+        m.setattr("sys.stdout", Full())
+        assert run([sp, "--input-format", "sp", "--emit", "json"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: out of memory\n" * 2
+
+
 def test_deeply_nested_sp_input(tmp_path, capsys):
     deep = "(" * 400 + "a" + ")" * 400
     assert run([write(tmp_path, "deep.sp", deep), "--input-format", "sp"]) == EXIT_OK
@@ -403,23 +425,37 @@ def test_verify_reports_skip_beyond_the_completion_oracle(tmp_path, capsys):
 
 def test_stdout_gets_utf8_bytes_whatever_its_encoding(tmp_path):
     import os
+    import random
     import subprocess
     import sys
     from pathlib import Path
 
-    src = write(tmp_path, "accent.edges", "é 2\n")
-    out = tmp_path / "accent.svg"
+    from confluent_hasse.render import CHUNK
+
+    # a realizer of 400 elements, one with a non-ASCII label: its SVG
+    # and JSON take several chunks
+    labels = [f"v{i}" for i in range(399)] + ["é"]
+    src = tmp_path / "accent.txt"
+    src.write_bytes(f"{' '.join(labels)}\n{' '.join(random.Random(3).sample(labels, 400))}\n".encode())
+    out = tmp_path / "accent.out"
     env = dict(os.environ, PYTHONIOENCODING="ascii")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
     )
-    cmd = [sys.executable, "-c", "from confluent_hasse.cli import main; main()", src]
-    to_stdout = subprocess.run(cmd + ["--out", "-"], env=env, capture_output=True)
-    assert to_stdout.returncode == EXIT_OK, to_stdout.stderr.decode()
-    assert to_stdout.stderr == b""
-    assert subprocess.run(cmd + ["--out", str(out)], env=env).returncode == EXIT_OK
-    assert to_stdout.stdout == out.read_bytes()
-    assert "é".encode("utf-8") in to_stdout.stdout
+    # a stopped clock, so the csv-stats milliseconds read the same in both runs
+    main = "import time; time.perf_counter = lambda: 0.0; from confluent_hasse.cli import main; main()"
+    for emit, accent in (("svg", "é"), ("json", "\\u00e9"), ("csv-stats", None)):
+        cmd = [sys.executable, "-c", main, str(src), "--input-format", "realizer", "--emit", emit]
+        to_stdout = subprocess.run(cmd + ["--out", "-"], env=env, capture_output=True)
+        assert to_stdout.returncode == EXIT_OK, to_stdout.stderr.decode()
+        assert to_stdout.stderr == b""
+        assert subprocess.run(cmd + ["--out", str(out)], env=env).returncode == EXIT_OK
+        assert to_stdout.stdout == out.read_bytes(), emit
+        if accent is None:
+            assert to_stdout.stdout.startswith(b"n,junctions,")
+        else:
+            assert to_stdout.stdout.count(b"\n") > 3 * CHUNK
+            assert accent.encode("utf-8") in to_stdout.stdout
 
 
 def test_stdout_without_a_byte_buffer_gets_the_text(tmp_path, monkeypatch):

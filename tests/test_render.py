@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
@@ -28,6 +29,7 @@ from confluent_hasse import (
     to_json,
     to_svg,
 )
+from confluent_hasse import render
 from confluent_hasse.cli import EXIT_OK, run
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from confluent_hasse.render import _digit_table
@@ -69,14 +71,14 @@ def test_rotation_makes_every_segment_ascend():
 
 
 def test_single_vertex_svg():
-    svg = to_svg(build_diagram(Realizer(("x",), ("x",))))
+    svg = "".join(to_svg(build_diagram(Realizer(("x",), ("x",)))))
     assert svg.count("<path") == 0
     assert svg.count("<circle") == 1
     assert ">x</text>" in svg
 
 
 def test_chain_svg_paths_are_degenerate_lines():
-    svg = to_svg(build_diagram(Realizer(("x", "y"), ("x", "y"))))
+    svg = "".join(to_svg(build_diagram(Realizer(("x", "y"), ("x", "y")))))
     (path_line,) = [ln for ln in svg.splitlines() if "<path" in ln]
     # with no junction endpoints both controls coincide with endpoints
     d = path_line.split('d="')[1].split('"')[0]
@@ -88,7 +90,7 @@ def test_chain_svg_paths_are_degenerate_lines():
 
 
 def test_k22_svg_matches_frozen_snapshot():
-    svg = to_svg(k22_diagram())
+    svg = "".join(to_svg(k22_diagram()))
     assert svg == (DATA / "k22.svg").read_text()
 
 
@@ -107,20 +109,20 @@ def test_gallery_script_writes_its_five_examples(tmp_path, flags):
 
 
 def test_k22_svg_visible_content():
-    svg = to_svg(k22_diagram())
+    svg = "".join(to_svg(k22_diagram()))
     assert svg.count("<path") == 4  # invisible-incident tracks are hidden
     assert svg.count("<circle") == 5  # four labelled vertices plus the junction dot
 
 
 def test_show_invisible_adds_their_tracks():
-    svg = to_svg(k22_diagram(), RenderOptions(show_invisible=True))
+    svg = "".join(to_svg(k22_diagram(), RenderOptions(show_invisible=True)))
     assert svg.count("<path") == 8
     assert svg.count("<circle") == 7
 
 
 def test_svg_determinism():
-    a = to_svg(k22_diagram())
-    b = to_svg(k22_diagram())
+    a = "".join(to_svg(k22_diagram()))
+    b = "".join(to_svg(k22_diagram()))
     assert a == b
 
 
@@ -155,7 +157,7 @@ def test_bezier_offset_validation():
 
 
 def test_json_single_vertex():
-    doc = json.loads(to_json(build_diagram(Realizer(("x",), ("x",)))))
+    doc = json.loads("".join(to_json(build_diagram(Realizer(("x",), ("x",))))))
     assert doc["n"] == 1
     assert len(doc["nodes"]) == 1
     assert doc["segments"] == []
@@ -163,7 +165,7 @@ def test_json_single_vertex():
 
 
 def test_json_k22_stats():
-    doc = json.loads(to_json(k22_diagram()))
+    doc = json.loads("".join(to_json(k22_diagram())))
     assert doc["stats"] == {"junctions": 1, "segments": 8, "gridSide": 9}
     kinds = [node["kind"] for node in doc["nodes"]]
     assert kinds.count("vertex") == 4
@@ -174,15 +176,15 @@ def test_json_k22_stats():
 
 
 def test_json_antichain_serializes_invisible_tracks():
-    doc = json.loads(to_json(build_diagram(Realizer(("a", "b"), ("b", "a")))))
+    doc = json.loads("".join(to_json(build_diagram(Realizer(("a", "b"), ("b", "a"))))))
     assert doc["stats"]["junctions"] == 0
     assert doc["stats"]["segments"] == 4
 
 
 def test_json_determinism_and_sorted_keys():
     d = k22_diagram()
-    assert to_json(d) == to_json(d)
-    doc = json.loads(to_json(d))
+    assert "".join(to_json(d)) == "".join(to_json(d))
+    doc = json.loads("".join(to_json(d)))
     assert list(doc) == sorted(doc)
 
 
@@ -264,6 +266,11 @@ SVG_OPTIONS = [
     RenderOptions(bezier_offset=0.01),
     RenderOptions(bezier_offset=0.37),
     RenderOptions(bezier_offset=0.99),
+    # junction control heights that share no text with any point's y
+    RenderOptions(bezier_offset=0.123456),
+    RenderOptions(bezier_offset=0.123456, show_invisible=True),
+    RenderOptions(bezier_offset=0.999),
+    RenderOptions(bezier_offset=0.999, show_invisible=True),
 ]
 
 # what to_svg puts for the characters XML 1.0 cannot carry, which the
@@ -271,12 +278,48 @@ SVG_OPTIONS = [
 NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
+def test_writer_cases_include_documents_of_several_chunks():
+    d = dict(WRITER_CASES)["sp/n10000/s0"]
+    for opts in (RenderOptions(), RenderOptions(bezier_offset=0.999, show_invisible=True)):
+        assert len(to_svg(d, opts)) > 5
+    assert len(to_json(d)) > 5
+
+
 @pytest.mark.parametrize("name, d", WRITER_CASES, ids=[name for name, _d in WRITER_CASES])
-def test_writers_match_the_reference_writers(name, d):
-    assert to_json(d) == reference_to_json(d)
-    for opts in SVG_OPTIONS:
-        expected = NOT_XML_CHAR.sub("\ufffd", reference_to_svg(d, opts))
-        assert to_svg(d, opts) == expected, opts
+def test_writers_match_the_reference_writers(name, d, monkeypatch):
+    expected_json = reference_to_json(d)
+    expected_svg = [NOT_XML_CHAR.sub("\ufffd", reference_to_svg(d, opts)) for opts in SVG_OPTIONS]
+    # and with chunks so small that labelled runs, junction rows and
+    # each kind of point fall across chunk boundaries
+    for chunk in (render.CHUNK, 29):
+        monkeypatch.setattr(render, "CHUNK", chunk)
+        written = [to_json(d)] + [to_svg(d, opts) for opts in SVG_OPTIONS]
+        assert ["".join(chunks) for chunks in written] == [expected_json, *expected_svg]
+        assert max(c.count("\n") for chunks in written for c in chunks) <= chunk
+
+
+# a document's length, and the tracemalloc peak of writing it, in
+# characters and bytes; these writers give ASCII text
+@pytest.mark.parametrize(
+    "write, make",
+    [
+        (to_svg, lambda: sp_layout(gen_random_sp(10000, 3))),
+        (to_json, lambda: build_diagram(gen_worstcase(128))),
+    ],
+    ids=["svg-sp10000", "json-worst128"],
+)
+def test_writers_peak_at_most_twice_the_document(write, make):
+    d = make()
+    tracemalloc.start()
+    try:
+        chunks = write(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = sum(map(len, chunks))
+    assert length > 4_000_000
+    assert peak <= 2 * length, (peak, length)
+    assert max(chunk.count("\n") for chunk in chunks) <= render.CHUNK
 
 
 # characters outside XML 1.0's Char production, each in a label
@@ -284,7 +327,7 @@ NOT_XML = ("a\x00", "b\x01", "c\x1b", "d\ufffe", "e\uffff")
 
 
 def test_svg_with_labels_xml_cannot_carry_is_well_formed(tmp_path, capsys):
-    texts = [to_svg(build_diagram(Realizer(NOT_XML, NOT_XML[::-1])))]
+    texts = ["".join(to_svg(build_diagram(Realizer(NOT_XML, NOT_XML[::-1]))))]
     src = tmp_path / "in.edges"
     src.write_text(f"{NOT_XML[0]} {NOT_XML[1]}\n{NOT_XML[2]} {NOT_XML[3]}\nnode {NOT_XML[4]}\n", "utf-8")
     assert run([str(src)]) == EXIT_OK
