@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input, output or format problem (an
-unreadable or non-UTF-8 input, an unwritable --out, an input too large
-to draw, verify, render or write in the memory there is), 2 when the input
+unreadable or non-UTF-8 input, an unwritable --out, a run that needs
+more memory than there is, from reading to writing), 2 when the input
 order has dimension greater than two (no upward confluent diagram
 exists in that case), 3 when --verify finds a failed check.
 """
@@ -10,6 +10,7 @@ exists in that case), 3 when --verify finds a failed check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import stat
@@ -158,9 +159,11 @@ def _out_of_memory(exc: MemoryError) -> int:
 
 def _write_output(path: str, chunks: list[str]) -> int:
     """Write the document, given as chunks, and return the exit code:
-    1, with one error line, when the path cannot be written or memory
-    runs out. The chunks are written in turn, so the document is never
-    joined or encoded as one piece."""
+    1, with one error line, when the path cannot be written. The chunks
+    are written in turn, so the document is never joined or encoded as
+    one piece. A write or close that fails part-way removes the file it
+    began, when that is a regular file; a FIFO or a device stays. A
+    MemoryError goes on to the caller."""
     try:
         if path == "-":
             # UTF-8 bytes, as a file gets, whatever stdout's text encoding
@@ -175,12 +178,18 @@ def _write_output(path: str, chunks: list[str]) -> int:
                     buffer.write(chunk.encode("utf-8"))
                 buffer.flush()
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+            regular = os.path.isfile(path) or not os.path.exists(path)
+            fh = open(path, "w", encoding="utf-8")
+            try:
+                with fh:
+                    fh.writelines(chunks)
+            except BaseException:
+                if regular:
+                    with contextlib.suppress(OSError):
+                        os.unlink(path)
+                raise
     except OSError as exc:
         return _cannot_write(path, exc)
-    except MemoryError as exc:
-        return _out_of_memory(exc)
     return EXIT_OK
 
 
@@ -222,25 +231,27 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 
-    # an unwritable --out fails before the work; the file itself is
-    # written only on success, so a failed run creates or truncates none
+    # an unwritable --out fails before the work. The file is opened only
+    # once the whole document is in hand, so a run that fails before
+    # that creates or truncates none, and a write that fails part-way
+    # removes the regular file it began
     try:
         _check_writable(args.out)
     except OSError as exc:
         return _cannot_write(args.out, exc)
 
-    if args.bench is not None:
-        return _write_output(args.out, [bench.scaling_report(list(args.bench), seed=args.seed)])
-
+    # running out of memory anywhere, from reading to writing, ends like
+    # any other input problem: one error line, exit 1 and no output file
     try:
-        text = _read_input(args.input)
-    except (OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"error: cannot read {args.input!r}: {exc}\n")
-        return EXIT_INPUT
+        if args.bench is not None:
+            return _write_output(args.out, [bench.scaling_report(list(args.bench), seed=args.seed)])
 
-    # an input too large for the memory there is ends like any other
-    # input problem: one error line, exit 1 and no output file
-    try:
+        try:
+            text = _read_input(args.input)
+        except (OSError, UnicodeDecodeError) as exc:
+            sys.stderr.write(f"error: cannot read {args.input!r}: {exc}\n")
+            return EXIT_INPUT
+
         try:
             diagram, p, times = _pipeline(text, args.input_format, args.verify)
         except DimensionExceedsTwo:
@@ -265,9 +276,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             chunks = render.to_json(diagram)
         else:
             chunks = [bench.CSV_HEADER + "\n" + bench.csv_row(diagram, times) + "\n"]
+        return _write_output(args.out, chunks)
     except MemoryError as exc:
         return _out_of_memory(exc)
-    return _write_output(args.out, chunks)
 
 
 def main() -> None:

@@ -23,10 +23,9 @@ The checks of ``validate_diagram`` run in array passes, so that
 the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
 
 - segments are certified as the dominance covers by
-  ``oracle.segments_are_dominance_covers``, from prefix counts of the
-  points in points + segments lookups; the quadratic oracle
-  ``dominance_covers`` runs only when the certificate fails, to count
-  the non-covers and the missing covers;
+  ``oracle.segment_faults``, from prefix counts of the points in
+  points + segments lookups, at every size; a failure is reported as
+  the certificate's own counts;
 - smooth adjacency propagates one int bitset of reachable vertices per
   junction, in the order the junction-to-junction segments give, and
   ORs them per vertex: one pass over the segments;
@@ -39,9 +38,9 @@ the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
   ``searchsorted`` calls the vertices within each segment's u-span, and
   decides all those (vertex, segment) pairs with one integer side test.
 
-The pair sets the segments and smooth checks compare are built from
-index arrays (``np.nonzero`` of a pair matrix, or the segment columns)
-by ``poset.pairs_of``, with no Python loop per pair.
+The pair set the smooth check compares is built from index arrays
+(``np.nonzero`` of the unpacked bitsets) by ``poset.pairs_of``, with no
+Python loop per pair.
 """
 
 from __future__ import annotations
@@ -247,11 +246,6 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     return pairs_of(labels, np.concatenate(lower), np.concatenate(upper))
 
 
-# the segments check runs only up to here: the cover oracle that a
-# failing certificate falls back on takes time quadratic in the points
-COVERS_CHECK_LIMIT = 1500
-
-
 @dataclass(slots=True)
 class CheckResult:
     name: str
@@ -290,13 +284,12 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     Reported, never raised, in this order:
 
     - segments: the segment set equals the cover pairs of the dominance
-      order, each once. ``oracle.segments_are_dominance_covers``
-      certifies it from prefix counts of the points, in points +
-      segments lookups. When the certificate fails, the comparison with
-      ``oracle.dominance_covers`` (a row-wise running minimum over
-      blocks of rows of a points x points integer matrix, quadratic in
-      time) gives the verdict and its detail. Skipped above
-      COVERS_CHECK_LIMIT points.
+      order, each once. ``oracle.segment_faults`` certifies it from
+      prefix counts of the points, in points + segments lookups, at
+      every size. A failure names each of its counts that is not zero:
+      rows that do not rise, points whose lower ends are not a
+      staircase, and points not alone: points p with another point at
+      or below p that lies below none of p's lower ends.
     - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
       the cover pairs of p (``transitive_reduction``).
     - planar: drawn segments only meet at shared endpoints. Candidate
@@ -311,27 +304,15 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
       first blocking segment in drawn order is reported per vertex
       (``_blocked_rays``).
     """
-    from .oracle import dominance_covers, segments_are_dominance_covers
+    from .oracle import segment_faults
 
     report = ValidationReport()
     s = d.scene
 
-    if len(s.xs) > COVERS_CHECK_LIMIT:
-        report.skip("segments", "too many points for the cover oracle")
-    elif segments_are_dominance_covers(s.xs, s.ys, d.segments):
-        report.add("segments", True)
-    else:
-        # the certificate failed: the oracle's comparison says how
-        coords = list(zip(s.xs.tolist(), s.ys.tolist()))
-        expected = dominance_covers(coords)
-        actual = pairs_of(coords, d.segments[:, 0], d.segments[:, 1])
-        extra = actual - expected
-        missing = expected - actual
-        report.add(
-            "segments",
-            not extra and not missing and len(actual) == len(d.segments),
-            f"{len(extra)} non-cover, {len(missing)} missing" if extra or missing else "",
-        )
+    faults = segment_faults(s.xs, s.ys, d.segments)
+    names = ("rows not rising", "points whose lower ends are not a staircase", "points not alone")
+    detail = ", ".join(f"{k} {name}" for k, name in zip(faults, names) if k)
+    report.add("segments", not any(faults), detail)
 
     smooth = smooth_adjacency(d)
     covers = transitive_reduction(p)

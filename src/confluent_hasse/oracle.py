@@ -4,10 +4,11 @@ Everything here is deliberately plain: cut enumeration for the lattice
 completion, and dominance covers from a points × points integer matrix,
 a block of rows at a time, in quadratic time. A certificate that a
 segment set is exactly those covers reads prefix counts of the points
-instead, in points + segments lookups: --verify runs it first, and the
-quadratic covers only when it fails. These routines certify the fast
-pipeline in tests and back the CLI --verify mode, so none of them may
-share code with the constructions they check.
+instead, in points + segments lookups, and counts what it finds wrong:
+--verify runs it at every size, and the tests check it against the
+quadratic covers. These routines certify the fast pipeline in tests
+and back the CLI --verify mode, so none of them may share code with
+the constructions they check.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def dm_completion(p: Poset, *, max_n: int = 20) -> Completion:
 
 
 # rows of the dominance matrix that dominance_covers holds at once, and
-# x ranks of the prefix counts that segments_are_dominance_covers holds
+# x ranks of the prefix counts that segment_faults holds
 ROW_BLOCK = 128
 
 
@@ -177,56 +178,60 @@ def dominance_covers(
     return frozenset(zip(map(pts.__getitem__, a), map(pts.__getitem__, b)))
 
 
-def segments_are_dominance_covers(xs, ys, segments) -> bool:
+def segment_faults(xs, ys, segments) -> tuple[int, int, int]:
     """Whether the rows (q, p) of ``segments``, ids into the points
     (xs[i], ys[i]), are the cover pairs of the dominance order on
-    distinct points, each once: True exactly when the points are
-    distinct and the rows, as coordinate pairs, equal
-    ``dominance_covers`` of the points with no row repeated.
+    distinct points, each once, as counts of faults (i), (ii) and (iii)
+    below: all zero exactly when the points are distinct and the rows,
+    as coordinate pairs, equal ``dominance_covers`` of the points with
+    no row repeated.
 
     A certificate, in points + segments lookups into prefix counts of
     the points (``_prefix_counts``). With D(a, b) the number of points
     with x <= a and y <= b, and l_1 .. l_k the lower ends of p's rows
-    sorted by x, it checks:
+    sorted by x, it counts:
 
-    (i) every row rises: q <= p in both coordinates, q != p in one;
-    (ii) each point's l_1 .. l_k rise strictly in x and fall strictly
-         in y, so no two are comparable, equal or in one column;
-    (iii) each point p is alone in the rectangles
-         (x_{i-1}, x_i] x (y_i, y_p] for i = 1 .. k (x_0 = -inf) and
-         (x_k, x_p] x (-inf, y_p]. Their counts sum, telescoping, to
-         D(p) - sum D(l_i) + sum D(x_{i-1}, y_i), which must be 1.
+    (i) the rows that do not rise (q <= p in both coordinates, q != p
+        in one) or whose q or p is no point id. Only the rows that rise
+        are read below;
+    (ii) the points whose l_1 .. l_k do not rise strictly in x and fall
+         strictly in y, so two are comparable, equal or in one column;
+    (iii) the points p not counted in (ii) that are not alone in the
+         rectangles (x_{i-1}, x_i] x (y_i, y_p] for i = 1 .. k
+         (x_0 = -inf) and (x_k, x_p] x (-inf, y_p]. Their counts sum,
+         telescoping, to D(p) - sum D(l_i) + sum D(x_{i-1}, y_i),
+         which must be 1.
 
-    Proof. Sound: by (i) and (ii), the rectangles of (iii) are disjoint
-    slabs in x whose union is exactly the points r <= p below no l_i;
-    p is one of them, so (iii) says every other point r <= p lies below
-    some l_i. A point sharing p's cell would be such an r, which it
-    cannot be, as every l_i is strictly below p: the points are
-    distinct. Every cover r of p is a row, since r <= l_i < p forces
-    r = l_i. Every row (q, p) is a cover: a point r strictly between
-    q and p lies below some l_j, so q < r <= l_j, and two lower ends
-    of p would be comparable, against (ii). By (ii) no row is repeated.
-    Complete: if the points are distinct and the rows are the covers,
-    once each, then (i) holds, a point's lower covers form an antichain
-    (ii), and every r < p lies below one of them (iii).
+    Proof that all three are zero exactly for the covers. Sound: by
+    (i) and (ii), the rectangles of (iii) are disjoint slabs in x whose
+    union is exactly the points r <= p below no l_i; p is one of them,
+    so (iii) says every other point r <= p lies below some l_i. A
+    point sharing p's cell would be such an r, which it cannot be, as
+    every l_i is strictly below p: the points are distinct. Every
+    cover r of p is a row, since r <= l_i < p forces r = l_i. Every
+    row (q, p) is a cover: a point r strictly between q and p lies
+    below some l_j, so q < r <= l_j, and two lower ends of p would be
+    comparable, against (ii). By (ii) no row is repeated. Complete: if
+    the points are distinct and the rows are the covers, once each,
+    then (i) holds, a point's lower covers form an antichain (ii), and
+    every r < p lies below one of them (iii).
     """
-    rows = np.asarray(segments, np.int64).reshape(-1, 2)
+    given = np.asarray(segments, np.int64).reshape(-1, 2)
     n = len(xs)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n):
-        return False
-    if not n:
-        return True
+    q, p = given[((given >= 0) & (given < n)).all(axis=1)].T
     x = np.unique(xs, return_inverse=True)[1]
     y = np.unique(ys, return_inverse=True)[1]
-    # the rows by upper end, then by the lower end's x
-    by = np.lexsort((x[rows[:, 0]], rows[:, 1]))
-    q, p = rows[by, 0], rows[by, 1]
     xq, yq, xp, yp = x[q], y[q], x[p], y[p]
-    first = np.diff(p, prepend=-1) != 0
     rising = (xq <= xp) & (yq <= yp) & ((xq < xp) | (yq < yp))
+    not_rising = len(given) - int(np.count_nonzero(rising))
+    if not n:
+        return not_rising, 0, 0
+    # the rising rows by upper end, then by the lower end's x
+    by = np.flatnonzero(rising)[np.lexsort((xq[rising], p[rising]))]
+    q, p, xq, yq = q[by], p[by], xq[by], yq[by]
+    first = np.diff(p, prepend=-1) != 0
     staircase = first | (np.diff(xq, prepend=-1) > 0) & (np.diff(yq, prepend=-1) < 0)
-    if not (rising.all() and staircase.all()):
-        return False
+    ragged = np.unique(p[~staircase])
     # x of the previous lower end of the same point, or -1 for -inf
     before = np.empty_like(xq)
     before[1:] = xq[:-1]
@@ -238,7 +243,9 @@ def segments_are_dominance_covers(xs, ys, segments) -> bool:
     alone = down.copy()
     if len(q):
         alone[p[first]] -= np.add.reduceat(down[q] - meets, np.flatnonzero(first))
-    return bool((alone == 1).all())
+    # a ragged point's sum counts no set of points: (ii) counted it
+    alone[ragged] = 1
+    return not_rising, len(ragged), int(np.count_nonzero(alone != 1))
 
 
 def _prefix_counts(x, y, i, j) -> np.ndarray:

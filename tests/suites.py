@@ -23,7 +23,7 @@ from confluent_hasse import (
     gen_random,
     transitive_reduction,
 )
-from confluent_hasse.diagram import COVERS_CHECK_LIMIT, Segment, ValidationReport
+from confluent_hasse.diagram import Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, KINDS, VERTEX, bound_points, place_on_grid
 from confluent_hasse.oracle import Completion, DuplicatePointError
 from confluent_hasse.poset import Extremes
@@ -609,28 +609,62 @@ def reference_dominance_covers(
     return frozenset((pts[a], pts[b]) for a, b in np.argwhere(covers).tolist())
 
 
+def reference_segment_faults(
+    points: Sequence[tuple[int, int]], rows: Sequence[tuple[int, int]]
+) -> tuple[int, int, int]:
+    """``oracle.segment_faults`` by brute force: the rows (q, p) that do
+    not rise or name no point; then, over the rows that rise, the points
+    p with two lower ends q that are comparable, equal or share a column
+    or a row, checked pair by pair; and the other points p with a point
+    r <= p, besides p itself, below none of p's lower ends, counted by
+    one numpy pass per point over all the points. Test-only."""
+    n = len(points)
+    not_rising = 0
+    lower_ends: dict[int, list[tuple[int, int]]] = {}
+    for q, p in rows:
+        if not (0 <= q < n and 0 <= p < n):
+            not_rising += 1
+            continue
+        (a, b), (c, e) = points[q], points[p]
+        if a <= c and b <= e and (a, b) != (c, e):
+            lower_ends.setdefault(p, []).append((a, b))
+        else:
+            not_rising += 1
+    xs = np.array([x for x, _ in points], np.int64)
+    ys = np.array([y for _, y in points], np.int64)
+    not_staircase = not_alone = 0
+    for p in range(n):
+        ends = lower_ends.get(p, [])
+        if any(
+            not (a < c and b > e or a > c and b < e)
+            for i, (a, b) in enumerate(ends)
+            for c, e in ends[i + 1 :]
+        ):
+            not_staircase += 1
+            continue
+        x, y = points[p]
+        alone = (xs <= x) & (ys <= y)
+        for a, b in ends:
+            alone &= ~((xs <= a) & (ys <= b))
+        not_alone += int(alone.sum()) != 1
+    return not_rising, not_staircase, not_alone
+
+
 def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     """``diagram.validate_diagram`` built from the reference loops above:
     its report must be the same, byte for byte. Test-only."""
     report = ValidationReport()
     points = d.scene.points
 
-    if len(points) <= COVERS_CHECK_LIMIT:
-        coords = [(q.x, q.y) for q in points]
-        expected = reference_dominance_covers(coords)
-        actual = {
-            ((points[a].x, points[a].y), (points[b].x, points[b].y))
-            for a, b in d.segments.tolist()
-        }
-        extra = actual - expected
-        missing = expected - actual
-        report.add(
-            "segments",
-            not extra and not missing and len(actual) == len(d.segments),
-            f"{len(extra)} non-cover, {len(missing)} missing" if extra or missing else "",
-        )
-    else:
-        report.skip("segments", "too many points for the cover oracle")
+    faults = reference_segment_faults([(q.x, q.y) for q in points], d.segments.tolist())
+    detail = []
+    if faults[0]:
+        detail.append(f"{faults[0]} rows not rising")
+    if faults[1]:
+        detail.append(f"{faults[1]} points whose lower ends are not a staircase")
+    if faults[2]:
+        detail.append(f"{faults[2]} points not alone")
+    report.add("segments", not any(faults), ", ".join(detail))
 
     smooth = reference_smooth_adjacency(d)
     covers = reference_transitive_reduction(p)

@@ -358,9 +358,9 @@ def test_order_is_built_only_under_verify(tmp_path, capsys, monkeypatch):
 
 
 def test_running_out_of_memory_exits_1_and_writes_no_file(tmp_path, capsys, monkeypatch):
-    from confluent_hasse import cli, render
+    from confluent_hasse import bench, cli, render
 
-    def too_large(*_args):
+    def too_large(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 9.31 GiB for an array")
 
     def exhausted(*_args):
@@ -374,10 +374,19 @@ def test_running_out_of_memory_exits_1_and_writes_no_file(tmp_path, capsys, monk
     with monkeypatch.context() as m:
         m.setattr(render, "to_svg", exhausted)
         assert run([sp, "--input-format", "sp", "--out", str(out)]) == EXIT_INPUT
+    # reading the input, and the benchmark in place of a drawing
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_input", exhausted)
+        assert run([sp, "--input-format", "sp", "--out", str(out)]) == EXIT_INPUT
+    with monkeypatch.context() as m:
+        m.setattr(bench, "scaling_report", too_large)
+        assert run(["--bench", "8", "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 9.31 GiB for an array\n"
         "error: out of memory\n"
+        "error: out of memory\n"
+        "error: out of memory: Unable to allocate 9.31 GiB for an array\n"
     )
     assert run([sp, "--input-format", "sp", "--out", str(out)]) == EXIT_OK
     assert out.exists()
@@ -403,6 +412,62 @@ def test_running_out_of_memory_while_writing_exits_1(tmp_path, capsys, monkeypat
         m.setattr("sys.stdout", Full())
         assert run([sp, "--input-format", "sp", "--emit", "json"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: out of memory\n" * 2
+
+
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # a file size limit of 4,096 bytes, set in the child alone, stops
+    # the SVG of 60 elements part-way with EFBIG
+    labels = [f"v{i}" for i in range(60)]
+    src = write(tmp_path, "r60.txt", f"{' '.join(labels)}\n{' '.join(reversed(labels))}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    main = (
+        "import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)); "
+        "from confluent_hasse.cli import main; main()"
+    )
+    fresh, kept = tmp_path / "fresh.svg", tmp_path / "kept.svg"
+    kept.write_text("earlier output\n")
+    for out in (fresh, kept):
+        cmd = [sys.executable, "-c", main, src, "--input-format", "realizer", "--out", str(out)]
+        done = subprocess.run(cmd, env=env, capture_output=True)
+        assert done.returncode == EXIT_INPUT, done.stderr.decode()
+        assert done.stderr.decode().startswith(f"error: cannot write {str(out)!r}: [Errno 27] ")
+        assert done.stderr.count(b"\n") == 1
+        assert not out.exists()
+
+
+def test_a_write_that_fails_part_way_leaves_a_fifo(tmp_path, capsys):
+    import os
+    import stat
+    import threading
+
+    # the reader takes one buffer and goes: the rest of the SVG of 400
+    # elements meets a closed pipe
+    labels = [f"v{i}" for i in range(400)]
+    src = write(tmp_path, "r400.txt", f"{' '.join(labels)}\n{' '.join(reversed(labels))}\n")
+    fifo = tmp_path / "out.svg"
+    os.mkfifo(fifo)
+
+    def read_a_little():
+        with open(fifo, "rb") as fh:
+            fh.read(1)
+
+    reader = threading.Thread(target=read_a_little)
+    reader.start()
+    try:
+        assert run([src, "--input-format", "realizer", "--out", str(fifo)]) == EXIT_INPUT
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(fifo)!r}: [Errno 32] ")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_deeply_nested_sp_input(tmp_path, capsys):

@@ -28,8 +28,8 @@ from confluent_hasse import (
 )
 from confluent_hasse import oracle, poset
 from confluent_hasse.diagram import (
-    COVERS_CHECK_LIMIT,
     Diagram,
+    ValidationReport,
     _blocked_rays,
     _conflicting_pairs,
     rotate45,
@@ -200,46 +200,87 @@ def test_validate_chain_all_pass():
     assert report.ok, report.summary()
 
 
-def test_validate_skips_segments_beyond_the_cover_oracle(monkeypatch):
-    import confluent_hasse.diagram as diagram_module
+def test_validate_checks_segments_at_every_size():
+    # a chain of 3 and one of 1,501 elements: segments has no size limit
+    for size in (3, 1501):
+        labels = tuple(f"e{i}" for i in range(size))
+        r = Realizer(labels, labels)
+        report = validate_diagram(build_diagram(r), poset_from_realizer(r))
+        assert report.ok
+        assert report.summary().splitlines()[0] == "PASS segments"
 
-    monkeypatch.setattr(diagram_module, "COVERS_CHECK_LIMIT", 2)
-    r = Realizer(("x", "y", "z"), ("x", "y", "z"))
-    report = validate_diagram(build_diagram(r), poset_from_realizer(r))
-    assert report.ok
-    assert report.summary().splitlines()[0] == "SKIP segments: too many points for the cover oracle"
+
+def spliced_benchmark_items():
+    """Every --verify benchmark item with 0 to 15 seeded random segments
+    spliced in, as (realizer, drawing, spliced drawing)."""
+    keys = sorted(workloads.WORKLOADS["verify-mixed"].universe)
+    for i, key in enumerate(keys):
+        r = Realizer(*workloads.build(key).realizer)
+        d = build_diagram(r)
+        rng = random.Random(key)
+        ids = range(len(d.scene.xs))
+        extra = np.reshape([rng.sample(ids, 2) for _ in range(i % 16)], (-1, 2))
+        yield r, d, Diagram(d.scene, np.vstack((d.segments, extra)))
 
 
 def test_validate_passes_segments_without_the_cover_oracle(monkeypatch):
-    # the certificate passes a correct drawing; only a failing one goes
-    # on to the oracle's comparison
+    # the certificate alone decides segments and words a failure, on
+    # every verify-mixed item as drawn and spliced
     def no_oracle(points):
         raise AssertionError("dominance_covers called")
 
     monkeypatch.setattr(oracle, "dominance_covers", no_oracle)
-    for r in (gen_worstcase(32), gen_random(128, 0)):
-        report = validate_diagram(build_diagram(r), poset_from_realizer(r))
-        assert report.summary().splitlines()[0] == "PASS segments"
+    failed = 0
+    for r, d, spliced in spliced_benchmark_items():
+        p = poset_from_realizer(r)
+        assert validate_diagram(d, p).summary().splitlines()[0] == "PASS segments"
+        first = validate_diagram(spliced, p).checks[0]
+        assert first.status == ("PASS" if len(spliced.segments) == len(d.segments) else "FAIL")
+        failed += first.status == "FAIL"
+    assert failed
+
+
+def test_validate_fails_points_that_share_a_cell():
+    # the cover oracle raises on them; the certificate counts a fault
+    shared = [(VERTEX, 2, 2, "a"), (VERTEX, 2, 2, "b"), (VERTEX, 4, 4, "c")]
+    for segments, detail in (
+        ([], "3 points not alone"),
+        ([(0, 2), (1, 2)], "1 points whose lower ends are not a staircase, 2 points not alone"),
+        ([(0, 1)], "1 rows not rising, 3 points not alone"),
+    ):
+        d, p = custom(shared, segments, [])
+        assert checks_of(d, p)["segments"] == f"FAIL: {detail}"
+        assert_matches_reference(d, p)
 
 
 def test_validate_memory_on_a_chain_at_the_cover_limit():
     # all x and all y distinct: the most ranks the segments check meets
-    # within COVERS_CHECK_LIMIT points. The whole prefix-count table would
-    # take 1,497^2 int64 entries, about 18 MB
-    labels = tuple(f"e{i}" for i in range(1496))
-    r = Realizer(labels, labels)
-    d, p = build_diagram(r), poset_from_realizer(r)
-    assert len(d.scene.xs) == len(set(d.scene.xs.tolist())) == len(set(d.scene.ys.tolist())) == 1496
-    assert len(d.scene.xs) <= COVERS_CHECK_LIMIT
-    tracemalloc.start()
-    try:
-        report = validate_diagram(d, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok, report.summary()
-    assert report.summary().splitlines()[0] == "PASS segments"
-    assert peak < 5_000_000
+    # for its points. The whole prefix-count table would take 1,497^2
+    # int64 entries at 1,496 points, about 18 MB, and 6,001^2 at 6,000,
+    # about 288 MB. At 6,000 the smooth check unpacks 1,024 x 6,000 bits
+    # at a time, past the bound, so there the segments check is taken alone
+    for size, check in ((1496, validate_diagram), (6000, segments_check)):
+        labels = tuple(f"e{i}" for i in range(size))
+        r = Realizer(labels, labels)
+        d, p = build_diagram(r), poset_from_realizer(r)
+        assert len(d.scene.xs) == len(set(d.scene.xs.tolist())) == len(set(d.scene.ys.tolist())) == size
+        tracemalloc.start()
+        try:
+            report = check(d, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report.summary()
+        assert report.summary().splitlines()[0] == "PASS segments"
+        assert peak < 5_000_000, size
+
+
+def segments_check(d, p):
+    """The segments line of ``validate_diagram``, on its own."""
+    report = ValidationReport()
+    faults = oracle.segment_faults(d.scene.xs, d.scene.ys, d.segments)
+    report.add("segments", not any(faults))
+    return report
 
 
 def test_validate_flags_spurious_segment():
@@ -526,21 +567,13 @@ def test_visibility_hand_cases_equal_the_reference():
 
 
 def test_visibility_equals_the_reference_on_spliced_benchmark_items():
-    # every --verify benchmark item with 0 to 15 seeded random segments
-    # spliced in, under its own order and under the antichain on its
-    # labels, where every vertex casts both rays and most rays are blocked
+    # under each item's own order and under the antichain on its labels,
+    # where every vertex casts both rays and most rays are blocked
     blocked = 0
-    keys = sorted(workloads.WORKLOADS["verify-mixed"].universe)
-    for i, key in enumerate(keys):
-        r = Realizer(*workloads.build(key).realizer)
-        d = build_diagram(r)
-        rng = random.Random(key)
-        ids = range(len(d.scene.xs))
-        extra = np.reshape([rng.sample(ids, 2) for _ in range(i % 16)], (-1, 2))
-        spliced = Diagram(d.scene, np.vstack((d.segments, extra)))
+    for r, _, spliced in spliced_benchmark_items():
         for p in (poset_from_realizer(r), poset_from_relations(r.l1, [])):
             found = blocked_rays(spliced, p)
-            assert found == reference_blocked_rays(spliced, p), key
+            assert found == reference_blocked_rays(spliced, p), r
             blocked += len(found)
         assert_matches_reference(spliced, poset_from_realizer(r))
     assert blocked
@@ -550,7 +583,7 @@ def test_validate_scales_to_the_worst_case_at_index_128():
     r = gen_worstcase(128)
     report = validate_diagram(build_diagram(r), poset_from_realizer(r))
     assert report.summary().splitlines() == [
-        "SKIP segments: too many points for the cover oracle",
+        "PASS segments",
         "PASS smooth",
         "PASS planar",
         "PASS degrees",

@@ -17,7 +17,7 @@ from confluent_hasse import (
     sp_layout,
     transitive_reduction,
 )
-from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError, segments_are_dominance_covers
+from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError, segment_faults
 from confluent_hasse.poset import pairs_of
 from suites import (
     all_sp_trees,
@@ -28,6 +28,7 @@ from suites import (
     random_poset,
     random_realizer_suite,
     reference_dominance_covers,
+    reference_segment_faults,
 )
 
 
@@ -253,9 +254,14 @@ def oracle_verdict(points, rows) -> bool:
 
 
 def certified(points, rows) -> bool:
+    """The certificate's verdict, once its counts are those the brute
+    force finds."""
     xs = np.array([x for x, _ in points], np.int64)
     ys = np.array([y for _, y in points], np.int64)
-    return segments_are_dominance_covers(xs, ys, np.asarray(rows, np.int64).reshape(-1, 2))
+    rows = np.asarray(rows, np.int64).reshape(-1, 2)
+    faults = segment_faults(xs, ys, rows)
+    assert faults == reference_segment_faults(points, rows.tolist())
+    return not any(faults)
 
 
 def cover_rows(points) -> np.ndarray:
@@ -284,8 +290,13 @@ def mutations(rows, n, rng):
     reversed_row = rows.copy()
     reversed_row[k] = rows[k, ::-1]
     yield reversed_row
+    # the rows j ending where row i starts, in increasing j, from the
+    # rows sorted by upper end
+    by_upper = np.argsort(rows[:, 1], kind="stable")
+    ends = rows[by_upper, 1]
+    starts = np.searchsorted(ends, rows[:, 0]), np.searchsorted(ends, rows[:, 0], "right")
     two_steps = [
-        (i, j) for i, (q, _) in enumerate(rows.tolist()) for j in np.flatnonzero(rows[:, 1] == q)
+        (i, j) for i, (a, b) in enumerate(zip(*starts)) for j in by_upper[a:b].tolist()
     ]
     if two_steps:
         i, j = rng.choice(two_steps)
@@ -340,6 +351,22 @@ def test_certificate_agrees_with_the_oracles_on_benchmark_sized_scenes(d):
     assert len(np.unique(d.scene.xs)) > ROW_BLOCK  # more than one block of x ranks
     for seed in range(3):
         assert_certificate_agrees(points, d.segments, random.Random(seed))
+
+
+@pytest.mark.parametrize("family, size", [("random", 1024), ("worst", 128)])
+def test_certificate_rejects_every_mutation_above_the_old_size_limit(family, size):
+    # 29,182 and 17,155 points: each mutation but the shuffle fails,
+    # and the counts name what it broke
+    r = gen_random(size, 0) if family == "random" else gen_worstcase(size)
+    d = build_diagram(r)
+    xs, ys = d.scene.xs, d.scene.ys
+    assert segment_faults(xs, ys, d.segments) == (0, 0, 0)
+    shuffled, *mutated = mutations(d.segments, len(xs), random.Random(size))
+    assert segment_faults(xs, ys, shuffled) == (0, 0, 0)
+    found = [segment_faults(xs, ys, rows) for rows in mutated]
+    assert len(found) == 6 and all(any(faults) for faults in found), found
+    # a dropped row leaves its upper end with a point below no lower end
+    assert found[1] == (0, 0, 1)
 
 
 def test_certificate_on_an_empty_and_a_one_point_scene():
