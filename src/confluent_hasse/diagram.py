@@ -56,17 +56,26 @@ from .poset import Poset, extremes, mask_blocks, pairs_of, transitive_reduction
 Segment = tuple[int, int]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Diagram:
     """A grid scene plus its track segments: an (m, 2) int64 array with
     one row (lower id, upper id) per segment. A list of such pairs is
-    taken as well and stored as that array."""
+    taken as well and stored as that array. Two diagrams are equal when
+    their scenes are and their segments are the same rows in the same
+    order."""
 
     scene: GridScene
     segments: np.ndarray
 
+    __hash__ = None  # mutable, and equal by value
+
     def __post_init__(self) -> None:
         self.segments = np.asarray(self.segments, np.int64).reshape(-1, 2)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self.scene == other.scene and np.array_equal(self.segments, other.segments)
 
     def junction_count(self) -> int:
         return int(np.count_nonzero(self.scene.codes == JUNCTION_CODE))

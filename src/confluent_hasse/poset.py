@@ -347,7 +347,8 @@ def parse_edge_list(text: str) -> Poset:
 
     One pair per line, "u v", meaning u <= v. A '#' starts a comment.
     Isolated elements are declared on their own line as "node u".
-    Labels are whitespace-free tokens; first appearance fixes the
+    Labels are whitespace-free tokens other than the keyword "node",
+    which a line may use only to declare; first appearance fixes the
     index, and the pairs are numbered in the same pass.
     """
     index: dict[str, int] = {}
@@ -357,6 +358,8 @@ def parse_edge_list(text: str) -> Poset:
         if not line:
             continue
         tokens = line.split()
+        if "node" in tokens[1:]:
+            raise ValueError(f"line {lineno}: 'node' is a keyword, not a label: {line!r}")
         if tokens[0] == "node":
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'node <label>'")

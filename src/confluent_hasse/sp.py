@@ -34,9 +34,20 @@ junction at the cell up-and-right of the lower box's corner exactly
 when the lower part has several maximal elements and the upper part
 several minimal ones; otherwise the unique extreme vertex fans out
 directly. ``grid.with_junctions`` adds the junctions and the invisible
-bounds to the vertices, as in the general pipeline, so the result is
-that pipeline's diagram of the same realizer without its quadratic scan
-of the grid.
+bounds to the vertices, as in the general pipeline.
+
+The result is that pipeline's diagram of the same realizer, point ids
+and segment order included, without its quadratic scan of the grid:
+``sp_layout(t) == build_diagram(sp_realizer(t))``. Junction ids follow
+the junctions' columns left to right, as ``grid.insert_junctions``
+numbers them. A junction sits in the odd column just left of the
+first leaf of its series node's right part, and that leaf starts no
+other series node's right part, so no two junctions share a column. The
+segments are ordered as ``diagram.sweep_cover_edges`` emits them: by
+upper end in (row, column) order, and per upper end its lower ends left
+to right, which is the order the minima and maxima chains run in. The
+tests hold the two paths to that equality, so either one is the other's
+reference.
 """
 
 from __future__ import annotations
@@ -352,9 +363,14 @@ def sp_to_poset(t: SpTree) -> Poset:
 
 def sp_layout(t: SpTree) -> Diagram:
     """Confluent diagram of the tree's order, in time linear in the
-    tree size: the vertices, junctions and invisible bounds the general
-    pipeline puts on the (2n+1)-sided grid for ``sp_realizer(t)``, and
-    their cover segments, without scanning the grid."""
+    tree size, up to one sort of the segments: the vertices, junctions
+    and invisible bounds the general pipeline puts on the (2n+1)-sided
+    grid for ``sp_realizer(t)``, and their cover segments, without
+    scanning the grid. It equals ``build_diagram(sp_realizer(t))``:
+    vertices by leaf, then junctions by column (each in the column
+    just left of its own leaf, so the columns are distinct), then the
+    bounds, and the segments sorted stably by their upper end's (row,
+    column)."""
     labels, ops = t.postorder()
     n = len(labels)
     # The opcodes meet the leaves left to right, i.e. by point id.
@@ -432,8 +448,13 @@ def sp_layout(t: SpTree) -> Diagram:
         ys[q] = y
         q, y = next2[q], y + 2
     jys = [ys[q] + 1 for q in below]
+    # junctions numbered by column, as insert_junctions numbers them; no
+    # two share a column, since each sits just left of its own leaf
+    columns = np.argsort(jxs)
     least, greatest = minima == minima_tail, maxima == maxima_tail
-    scene, bottom, top = with_junctions(vertex_scene(n, ys, labels), jxs, jys, least, greatest)
+    scene, bottom, top = with_junctions(
+        vertex_scene(n, ys, labels), np.take(jxs, columns), np.take(jys, columns), least, greatest
+    )
     if bottom is not None:
         q = minima
         while q >= 0:
@@ -446,4 +467,11 @@ def sp_layout(t: SpTree) -> Diagram:
             lo_(q)
             hi_(top)
             q = next_max[q]
-    return Diagram(scene, np.array([los, his], np.int64).T)
+    renumber = np.arange(len(scene.xs))
+    renumber[n + columns] = np.arange(n, n + len(jxs))
+    segments = renumber[np.array([los, his], np.int64).T]
+    # in the sweep's order: by upper end in (row, column) order; each
+    # upper end's lower ends already run left to right along a chain
+    upper = segments[:, 1]
+    key = scene.ys[upper] * (scene.side + 1) + scene.xs[upper]
+    return Diagram(scene, segments[np.argsort(key, kind="stable")])

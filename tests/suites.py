@@ -24,7 +24,7 @@ from confluent_hasse import (
     transitive_reduction,
 )
 from confluent_hasse.diagram import Segment, ValidationReport
-from confluent_hasse.grid import INVISIBLE, JUNCTION, KINDS, VERTEX, bound_points, place_on_grid
+from confluent_hasse.grid import INVISIBLE, JUNCTION, KINDS, VERTEX, bound_points
 from confluent_hasse.oracle import Completion, DuplicatePointError
 from confluent_hasse.poset import Extremes
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
@@ -35,7 +35,6 @@ from confluent_hasse.sp import (
     SpSyntaxError,
     SpTree,
     _tree,
-    sp_realizer,
 )
 
 
@@ -942,79 +941,6 @@ def _reference_postorder(t: SpTree):
 def _reference_sp_leaves(t: SpTree) -> list[str]:
     """Leaf labels in left-to-right order."""
     return [node.label for node in _reference_postorder(t) if isinstance(node, SpLeaf)]
-
-
-class _ReferenceChain:
-    """Singly linked list with O(1) splice, for min/max node lists."""
-
-    __slots__ = ("head", "tail", "size")
-
-    def __init__(self, value: int):
-        cell = [value, None]
-        self.head = cell
-        self.tail = cell
-        self.size = 1
-
-    def splice(self, other: "_ReferenceChain") -> "_ReferenceChain":
-        self.tail[1] = other.head
-        self.tail = other.tail
-        self.size += other.size
-        return self
-
-    def __iter__(self):
-        cell = self.head
-        while cell is not None:
-            yield cell[0]
-            cell = cell[1]
-
-
-def reference_sp_layout(t: SpTree) -> Diagram:
-    scene = place_on_grid(sp_realizer(t))
-    points = [(p.kind, p.x, p.y, p.label) for p in scene.points]
-    segments: list[tuple[int, int]] = []
-    # per finished subtree: its minima, its maxima, and the top-right
-    # corner of the box its vertices fill
-    done: list[tuple[_ReferenceChain, _ReferenceChain, int, int]] = []
-    leaf = 0  # postorder meets the leaves left to right, i.e. by point id
-
-    for node in _reference_postorder(t):
-        if isinstance(node, SpLeaf):
-            _kind, x, y, _label = points[leaf]
-            done.append((_ReferenceChain(leaf), _ReferenceChain(leaf), x, y))
-            leaf += 1
-            continue
-        min_r, max_r, xr, yr = done.pop()
-        min_l, max_l, xl, yl = done.pop()
-        if isinstance(node, SpParallel):
-            # the right box sits down-and-right of the left one
-            done.append((min_l.splice(min_r), max_l.splice(max_r), xr, yl))
-            continue
-        # series: connect left maxima to right minima
-        if max_l.size > 1 and min_r.size > 1:
-            jid = len(points)
-            points.append((JUNCTION, xl + 1, yl + 1))
-            for q in max_l:
-                segments.append((q, jid))
-            for q in min_r:
-                segments.append((jid, q))
-        elif max_l.size == 1:
-            a = max_l.head[0]
-            for q in min_r:
-                segments.append((a, q))
-        else:
-            b = min_r.head[0]
-            for q in max_l:
-                segments.append((q, b))
-        done.append((min_l, max_r, xr, yr))
-
-    minima, maxima, _, _ = done.pop()
-    cells, bottom, top = bound_points(scene.n, len(points), minima.size == 1, maxima.size == 1)
-    scene = scene_of(scene.n, points + [(INVISIBLE, c, c) for c in cells])
-    if bottom is not None:
-        segments.extend((bottom, q) for q in minima)
-    if top is not None:
-        segments.extend((q, top) for q in maxima)
-    return Diagram(scene, segments)
 
 
 # --- brute-force order oracles that only the tests call: the lattice

@@ -88,6 +88,17 @@ def test_malformed_edges_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_node_as_a_label_exits_1_with_its_line(tmp_path, capsys):
+    # "node" is a keyword: this line must not read as a declaration of b
+    src = write(tmp_path, "node.edges", "a node\nnode b\n")
+    for flags in ([], ["--verify", "--emit", "json"]):
+        assert run([src, *flags]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "",
+            "error: line 1: 'node' is a keyword, not a label: 'a node'\n",
+        )
+
+
 def test_cycle_exit_1(tmp_path, capsys):
     src = write(tmp_path, "cyc.edges", "a b\nb a\n")
     assert run([src]) == EXIT_INPUT

@@ -4,6 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,23 @@ def test_k22_segments():
         ((8, 6), (9, 9)),
     }
     assert len(d.segments) == len(np.unique(d.segments, axis=0))
+
+
+def test_diagram_equality_compares_scene_and_segment_rows_in_order():
+    d, same = k22_diagram(), k22_diagram()
+    assert d == same and not d != same
+    assert Diagram(d.scene, d.segments.tolist()) == d
+    reordered = Diagram(d.scene, d.segments[::-1])
+    assert reordered != d and d != reordered
+    changed = d.segments.copy()
+    changed[3, 0] += 1
+    assert Diagram(d.scene, changed) != d
+    assert Diagram(d.scene, d.segments[:-1]) != d
+    other_scene = build_diagram(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")[::-1])).scene
+    assert Diagram(other_scene, d.segments) != d
+    assert d != (d.scene, d.segments) and d != "k22"
+    with pytest.raises(TypeError):
+        hash(d)
 
 
 def test_chain_segments():

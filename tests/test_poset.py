@@ -283,3 +283,22 @@ def test_parse_edge_list_rejects_bad_lines():
         parse_edge_list("a b\na b c\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_edge_list("node\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("a node\nnode b\n", 1),  # read before as "node <= b" dropped and b declared
+        ("a b\nnode a\nnode node\n", 3),
+        ("a b\n  node  c # fine\nc node\n", 3),
+        ("node x\na node b\n", 2),
+    ],
+)
+def test_parse_edge_list_rejects_node_as_a_label(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}: 'node' is a keyword, not a label"):
+        parse_edge_list(text)
+
+
+def test_node_inside_a_label_or_a_comment_is_no_keyword():
+    p = parse_edge_list("nodes node1 # a node\nnode Node\n")
+    assert p.labels == ("nodes", "node1", "Node") and p.holds("nodes", "node1")

@@ -30,12 +30,12 @@ from confluent_hasse import (
     transitive_reduction,
     verify_realizer,
 )
+from confluent_hasse.cli import run
 from confluent_hasse.grid import INVISIBLE, JUNCTION, VERTEX
 from confluent_hasse.sp import LEAF, PARALLEL, SERIES
 from suites import (
     all_sp_trees,
     reference_parse_sp,
-    reference_sp_layout,
     sp_preorder,
     sp_text,
 )
@@ -138,9 +138,10 @@ def test_parse_whitespace_is_what_str_isspace_says():
 
 
 def _same_as_reference(text):
-    """parse_sp and sp_layout give what the code before the one-pass
-    rewrite gave: the same tree and the same points and segments, in
-    order, or the same error at the same position."""
+    """parse_sp gives what the reference parser gives, the same tree or
+    the same error at the same position, and sp_layout draws exactly
+    the general pipeline's diagram of that tree's realizer: the same
+    points and segments, ids and order included."""
     try:
         want = reference_parse_sp(text)
     except ValueError as exc:
@@ -152,11 +153,9 @@ def _same_as_reference(text):
         return
     tree = parse_sp(text)
     assert sp_preorder(tree) == sp_preorder(want), text
-    got, ref = sp_layout(tree), reference_sp_layout(want)
-    assert got.scene.n == ref.scene.n
-    assert got.scene.points == ref.scene.points
-    assert got.segments.dtype == np.int64 and got.segments.shape == ref.segments.shape
-    assert np.array_equal(got.segments, ref.segments)
+    got = sp_layout(tree)
+    assert got.segments.dtype == np.int64
+    assert got == build_diagram(sp_realizer(want)), text
 
 
 def test_parse_and_layout_equal_the_reference_on_every_small_tree():
@@ -352,21 +351,40 @@ def test_layout_passes_full_validation(t):
     assert report.ok, report.summary()
 
 
-def _drawing(d):
-    pts = d.scene.points
-    return (
-        sorted((q.kind, q.x, q.y, q.label or "") for q in pts),
-        sorted(((pts[a].x, pts[a].y), (pts[b].x, pts[b].y)) for a, b in d.segments.tolist()),
-        "".join(to_svg(d)),
-    )
-
-
 def test_layout_equals_general_pipeline_on_the_tree_realizer():
-    # the linear-time layout must draw exactly what place, complete and
-    # sweep draw for the same realizer; only point ids may differ
+    # the linear-time layout draws exactly what place, complete and
+    # sweep draw for the same realizer, point ids and segment order
+    # included; this also holds the layout's second order (next2) and
+    # sp_realizer's (_swapped_leaves) to one rule
     trees = all_sp_trees(5) + [gen_random_sp(1 + s % 40, s) for s in range(300)]
+    trees += [gen_random_sp(n, seed) for n, seed in ((300, 1), (10**4, 0), (10**4, 3), (10**5, 0))]
     for t in trees:
-        assert _drawing(sp_layout(t)) == _drawing(build_diagram(sp_realizer(t))), t
+        assert sp_layout(t) == build_diagram(sp_realizer(t)), sp_text(t)[:200]
+
+
+def _cli_bytes(tmp_path, capsys, fmt, text, flags):
+    src = tmp_path / f"in.{fmt}"
+    out = tmp_path / f"out.{fmt}"
+    src.write_text(text)
+    assert run([str(src), "--input-format", fmt, "--out", str(out), *flags]) == 0
+    return out.read_bytes(), capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--emit", "json"], ["--emit", "svg"], ["--show-invisible"], ["--verify", "--emit", "json"]],
+)
+def test_sp_and_realizer_input_give_the_same_bytes(tmp_path, capsys, flags):
+    # a series-parallel expression and its tree's realizer, typed as two
+    # lines, are one order with one drawing: the same file and report
+    trees = all_sp_trees(4)
+    trees += [gen_random_sp(n, seed) for n, seed in ((300, 1), (10**4, 0), (10**4, 7))]
+    assert len(trees) == 54
+    for t in trees:
+        r = sp_realizer(t)
+        realizer_text = " ".join(r.l1) + "\n" + " ".join(r.l2) + "\n"
+        got = _cli_bytes(tmp_path, capsys, "sp", sp_text(t) + "\n", flags)
+        assert got == _cli_bytes(tmp_path, capsys, "realizer", realizer_text, flags), sp_text(t)[:200]
 
 
 def test_sp_realizer_swaps_parallel_parts_in_the_second_order():
