@@ -27,8 +27,9 @@ the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
   points + segments lookups, at every size; a failure is reported as
   the certificate's own counts;
 - smooth adjacency propagates one int bitset of reachable vertices per
-  junction, in the order the junction-to-junction segments give, and
-  ORs them per vertex: one pass over the segments;
+  junction, the junctions by decreasing x + y, and reads each vertex's
+  pairs off the OR of its out-segments' bitsets: one pass over the
+  segments, and a second that finds nothing left to change;
 - planarity pairs the segments whose boxes overlap, by a sort and
   ``searchsorted`` within strips of rows, and decides every pair from
   four integer orientations: a proper crossing, an endpoint resting on
@@ -38,9 +39,8 @@ the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
   ``searchsorted`` calls the vertices within each segment's u-span, and
   decides all those (vertex, segment) pairs with one integer side test.
 
-The pair set the smooth check compares is built from index arrays
-(``np.nonzero`` of the unpacked bitsets) by ``poset.pairs_of``, with no
-Python loop per pair.
+A ``Diagram`` rejects a segment row that names no point, so every
+check can index the scene's columns by the segment ids.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import INVISIBLE_CODE, JUNCTION_CODE, VERTEX_CODE, GridScene
-from .poset import Poset, extremes, mask_blocks, pairs_of, transitive_reduction
+from .poset import Poset, extremes, transitive_reduction
 
 # one segment as a pair (lower id, upper id), a row of Diagram.segments
 Segment = tuple[int, int]
@@ -62,7 +62,8 @@ class Diagram:
     one row (lower id, upper id) per segment. A list of such pairs is
     taken as well and stored as that array. Two diagrams are equal when
     their scenes are and their segments are the same rows in the same
-    order."""
+    order. A row that names an id outside the scene's points raises
+    ``ValueError``."""
 
     scene: GridScene
     segments: np.ndarray
@@ -70,7 +71,14 @@ class Diagram:
     __hash__ = None  # mutable, and equal by value
 
     def __post_init__(self) -> None:
-        self.segments = np.asarray(self.segments, np.int64).reshape(-1, 2)
+        self.segments = segs = np.asarray(self.segments, np.int64).reshape(-1, 2)
+        count = len(self.scene.xs)
+        if len(segs) and (segs.min() < 0 or segs.max() >= count):
+            row = int(np.flatnonzero(((segs < 0) | (segs >= count)).any(axis=1))[0])
+            raise ValueError(
+                f"segment row {row} {tuple(segs[row].tolist())} names no point: "
+                f"ids run 0 .. {count - 1}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
@@ -192,67 +200,53 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     vertex b whose internal nodes are all junctions; invisible bound
     points terminate a track and never appear inside one.
 
-    Each point gets an int bitset over the vertices: a vertex its own
-    bit, an invisible point none, and a junction the OR of what its
-    out-segments reach. Junctions are settled sinks first, in the order
-    of the junction-to-junction segments (Kahn's algorithm); junctions
-    on or below a cycle of such segments, which no drawing has, are
-    iterated to the least fixed point instead. A vertex's pairs are the
-    OR over its out-segments, unpacked ``poset.MASK_ROW_BLOCK`` vertices
-    at a time into a bool matrix whose ``np.nonzero`` lists them.
+    Each point carries an int bitset over the vertices: a vertex its
+    own bit, an invisible point none, and a junction, starting from
+    none, the OR of what its out-segments carry. The junctions are
+    taken by decreasing x + y, and the pass is repeated until it
+    changes nothing. A rising segment ends at a strictly larger x + y,
+    so in a drawing each junction's targets are final before it is
+    read, and the second pass only confirms the first. On any other
+    segment list (spliced downward segments, junction cycles,
+    self-loops) the passes are a monotone iteration from zero, so they
+    stop at the least fixed point: exactly the junction-only paths. A
+    vertex's pairs are then the set bits of the OR over its
+    out-segments, read lowest first.
     """
-    codes = d.scene.codes.tolist()
-    out: list[list[int]] = [[] for _ in codes]
-    reach = [0] * len(codes)
-    vertices = [pid for pid, code in enumerate(codes) if code == VERTEX_CODE]
-    for bit, pid in enumerate(vertices):
-        reach[pid] = 1 << bit
-    # per junction: its junction predecessors, and its junction
-    # successors not yet settled
-    preds: dict[int, list[int]] = {}
-    pending = [0] * len(codes)
+    s = d.scene
+    codes = s.codes
+    out: list[list[int]] = [[] for _ in range(len(codes))]
     for lo, hi in zip(*d.segments.T.tolist()):
         out[lo].append(hi)
-        if codes[lo] == JUNCTION_CODE == codes[hi]:
-            pending[lo] += 1
-            preds.setdefault(hi, []).append(lo)
-    junctions = [pid for pid, code in enumerate(codes) if code == JUNCTION_CODE]
-    ready = [j for j in junctions if not pending[j]]
-    while ready:
-        j = ready.pop()
-        acc = 0
-        for t in out[j]:
-            acc |= reach[t]
-        reach[j] = acc
-        for q in preds.get(j, ()):
-            pending[q] -= 1
-            if not pending[q]:
-                ready.append(q)
-    cyclic = [j for j in junctions if pending[j]]
-    changed = bool(cyclic)
+    reach = [0] * len(codes)
+    vertices = np.flatnonzero(codes == VERTEX_CODE).tolist()
+    for bit, pid in enumerate(vertices):
+        reach[pid] = 1 << bit
+    junctions = np.flatnonzero(codes == JUNCTION_CODE)
+    top_down = junctions[np.argsort(-(s.xs + s.ys)[junctions], kind="stable")].tolist()
+    changed = True
     while changed:
         changed = False
-        for j in cyclic:
-            acc = reach[j]
+        for j in top_down:
+            acc = 0
             for t in out[j]:
                 acc |= reach[t]
             if acc != reach[j]:
                 reach[j] = acc
                 changed = True
 
+    labels = [s.labels[pid] for pid in vertices]
     pairs = []
-    for pid in vertices:
+    add = pairs.append
+    for pid, lab in zip(vertices, labels):
         acc = 0
         for t in out[pid]:
             acc |= reach[t]
-        pairs.append(acc)
-    labels = [d.scene.labels[pid] for pid in vertices]
-    lower, upper = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for top, block in mask_blocks(pairs, len(vertices)):
-        rows, cols = np.nonzero(block)
-        lower.append(rows + top)
-        upper.append(cols)
-    return pairs_of(labels, np.concatenate(lower), np.concatenate(upper))
+        while acc:
+            low = acc & -acc
+            add((lab, labels[low.bit_length() - 1]))
+            acc ^= low
+    return frozenset(pairs)
 
 
 @dataclass(slots=True)

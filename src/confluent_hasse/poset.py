@@ -165,11 +165,6 @@ def mask_blocks(masks: list[int], n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield top, masks_to_rows(masks[top : top + MASK_ROW_BLOCK], n)
 
 
-def pairs_of(names: Sequence, a: np.ndarray, b: np.ndarray) -> frozenset:
-    """(names[i], names[j]) for each i, j of the index arrays a, b."""
-    return frozenset(zip(map(names.__getitem__, a.tolist()), map(names.__getitem__, b.tolist())))
-
-
 def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
     """Reflexive-transitive closure of a relation on range(n), given as
     index pairs, as up-set and down-set masks.

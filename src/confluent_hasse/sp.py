@@ -202,8 +202,14 @@ _CLASS = {LEAF: SpLeaf, SERIES: SpSeries, PARALLEL: SpParallel}
 
 
 def _check_leaves(labels: tuple[str, ...]) -> None:
+    """Raise DuplicateLeafError naming the first leaf, left to right,
+    whose label an earlier leaf has."""
     if len(set(labels)) != len(labels):
-        raise DuplicateLeafError("a leaf label occurs twice")
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise DuplicateLeafError(f"leaf {label!r} occurs twice")
+            seen.add(label)
 
 
 def _init(t: SpTree, labels, ops, lo=0, hi=None, first=0, starts=None) -> SpTree:
@@ -302,13 +308,9 @@ def parse_sp(text: str) -> SpTree:
                 raise SpSyntaxError(
                     f"unexpected {tok!r} after complete expression", _token_position(text, k)
                 )
-    if len(set(labels)) != len(labels):
-        seen: set[str] = set()
-        for label in labels:
-            if label in seen:
-                raise DuplicateLeafError(f"leaf {label!r} occurs twice")
-            seen.add(label)
-    return _tree(tuple(labels), bytes(ops))
+    leaves = tuple(labels)
+    _check_leaves(leaves)
+    return _tree(leaves, bytes(ops))
 
 
 def sp_leaves(t: SpTree) -> list[str]:

@@ -27,7 +27,7 @@ from confluent_hasse import (
     transitive_reduction,
     validate_diagram,
 )
-from confluent_hasse import oracle, poset
+from confluent_hasse import oracle
 from confluent_hasse.diagram import (
     Diagram,
     ValidationReport,
@@ -86,11 +86,24 @@ def test_diagram_equality_compares_scene_and_segment_rows_in_order():
     changed[3, 0] += 1
     assert Diagram(d.scene, changed) != d
     assert Diagram(d.scene, d.segments[:-1]) != d
-    other_scene = build_diagram(Realizer(("a", "b", "c", "d"), ("b", "a", "d", "c")[::-1])).scene
+    # the same points, with d relabelled: another scene the rows fit
+    other_scene = build_diagram(Realizer(("a", "b", "c", "e"), ("b", "a", "e", "c"))).scene
     assert Diagram(other_scene, d.segments) != d
     assert d != (d.scene, d.segments) and d != "k22"
     with pytest.raises(TypeError):
         hash(d)
+
+
+@pytest.mark.parametrize("row", [(0, 99), (-1, 0), (6, 7)])
+def test_diagram_rejects_a_segment_row_that_names_no_point(row):
+    d = k22_diagram()
+    assert len(d.scene.xs) == 7
+    rows = np.vstack((d.segments, [row], [(99, -1)]))
+    named = rf"^segment row {len(d.segments)} \({row[0]}, {row[1]}\) names no point"
+    with pytest.raises(ValueError, match=named):
+        Diagram(d.scene, rows)
+    # the certificate, called directly, still counts such rows
+    assert oracle.segment_faults(d.scene.xs, d.scene.ys, rows)[0] == 2
 
 
 def test_chain_segments():
@@ -275,8 +288,9 @@ def test_validate_memory_on_a_chain_at_the_cover_limit():
     # all x and all y distinct: the most ranks the segments check meets
     # for its points. The whole prefix-count table would take 1,497^2
     # int64 entries at 1,496 points, about 18 MB, and 6,001^2 at 6,000,
-    # about 288 MB. At 6,000 the smooth check unpacks 1,024 x 6,000 bits
-    # at a time, past the bound, so there the segments check is taken alone
+    # about 288 MB. At 6,000 the smooth check's vertex bitsets alone are
+    # about 2.3 MB, so there the segments check is taken alone (the
+    # smooth check has its own bound below)
     for size, check in ((1496, validate_diagram), (6000, segments_check)):
         labels = tuple(f"e{i}" for i in range(size))
         r = Realizer(labels, labels)
@@ -291,6 +305,21 @@ def test_validate_memory_on_a_chain_at_the_cover_limit():
         assert report.ok, report.summary()
         assert report.summary().splitlines()[0] == "PASS segments"
         assert peak < 5_000_000, size
+
+
+def test_smooth_memory_on_a_chain_of_6000():
+    # 6,000 vertex bits and 5,999 pairs: the pairs are read off the
+    # bitsets, with no bool block of the vertices unpacked
+    labels = tuple(f"e{i}" for i in range(6000))
+    d = build_diagram(Realizer(labels, labels))
+    tracemalloc.start()
+    try:
+        smooth = smooth_adjacency(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert smooth == {(a, b) for a, b in zip(labels, labels[1:])}
+    assert peak < 8_000_000
 
 
 def segments_check(d, p):
@@ -395,9 +424,7 @@ def checks_of(d, p):
     return {c.name: c.status + (f": {c.detail}" if c.detail else "") for c in validate_diagram(d, p).checks}
 
 
-def test_smooth_equals_the_reference_across_row_blocks(monkeypatch):
-    # with blocks of 3 rows, every vertex set here is unpacked in several
-    monkeypatch.setattr(poset, "MASK_ROW_BLOCK", 3)
+def test_smooth_equals_the_reference_on_realizer_and_worst_case_drawings():
     for r in random_realizer_suite(40) + [gen_worstcase(3), gen_random(40, 3)]:
         d = build_diagram(r)
         assert smooth_adjacency(d) == reference_smooth_adjacency(d)
@@ -512,6 +539,30 @@ def test_smooth_equals_the_reference_on_spliced_segments():
     cycle = Diagram(d.scene, np.vstack((d.segments, [(hi, lo)])))
     assert smooth_adjacency(cycle) > smooth_adjacency(d)
     assert_matches_reference(cycle, poset_from_realizer(r))
+
+
+@st.composite
+def segment_lists(draw):
+    """1-12 points of random kinds, junctions twice as likely, on random
+    cells of a 9 x 9 grid (shared cells too), and 0-30 random rows
+    between them: downward rows, junction cycles, self-loops, repeated
+    rows and rows into invisible points all occur."""
+    size = draw(st.integers(1, 12))
+    kinds = st.sampled_from((VERTEX, JUNCTION, JUNCTION, INVISIBLE))
+    cells = st.tuples(kinds, st.integers(1, 9), st.integers(1, 9))
+    points = [
+        (kind, x, y, f"v{k}" if kind == VERTEX else None)
+        for k, (kind, x, y) in enumerate(draw(st.lists(cells, min_size=size, max_size=size)))
+    ]
+    ids = st.integers(0, size - 1)
+    rows = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    return Diagram(scene_of(4, points), rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(segment_lists())
+def test_smooth_equals_the_reference_on_arbitrary_segment_lists(d):
+    assert smooth_adjacency(d) == reference_smooth_adjacency(d)
 
 
 def test_visibility_equals_the_reference_on_blocked_rays():

@@ -18,7 +18,6 @@ from confluent_hasse import (
     transitive_reduction,
 )
 from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError, segment_faults
-from confluent_hasse.poset import pairs_of
 from suites import (
     all_sp_trees,
     element_cut_index,
@@ -247,7 +246,7 @@ def oracle_verdict(points, rows) -> bool:
         with pytest.raises(DuplicatePointError):
             dominance_covers(points)
         return False
-    actual = pairs_of(points, rows[:, 0], rows[:, 1])
+    actual = frozenset((points[a], points[b]) for a, b in rows.tolist())
     verdict = dominance_covers(points) == actual and len(actual) == len(rows)
     assert verdict == (reference_dominance_covers(points) == actual and len(actual) == len(rows))
     return verdict

@@ -13,17 +13,20 @@ from confluent_hasse import (
     MismatchedElementsError,
     Poset,
     Realizer,
+    build_diagram,
     gen_random,
+    gen_random_sp,
     gen_worstcase,
     parse_edge_list,
     parse_realizer,
     poset_from_realizer,
     poset_from_relations,
     realizer_of,
+    transitive_reduction,
     verify_realizer,
 )
 from confluent_hasse.realizer import _forced_orientation
-from confluent_hasse.sp import sp_to_poset
+from confluent_hasse.sp import sp_realizer, sp_to_poset
 from suites import all_sp_trees, order_dimension_le2, random_poset, reference_orientation
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -176,6 +179,40 @@ def test_orientation_matches_reference_loop_on_worst_case(k):
     p = poset_from_realizer(gen_worstcase(k))
     got = _successors(p)
     assert got is not None and got == reference_orientation(p)
+
+
+def _counts(r: Realizer) -> tuple[int, int]:
+    d = build_diagram(r)
+    return d.junction_count(), len(d.scene.xs)
+
+
+def _read_back(r: Realizer, rng: random.Random) -> tuple[Realizer, Realizer]:
+    """r with its labels renamed, and the realizer recognised from its
+    order written as a shuffled edge list of covers and node lines."""
+    rename = dict(zip(r.l1, (f"v{k}" for k in rng.sample(range(r.n), r.n))))
+    covers = sorted(transitive_reduction(poset_from_realizer(r)))
+    lines = [f"{rename[a]} {rename[b]}" for a, b in covers] + [f"node {rename[a]}" for a in r.l1]
+    rng.shuffle(lines)
+    renamed = Realizer([rename[a] for a in r.l1], [rename[a] for a in r.l2])
+    return renamed, realizer_of(parse_edge_list("\n".join(lines)))
+
+
+def test_every_realizer_of_one_order_gives_the_same_junction_and_point_counts():
+    # the fewest junctions depend on the order alone, so two realizers
+    # of one order must draw as many junctions and points: a check of
+    # the paper's optimality claim past the sizes dm_completion reaches
+    rng = random.Random(29)
+    pairs = [_read_back(gen_random(rng.randint(2, 200), seed), rng) for seed in range(40)]
+    for seed in range(40):
+        t = gen_random_sp(rng.randint(2, 300), seed)
+        pairs += [(sp_realizer(t), realizer_of(sp_to_poset(t))), _read_back(sp_realizer(t), rng)]
+    different = 0
+    for given, read in pairs:
+        assert verify_realizer(poset_from_realizer(given), read)
+        assert _counts(given) == _counts(read), given.n
+        # (l2, l1) is the same realizer, mirrored
+        different += {given.l1, given.l2} != {read.l1, read.l2}
+    assert different >= len(pairs) // 4, different
 
 
 def test_verify_realizer_examples():

@@ -240,6 +240,24 @@ def test_from_postorder_rejects_a_repeated_leaf():
         SpTree.from_postorder(labels[:-1] + labels[:1], ops)
 
 
+def test_every_repeated_leaf_error_names_the_first_repeated_leaf():
+    labels, ops = gen_random_sp(40, 2).postorder()
+    a, b, c = SpLeaf("a"), SpLeaf("b"), SpLeaf("c")
+    three = bytes((LEAF, LEAF, SERIES, LEAF, PARALLEL))
+    cases = [
+        (lambda: parse_sp("a;(b|a);b"), "a"),
+        (lambda: parse_sp("c;(b|a);b;a"), "b"),
+        (lambda: SpSeries(SpParallel(a, b), SpSeries(c, b)), "b"),
+        (lambda: SpParallel(SpLeaf("x"), SpLeaf("x")), "x"),
+        (lambda: SpTree.from_postorder(["a", "b", "a"], three), "a"),
+        (lambda: SpTree.from_postorder(labels[:-1] + labels[:1], ops), labels[0]),
+    ]
+    for make, leaf in cases:
+        with pytest.raises(DuplicateLeafError) as err:
+            make()
+        assert str(err.value) == f"leaf {leaf!r} occurs twice"
+
+
 def test_sp_to_poset_k22():
     p = sp_to_poset(parse_sp("(a|b);(c|d)"))
     expected = poset_from_relations(
