@@ -116,6 +116,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once: parsing keeps no state in the parser between calls
+_PARSER = _build_parser()
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         # strict UTF-8 like a file; a stdin with no byte buffer gives its text
@@ -226,7 +230,7 @@ def _run_verify(diagram: Diagram, p: Poset) -> bool:
 
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _ArgumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -29,7 +29,8 @@ the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
 - smooth adjacency propagates one int bitset of reachable vertices per
   junction, the junctions by decreasing x + y, and reads each vertex's
   pairs off the OR of its out-segments' bitsets: one pass over the
-  segments, and a second that finds nothing left to change;
+  segments when every junction-to-junction segment rises, as in a
+  drawing;
 - planarity pairs the segments whose boxes overlap, by a sort and
   ``searchsorted`` within strips of rows, and decides every pair from
   four integer orientations: a proper crossing, an endpoint resting on
@@ -203,15 +204,15 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     Each point carries an int bitset over the vertices: a vertex its
     own bit, an invisible point none, and a junction, starting from
     none, the OR of what its out-segments carry. The junctions are
-    taken by decreasing x + y, and the pass is repeated until it
-    changes nothing. A rising segment ends at a strictly larger x + y,
-    so in a drawing each junction's targets are final before it is
-    read, and the second pass only confirms the first. On any other
-    segment list (spliced downward segments, junction cycles,
-    self-loops) the passes are a monotone iteration from zero, so they
-    stop at the least fixed point: exactly the junction-only paths. A
-    vertex's pairs are then the set bits of the OR over its
-    out-segments, read lowest first.
+    taken by decreasing x + y. When every junction-to-junction segment
+    ends at a strictly larger x + y, as every segment of a drawing
+    does, each junction's targets are final before it is read, and one
+    pass is the answer. On any other segment list (spliced downward
+    segments, junction cycles, self-loops) the pass is repeated until
+    it changes nothing: a monotone iteration from zero, so it stops at
+    the least fixed point, exactly the junction-only paths. A vertex's
+    pairs are then the set bits of the OR over its out-segments, read
+    lowest first.
     """
     s = d.scene
     codes = s.codes
@@ -223,7 +224,11 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     for bit, pid in enumerate(vertices):
         reach[pid] = 1 << bit
     junctions = np.flatnonzero(codes == JUNCTION_CODE)
-    top_down = junctions[np.argsort(-(s.xs + s.ys)[junctions], kind="stable")].tolist()
+    height = s.xs + s.ys
+    top_down = junctions[np.argsort(-height[junctions], kind="stable")].tolist()
+    lo, hi = d.segments.T
+    inner = (codes[lo] == JUNCTION_CODE) & (codes[hi] == JUNCTION_CODE)
+    rising = bool((height[hi[inner]] > height[lo[inner]]).all())
     changed = True
     while changed:
         changed = False
@@ -234,6 +239,8 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
             if acc != reach[j]:
                 reach[j] = acc
                 changed = True
+        if rising:
+            break
 
     labels = [s.labels[pid] for pid in vertices]
     pairs = []
@@ -319,11 +326,9 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
 
     smooth = smooth_adjacency(d)
     covers = transitive_reduction(p)
-    report.add(
-        "smooth",
-        smooth == covers,
-        "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
-    )
+    same = smooth == covers
+    detail = "" if same else f"smooth {len(smooth)} pairs vs covers {len(covers)}"
+    report.add("smooth", same, detail)
 
     rendered = d.drawn_segments()
     conflicts = _conflicting_pairs(s.xs, s.ys, rendered)

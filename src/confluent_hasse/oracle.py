@@ -1,14 +1,19 @@
-"""Brute-force ground truth for small instances.
+"""Ground truth for the drawing, independent of the code that makes it.
 
-Everything here is deliberately plain: cut enumeration for the lattice
-completion, and dominance covers from a points × points integer matrix,
-a block of rows at a time, in quadratic time. A certificate that a
-segment set is exactly those covers reads prefix counts of the points
-instead, in points + segments lookups, and counts what it finds wrong:
---verify runs it at every size, and the tests check it against the
-quadratic covers. These routines certify the fast pipeline in tests
-and back the CLI --verify mode, so none of them may share code with
-the constructions they check.
+The completion's cuts come two ways. ``dm_completion`` enumerates
+closures of subsets (or of down-sets), exponential in n: it is the
+brute-force reference the tests compare against. ``_cut_lowers`` walks
+the cut lattice down from the top cut, one cut at a time, polynomial in
+the number of cuts: it backs ``scene_matches_completion`` and so the
+``completion`` line of --verify, under the same 20-element limit.
+Dominance covers come from a points × points integer matrix, a block of
+rows at a time, in quadratic time. A certificate that a segment set is
+exactly those covers reads prefix counts of the points instead, in
+points + segments lookups, and counts what it finds wrong: --verify
+runs it at every size, and the tests check it against the quadratic
+covers. These routines certify the fast pipeline in tests and back the
+CLI --verify mode, so none of them may share code with the
+constructions they check.
 """
 
 from __future__ import annotations
@@ -124,6 +129,51 @@ def dm_completion(p: Poset, *, max_n: int = 20) -> Completion:
         cuts.append(Cut(lower, upper))
         labels.append("{" + ",".join(sorted(lower)) + "}")
     return Completion(tuple(cuts), Poset(labels, leq))
+
+
+# the largest order whose completion --verify certifies
+COMPLETION_MAX_N = 20
+
+
+def _cut_lowers(p: Poset) -> set[int]:
+    """The lower sets of all cuts of p, as bitmasks over p's elements,
+    read only from ``p.up`` and ``p.down``.
+
+    A cut is a pair (A, B) with B the upper bounds of A and A the lower
+    bounds of B. The walk starts from the top cut, whose A is every
+    element, and goes down the lattice cover by cover. The lower covers
+    of a cut (A, B) are the inclusion-maximal sets among A & down[u],
+    for u maximal among the elements outside B. Each such set is the
+    lower set of a cut (the meet of (A, B) with u's principal cut), and
+    it is strictly inside A, since u, outside B, is not above all of A.
+    Every cut D below (A, B) lies in one of them: D has an upper bound
+    outside B, which lies below a maximal u outside B, so D's lower set
+    is inside A & down[u]. So every cut is reached, and each is
+    expanded once. The candidates are taken by decreasing size, so a
+    candidate is a cover exactly when no cover kept before it contains
+    it.
+    """
+    up, down = p.up, p.down
+    full = (1 << p.n) - 1
+    lowers = {full}
+    stack = [full]
+    while stack:
+        lower = stack.pop()
+        bounds = full
+        for i in _bit_indices(lower):
+            bounds &= up[i]
+        outside = full & ~bounds
+        candidates = {
+            lower & down[u] for u in _bit_indices(outside) if up[u] & outside == 1 << u
+        }
+        covers: list[int] = []
+        for c in sorted(candidates, key=int.bit_count, reverse=True):
+            if all(c & ~kept for kept in covers):
+                covers.append(c)
+                if c not in lowers:
+                    lowers.add(c)
+                    stack.append(c)
+    return lowers
 
 
 # rows of the dominance matrix that dominance_covers holds at once, and
@@ -290,12 +340,16 @@ def scene_matches_completion(scene, p: Poset) -> bool:
 
     Each point is keyed by the set of poset elements it dominates; the
     scene matches iff those keys are exactly the completion's lower
-    sets and point dominance coincides with key containment.
+    sets, from the walk down the cut lattice (``_cut_lowers``), and
+    point dominance coincides with key containment. Raises
+    ``TooLargeForOracle`` above COMPLETION_MAX_N elements.
     """
-    comp = dm_completion(p)
+    if p.n > COMPLETION_MAX_N:
+        raise TooLargeForOracle(f"completion oracle limited to n <= {COMPLETION_MAX_N}")
+    cut_lowers = _cut_lowers(p)
     xs, ys, kinds, labels = scene.xs.tolist(), scene.ys.tolist(), scene.kinds, scene.labels
     ids = range(len(kinds))
-    if len(ids) != len(comp.cuts):
+    if len(ids) != len(cut_lowers):
         return False
     label_bit = {lab: 1 << i for i, lab in enumerate(p.labels)}
     verts = [v for v in ids if kinds[v] == "vertex"]
@@ -306,9 +360,6 @@ def scene_matches_completion(scene, p: Poset) -> bool:
             if xs[v] <= xs[q] and ys[v] <= ys[q]:
                 key |= label_bit[labels[v]]
         keys.append(key)
-    cut_lowers = {
-        sum(label_bit[lab] for lab in cut.lower) for cut in comp.cuts
-    }
     if set(keys) != cut_lowers or len(set(keys)) != len(keys):
         return False
     for i in ids:

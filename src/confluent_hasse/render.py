@@ -308,11 +308,11 @@ def _joined_rows(template: str, fields: list[np.ndarray]) -> str:
     fields[k] (NUL-padded ASCII digits), each row followed by ",\n".
 
     The rows are laid out side by side in one uint8 array, the template's
-    constant bytes between the fields, and one mask then drops every NUL.
-    That is sound only because the text holds no NUL byte of its own:
-    the template's constants contain none, and the labels filled in
-    afterwards are escaped by encode_basestring_ascii, which writes NUL
-    as \u0000.
+    constant bytes between the fields, and one ``bytes.replace`` of its
+    buffer then drops every NUL. That is sound only because the text
+    holds no NUL byte of its own: the template's constants contain none,
+    and the labels filled in afterwards are escaped by
+    encode_basestring_ascii, which writes NUL as \u0000.
     """
     constants = template.split("%d")
     widths = [field.shape[1] for field in fields]
@@ -323,8 +323,7 @@ def _joined_rows(template: str, fields: list[np.ndarray]) -> str:
         at += len(constant)
         rows[:, at : at + width] = field
         at += width
-    flat = rows.ravel()
-    return str(flat[flat != 0].data, "ascii")
+    return str(rows.tobytes().replace(b"\0", b""), "ascii")
 
 
 def to_json(d: Diagram) -> list[str]:

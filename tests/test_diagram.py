@@ -541,6 +541,18 @@ def test_smooth_equals_the_reference_on_spliced_segments():
     assert_matches_reference(cycle, poset_from_realizer(r))
 
 
+def test_smooth_repeats_the_pass_on_a_junction_cycle():
+    # a -> j -> i -> b, with i -> j closing a cycle and j above i in
+    # x + y: one pass reads i's bitset at j before i has one, so (a, b)
+    # shows only from the second pass on
+    d, p = custom(
+        [(VERTEX, 1, 1, "a"), (JUNCTION, 5, 5, None), (JUNCTION, 3, 3, None), (VERTEX, 8, 8, "b")],
+        [(0, 1), (1, 2), (2, 1), (2, 3)],
+        [("a", "b")],
+    )
+    assert smooth_adjacency(d) == reference_smooth_adjacency(d) == {("a", "b")}
+
+
 @st.composite
 def segment_lists(draw):
     """1-12 points of random kinds, junctions twice as likely, on random

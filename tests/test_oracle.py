@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,18 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confluent_hasse import (
+    GridScene,
     Poset,
+    Realizer,
     TooLargeForOracle,
     build_diagram,
     dm_completion,
     dominance_covers,
     gen_random,
     gen_worstcase,
+    poset_from_realizer,
     poset_from_relations,
+    scene_matches_completion,
     sp_layout,
+    sp_to_poset,
     transitive_reduction,
 )
-from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError, segment_faults
+from confluent_hasse.grid import JUNCTION_CODE
+from confluent_hasse.oracle import (
+    COMPLETION_MAX_N,
+    ROW_BLOCK,
+    DuplicatePointError,
+    _cut_lowers,
+    segment_faults,
+)
 from suites import (
     all_sp_trees,
     element_cut_index,
@@ -29,6 +43,9 @@ from suites import (
     reference_dominance_covers,
     reference_segment_faults,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def k22():
@@ -127,6 +144,100 @@ def test_completion_has_no_proper_lattice_subset_containing_elements():
                     full.leq[np.ix_(chosen, chosen)],
                 )
                 assert not is_lattice(sub) or len(chosen) == len(comp.cuts)
+
+
+def completion_lowers(p):
+    """dm_completion's lower sets as bitmasks over p's elements."""
+    return {sum(1 << p.index(lab) for lab in cut.lower) for cut in dm_completion(p).cuts}
+
+
+def verify_random_orders():
+    """The orders of the 16 small verify-random benchmark items."""
+    for n in (12, 20):
+        for seed in range(8):
+            item = workloads.build(f"verify-random/n{n}/s{seed}")
+            yield poset_from_realizer(Realizer(*item.realizer))
+
+
+def test_cut_walk_equals_the_enumeration_on_the_suites():
+    orders = [poset_from_realizer(r) for r in random_realizer_suite(200, 9)]
+    orders += [sp_to_poset(t) for t in all_sp_trees(6)]
+    orders += [poset_from_realizer(gen_worstcase(k)) for k in range(1, 5)]
+    orders += list(verify_random_orders())
+    assert max(p.n for p in orders) == COMPLETION_MAX_N
+    for p in orders:
+        assert _cut_lowers(p) == completion_lowers(p), p.labels
+
+
+def test_cut_walk_equals_the_enumeration_on_random_orders():
+    # dimension 3 and more included: the walk reads only the order
+    orders = [s3()]
+    for n in range(15):
+        for density in (0.05, 0.2, 0.4, 0.6, 0.8):
+            orders += [random_poset(n, seed, density) for seed in range(3)]
+    assert sum(not order_dimension_le2(p) for p in orders if p.n <= 7) >= 2
+    for p in orders:
+        assert _cut_lowers(p) == completion_lowers(p), (p.labels, p.up)
+
+
+def test_cut_walk_on_chains_antichains_and_the_empty_order():
+    empty = poset_from_relations([], [])
+    assert _cut_lowers(empty) == completion_lowers(empty) == {0}
+    for n in range(1, COMPLETION_MAX_N + 1):
+        labels = [f"e{i:02d}" for i in range(n)]
+        chain = poset_from_relations(labels, list(zip(labels, labels[1:])))
+        assert _cut_lowers(chain) == completion_lowers(chain)
+        assert len(_cut_lowers(chain)) == n
+        antichain = poset_from_relations(labels, [])
+        # the empty set, each element and all of them; one cut for n = 1
+        expected = {(1 << n) - 1} | {1 << i for i in range(n)} | ({0} if n > 1 else set())
+        assert _cut_lowers(antichain) == expected
+        if n <= 14:
+            assert completion_lowers(antichain) == expected
+
+
+def dominance(s):
+    return (s.xs[:, None] <= s.xs[None, :]) & (s.ys[:, None] <= s.ys[None, :])
+
+
+def test_completion_fails_a_scene_with_a_junction_dropped_or_moved():
+    # a move passes exactly when it leaves the dominance order on the
+    # points as it was: the keys, and so the cuts, are read off it
+    for r in (gen_worstcase(2), gen_random(8, 5), gen_random(9, 3)):
+        s, p = build_diagram(r).scene, poset_from_realizer(r)
+        assert scene_matches_completion(s, p)
+        junctions = np.flatnonzero(s.codes == JUNCTION_CODE).tolist()
+        assert junctions
+        taken = set(zip(s.xs.tolist(), s.ys.tolist()))
+        for j in junctions:
+            dropped = GridScene(
+                s.n,
+                np.delete(s.xs, j),
+                np.delete(s.ys, j),
+                np.delete(s.codes, j),
+                s.labels[:j] + s.labels[j + 1 :],
+            )
+            assert not scene_matches_completion(dropped, p)
+            failed = 0
+            for x in range(s.side + 1):
+                for y in range(s.side + 1):
+                    if (x, y) in taken:
+                        continue
+                    xs, ys = s.xs.copy(), s.ys.copy()
+                    xs[j], ys[j] = x, y
+                    moved = GridScene(s.n, xs, ys, s.codes, s.labels)
+                    same = np.array_equal(dominance(moved), dominance(s))
+                    assert scene_matches_completion(moved, p) == same, (j, x, y)
+                    failed += not same
+            assert failed
+
+
+def test_completion_limit():
+    r = gen_random(COMPLETION_MAX_N, 0)
+    assert scene_matches_completion(build_diagram(r).scene, poset_from_realizer(r))
+    r = gen_random(COMPLETION_MAX_N + 1, 0)
+    with pytest.raises(TooLargeForOracle):
+        scene_matches_completion(build_diagram(r).scene, poset_from_realizer(r))
 
 
 def test_dominance_covers_chain_and_incomparable():
