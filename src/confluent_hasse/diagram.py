@@ -27,10 +27,11 @@ the scene's columns (``GridScene.xs``, ``ys`` and ``codes``) as they are:
   points + segments lookups, at every size; a failure is reported as
   the certificate's own counts;
 - smooth adjacency propagates one int bitset of reachable vertices per
-  junction, the junctions by decreasing x + y, and reads each vertex's
-  pairs off the OR of its out-segments' bitsets: one pass over the
-  segments when every junction-to-junction segment rises, as in a
-  drawing;
+  junction, the junctions by decreasing x + y, and gives each vertex
+  the OR of its out-segments' bitsets: one pass over the segments when
+  every junction-to-junction segment rises, as in a drawing. Those rows
+  are compared with the order's cover rows as they are, so no label
+  pair is built;
 - planarity pairs the segments whose boxes overlap, by a sort and
   ``searchsorted`` within strips of rows, and decides every pair from
   four integer orientations: a proper crossing, an endpoint resting on
@@ -46,12 +47,14 @@ check can index the scene's columns by the segment ids.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import INVISIBLE_CODE, JUNCTION_CODE, VERTEX_CODE, GridScene
-from .poset import Poset, extremes, transitive_reduction
+from .poset import Poset, bits, cover_rows, extremes, renumbered
+from .poset import transitive_reduction  # noqa: F401  perfbench/tracer.py wraps it here
 
 # one segment as a pair (lower id, upper id), a row of Diagram.segments
 Segment = tuple[int, int]
@@ -194,12 +197,12 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     return Diagram(s, segments)
 
 
-def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
-    """Vertex pairs joined by an upward smooth track.
-
-    (a, b) is reported iff the segment DAG has a path from vertex a to
-    vertex b whose internal nodes are all junctions; invisible bound
-    points terminate a track and never appear inside one.
+def smooth_adjacency(d: Diagram) -> list[int]:
+    """Upward smooth tracks between vertices, as one int bitset per
+    vertex, the vertices in scene-id order: bit k of a vertex's entry
+    holds iff the segment DAG has a path from it to the k-th vertex
+    whose internal nodes are all junctions; invisible bound points
+    terminate a track and never appear inside one.
 
     Each point carries an int bitset over the vertices: a vertex its
     own bit, an invisible point none, and a junction, starting from
@@ -211,8 +214,8 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
     segments, junction cycles, self-loops) the pass is repeated until
     it changes nothing: a monotone iteration from zero, so it stops at
     the least fixed point, exactly the junction-only paths. A vertex's
-    pairs are then the set bits of the OR over its out-segments, read
-    lowest first.
+    entry is then the OR over its out-segments. ``smooth_pairs`` lists
+    the same relation as label pairs.
     """
     s = d.scene
     codes = s.codes
@@ -242,18 +245,27 @@ def smooth_adjacency(d: Diagram) -> frozenset[tuple[str, str]]:
         if rising:
             break
 
-    labels = [s.labels[pid] for pid in vertices]
-    pairs = []
-    add = pairs.append
-    for pid, lab in zip(vertices, labels):
+    rows = []
+    for pid in vertices:
         acc = 0
         for t in out[pid]:
             acc |= reach[t]
-        while acc:
-            low = acc & -acc
-            add((lab, labels[low.bit_length() - 1]))
-            acc ^= low
-    return frozenset(pairs)
+        rows.append(acc)
+    return rows
+
+
+def smooth_pairs(d: Diagram) -> frozenset[tuple[str, str]]:
+    """The label view of ``smooth_adjacency``: (a, b) for each vertex a
+    and each vertex b reached from it by an upward smooth track."""
+    labels = _vertex_labels(d.scene)
+    return frozenset(
+        (lab, labels[k]) for lab, row in zip(labels, smooth_adjacency(d)) for k in bits(row)
+    )
+
+
+def _vertex_labels(s: GridScene) -> list[str]:
+    """The vertices' labels, in scene-id order."""
+    return [s.labels[pid] for pid in np.flatnonzero(s.codes == VERTEX_CODE).tolist()]
 
 
 @dataclass(slots=True)
@@ -300,8 +312,15 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
       rows that do not rise, points whose lower ends are not a
       staircase, and points not alone: points p with another point at
       or below p that lies below none of p's lower ends.
-    - smooth: smooth adjacency (``smooth_adjacency``, bitsets) equals
-      the cover pairs of p (``transitive_reduction``).
+    - smooth: smooth adjacency equals the cover pairs of p. Both are
+      int bitset rows, one per vertex in scene-id order, compared
+      directly: ``smooth_adjacency``'s, and ``cover_rows`` of p's
+      up-sets, renumbered into the vertex order first (``renumbered``)
+      when p numbers its elements otherwise, as an edge list does. A
+      failure gives both pair counts, by popcount. When the vertex
+      labels are not p's labels, each once, the check fails naming the
+      labels that differ, and visibility, which looks up p's extremes
+      among the vertices, is skipped.
     - planar: drawn segments only meet at shared endpoints. Candidate
       pairs are those with overlapping boxes, and each is decided in
       integer arrays (``_conflicting_pairs``).
@@ -324,11 +343,17 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
     detail = ", ".join(f"{k} {name}" for k, name in zip(faults, names) if k)
     report.add("segments", not any(faults), detail)
 
-    smooth = smooth_adjacency(d)
-    covers = transitive_reduction(p)
-    same = smooth == covers
-    detail = "" if same else f"smooth {len(smooth)} pairs vs covers {len(covers)}"
-    report.add("smooth", same, detail)
+    labels = _vertex_labels(s)
+    mismatch = _label_mismatch(labels, p)
+    if mismatch:
+        report.add("smooth", False, mismatch)
+    else:
+        smooth = smooth_adjacency(d)
+        up = p.up if tuple(labels) == p.labels else renumbered(p.up, list(map(p.index, labels)))
+        covers = cover_rows(up)
+        same = smooth == covers
+        detail = "" if same else f"smooth {_popcount(smooth)} pairs vs covers {_popcount(covers)}"
+        report.add("smooth", same, detail)
 
     rendered = d.drawn_segments()
     conflicts = _conflicting_pairs(s.xs, s.ys, rendered)
@@ -343,6 +368,9 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         f"junctions with degree < 2: {bad_junctions}" if bad_junctions else "",
     )
 
+    if mismatch:
+        report.skip("visibility", "vertex labels differ from the order's")
+        return report
     blocked = _blocked_rays(s, p, *rotate45(s.xs, s.ys), rendered)
     report.add(
         "visibility",
@@ -350,6 +378,21 @@ def validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         f"obstructed rays: {blocked}" if blocked else "",
     )
     return report
+
+
+def _popcount(rows: list[int]) -> int:
+    return sum(row.bit_count() for row in rows)
+
+
+def _label_mismatch(labels: list[str], p: Poset) -> str:
+    """Empty when the vertex labels are p's labels, each once; else a
+    detail naming the labels that differ: the vertex labels p lacks or
+    has fewer of, and p's labels that no vertex carries."""
+    if len(labels) == p.n and set(labels) == set(p.labels):
+        return ""
+    extra = sorted((Counter(labels) - Counter(p.labels)).elements(), key=str)
+    missing = sorted(set(p.labels) - set(labels))
+    return f"vertex labels differ from the order's: scene only {extra}, order only {missing}"
 
 
 # candidate segment pairs examined at once by the planar check

@@ -9,7 +9,7 @@ strongly connected components in reverse topological order for the
 up-sets and in topological order for the down-sets, and the
 intersection of two linear orders takes suffix ORs along each. The
 extremes are compares of one mask per element, and the reduction walks
-each down-set from its highest bit, one cover at a time. This module is
+each up-set from its lowest bit, one cover at a time. This module is
 the only one that converts the masks to and from a bool matrix: the
 ``Poset(labels, leq)`` constructor packs one, ``leq`` unpacks one for
 reference code, and ``mask_blocks`` unpacks masks a block of rows at a
@@ -287,36 +287,62 @@ def poset_from_relations(
     return Poset._of_masks(labels, *_closure(len(index), edges))
 
 
-def transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
-    """Cover pairs (lower, upper) of the poset.
+def renumbered(masks: list[int], order: Sequence[int]) -> list[int]:
+    """The masks of a relation with element order[i] renamed i: entry i
+    is ``masks[order[i]]`` with bit order[j] moved to bit j. The masks
+    are unpacked MASK_ROW_BLOCK rows at a time (``mask_blocks``)."""
+    blocks = mask_blocks([masks[i] for i in order], len(order))
+    return [m for _, rows in blocks for m in _masks_of_rows(rows[:, order])]
 
-    (a, b) is kept iff a < b and no x satisfies a < x < b; the closure
-    of the result equals the original relation (Aho, Garey & Ullman,
-    SIAM J. Comput. 1(2), 1972). Per element, its lower covers are the
-    maximal elements of its strict down-set. With the elements numbered
-    along a linear extension, the highest bit left there is one of
-    them; it is taken, its own down-set is cleared from the rest, and
-    so on. That is a few int operations per cover. Posets made from
-    realizers number the elements along a linear extension already;
-    other numberings are first renumbered by down-set size, which a
-    strictly smaller element always has less of.
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of an int bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def cover_rows(up: list[int]) -> list[int]:
+    """The cover relation of the order with the given up-set masks, as
+    one int bitset per element in the same numbering: bit j of entry i
+    holds exactly when j covers i.
+
+    (i, j) is a cover iff i < j and no x satisfies i < x < j (Aho,
+    Garey & Ullman, SIAM J. Comput. 1(2), 1972). Per element, its upper
+    covers are the minimal elements of its strict up-set. With the
+    elements numbered along a linear extension, the lowest bit left
+    there is one of them; it is taken, its own up-set is cleared from
+    the rest, and so on. That is a few int operations per cover.
+    Posets made from realizers, and the vertices of their drawings, are
+    numbered along a linear extension already; other numberings are
+    renumbered by up-set size, which a strictly larger element always
+    has less of, and the rows are renumbered back.
     """
-    down, labels = p.down, p.labels
-    if any(d.bit_length() != i + 1 for i, d in enumerate(down)):
-        order = sorted(range(p.n), key=lambda i: down[i].bit_count())
-        blocks = mask_blocks([down[i] for i in order], p.n)
-        down = [m for _, rows in blocks for m in _masks_of_rows(rows[:, order])]
-        labels = [labels[i] for i in order]
-    covers = []
-    add = covers.append
-    for j, rest in enumerate(down):
-        lab = labels[j]
-        rest ^= 1 << j
+    if any((u & -u).bit_length() != i + 1 for i, u in enumerate(up)):
+        order = sorted(range(len(up)), key=lambda i: -up[i].bit_count())
+        back = sorted(range(len(up)), key=order.__getitem__)
+        return renumbered(cover_rows(renumbered(up, order)), back)
+    rows = []
+    for i, rest in enumerate(up):
+        rest ^= 1 << i
+        row = 0
         while rest:
-            b = rest.bit_length() - 1
-            add((labels[b], lab))
-            rest ^= rest & down[b]
-    return frozenset(covers)
+            low = rest & -rest
+            row |= low
+            rest ^= rest & up[low.bit_length() - 1]
+        rows.append(row)
+    return rows
+
+
+def transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
+    """Cover pairs (lower, upper) of the poset: the label view of
+    ``cover_rows``. The closure of the result equals the original
+    relation."""
+    labels = p.labels
+    return frozenset(
+        (lab, labels[j]) for lab, row in zip(labels, cover_rows(p.up)) for j in bits(row)
+    )
 
 
 def extremes(p: Poset) -> Extremes:

@@ -665,13 +665,30 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         detail.append(f"{faults[2]} points not alone")
     report.add("segments", not any(faults), ", ".join(detail))
 
-    smooth = reference_smooth_adjacency(d)
-    covers = reference_transitive_reduction(p)
-    report.add(
-        "smooth",
-        smooth == covers,
-        "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
-    )
+    # the vertex labels must be p's, each once, or smooth fails naming
+    # the difference and visibility is skipped
+    vertex_labels = [q.label for q in points if q.kind == VERTEX]
+    scene_only = list(vertex_labels)
+    for label in p.labels:
+        if label in scene_only:
+            scene_only.remove(label)
+    order_only = [label for label in p.labels if label not in vertex_labels]
+    mismatch = bool(scene_only or order_only)
+    if mismatch:
+        report.add(
+            "smooth",
+            False,
+            "vertex labels differ from the order's: "
+            f"scene only {sorted(scene_only, key=str)}, order only {sorted(order_only)}",
+        )
+    else:
+        smooth = reference_smooth_adjacency(d)
+        covers = reference_transitive_reduction(p)
+        report.add(
+            "smooth",
+            smooth == covers,
+            "" if smooth == covers else f"smooth {len(smooth)} pairs vs covers {len(covers)}",
+        )
 
     conflicts = reference_planar_conflicts(d)
     report.add("planar", conflicts == 0, f"{conflicts} crossing pairs" if conflicts else "")
@@ -692,6 +709,9 @@ def reference_validate_diagram(d: Diagram, p: Poset) -> ValidationReport:
         f"junctions with degree < 2: {bad_junctions}" if bad_junctions else "",
     )
 
+    if mismatch:
+        report.skip("visibility", "vertex labels differ from the order's")
+        return report
     blocked = reference_blocked_rays(d, p)
     report.add(
         "visibility",

@@ -22,7 +22,7 @@ from confluent_hasse import (
     poset_from_realizer,
     realizer_of,
     scene_matches_completion,
-    smooth_adjacency,
+    smooth_pairs,
     sp_layout,
     sp_to_poset,
     sweep_cover_edges,
@@ -133,7 +133,7 @@ def test_criterion_3_confluent_semantics(realizer_suite, sp_suite):
     extra_pairs = 0
     for r, p, diagram in realizer_suite:
         forced = forced_smooth_pairs(p)
-        if smooth_adjacency(diagram) != forced:
+        if smooth_pairs(diagram) != forced:
             bad.append(r)
         extra = forced - transitive_reduction(p)
         if extra:
@@ -143,9 +143,9 @@ def test_criterion_3_confluent_semantics(realizer_suite, sp_suite):
         covers = transitive_reduction(p)
         if forced_smooth_pairs(p) != covers:
             bad.append(tree)
-        if smooth_adjacency(sp_diag) != covers:
+        if smooth_pairs(sp_diag) != covers:
             bad.append(tree)
-        if smooth_adjacency(general) != covers:
+        if smooth_pairs(general) != covers:
             bad.append(tree)
     ok = not bad
     report(
@@ -290,7 +290,7 @@ def test_criterion_9_sp_agreement_and_linearity():
         if sp_diag.junction_count() != general.junction_count():
             bad += 1
             continue
-        if smooth_adjacency(sp_diag) != smooth_adjacency(general):
+        if smooth_pairs(sp_diag) != smooth_pairs(general):
             bad += 1
 
     def median_layout_ms(n: int) -> float:

@@ -569,3 +569,23 @@ def test_sp_input_goes_through_parse_sp_and_sp_layout_once_each(tmp_path, capsys
     assert [name for name, _ in calls] == ["parse_sp", "sp_layout"]
     assert sp_leaves(calls[0][1]) == ["a", "b", "c", "d"]
     assert capsys.readouterr().out.count("<text") == 4
+
+
+def test_readme_verify_example(tmp_path, capsys, monkeypatch):
+    # README's --verify block: the command, its stderr lines, then the
+    # exit code after "$ echo $?", run on gen_random(30, 0) as realizer text
+    from pathlib import Path
+
+    from confluent_hasse import gen_random
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### `--verify`", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0].splitlines()
+    command, *stderr, echo, code = block
+    assert command.startswith("$ confluent-hasse ") and echo == "$ echo $?"
+    r = gen_random(30, 0)
+    write(tmp_path, "random30.txt", " ".join(r.l1) + "\n" + " ".join(r.l2) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(command.split()[2:]) == int(code) == EXIT_VERIFY
+    assert capsys.readouterr() == ("", "\n".join(stderr) + "\n")
+    assert not (tmp_path / "out.json").exists()  # a failed check writes nothing

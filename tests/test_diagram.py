@@ -15,11 +15,13 @@ from confluent_hasse import (
     gen_random,
     gen_worstcase,
     insert_junctions,
+    parse_edge_list,
     place_on_grid,
     poset_from_realizer,
     poset_from_relations,
     realizer_of,
     smooth_adjacency,
+    smooth_pairs,
     sp_layout,
     sp_realizer,
     sp_to_poset,
@@ -118,17 +120,20 @@ def test_single_vertex_no_segments():
 
 def test_k22_smooth_adjacency():
     d = k22_diagram()
-    assert smooth_adjacency(d) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    assert smooth_pairs(d) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    # one row per vertex, a b c d in scene-id order: bit k is the k-th vertex
+    assert [q.label for q in d.scene.points if q.kind == VERTEX] == ["a", "b", "c", "d"]
+    assert smooth_adjacency(d) == [0b1100, 0b1100, 0, 0]
 
 
 def test_chain_smooth_adjacency():
     d = build_diagram(Realizer(("x", "y", "z"), ("x", "y", "z")))
-    assert smooth_adjacency(d) == {("x", "y"), ("y", "z")}
+    assert smooth_pairs(d) == {("x", "y"), ("y", "z")}
 
 
 def test_antichain_smooth_adjacency_empty():
     d = build_diagram(Realizer(("a", "b"), ("b", "a")))
-    assert smooth_adjacency(d) == frozenset()
+    assert smooth_pairs(d) == frozenset()
     # all segments touch only the invisible bounds
     kinds = [q.kind for q in d.scene.points]
     assert all(
@@ -314,12 +319,27 @@ def test_smooth_memory_on_a_chain_of_6000():
     d = build_diagram(Realizer(labels, labels))
     tracemalloc.start()
     try:
-        smooth = smooth_adjacency(d)
+        smooth = smooth_pairs(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert smooth == {(a, b) for a, b in zip(labels, labels[1:])}
     assert peak < 8_000_000
+
+
+def test_validate_memory_on_random_1024():
+    # 263,022 smooth pairs against 5,791 covers, compared and counted as
+    # bitset rows: the check peaked at 51.5 MB when it listed the pairs
+    r = gen_random(1024, 0)
+    d, p = build_diagram(r), poset_from_realizer(r)
+    tracemalloc.start()
+    try:
+        report = validate_diagram(d, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.summary().splitlines()[1] == "FAIL smooth: smooth 263022 pairs vs covers 5791"
+    assert peak < 36_000_000
 
 
 def segments_check(d, p):
@@ -355,7 +375,7 @@ def test_smooth_can_exceed_covers_through_junction_chains():
         [("a", "b"), ("a", "b2"), ("a2", "b"), ("a2", "b2"), ("a", "c"), ("c", "b")],
     )
     d = build_diagram(realizer_of(p))
-    smooth = smooth_adjacency(d)
+    smooth = smooth_pairs(d)
     covers = transitive_reduction(p)
     forced = forced_smooth_pairs(p)
     assert covers < smooth
@@ -388,11 +408,11 @@ def test_forced_comparison_rejects_an_unforced_smooth_pair():
     d = build_diagram(realizer_of(p))
     forced = forced_smooth_pairs(p)
     assert forced == transitive_reduction(p)
-    assert smooth_adjacency(d) == forced
+    assert smooth_pairs(d) == forced
     (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
     x = {q.label: i for i, q in enumerate(d.scene.points)}["x"]
     spliced = Diagram(d.scene, np.vstack((d.segments, [(x, junction)])))
-    assert smooth_adjacency(spliced) - forced == {("x", "b"), ("x", "b2")}
+    assert smooth_pairs(spliced) - forced == {("x", "b"), ("x", "b2")}
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,7 +420,7 @@ def test_forced_comparison_rejects_an_unforced_smooth_pair():
 def test_smooth_is_sandwiched_between_covers_and_order(n, seed):
     r = gen_random(n, seed)
     p = poset_from_realizer(r)
-    smooth = smooth_adjacency(build_diagram(r))
+    smooth = smooth_pairs(build_diagram(r))
     assert transitive_reduction(p) <= smooth
     assert all(p.holds(x, y) and x != y for x, y in smooth)
 
@@ -417,7 +437,7 @@ def test_planarity_and_visibility_spot_checks():
 
 def assert_matches_reference(d, p):
     assert validate_diagram(d, p).summary() == reference_validate_diagram(d, p).summary()
-    assert smooth_adjacency(d) == reference_smooth_adjacency(d)
+    assert smooth_pairs(d) == reference_smooth_adjacency(d)
 
 
 def checks_of(d, p):
@@ -427,7 +447,23 @@ def checks_of(d, p):
 def test_smooth_equals_the_reference_on_realizer_and_worst_case_drawings():
     for r in random_realizer_suite(40) + [gen_worstcase(3), gen_random(40, 3)]:
         d = build_diagram(r)
-        assert smooth_adjacency(d) == reference_smooth_adjacency(d)
+        assert smooth_pairs(d) == reference_smooth_adjacency(d)
+
+
+def edge_list_orders():
+    """(diagram, order) for seeded realizers written as shuffled cover
+    lines, plus a ``node`` line for each element in no cover: the order
+    numbers its elements by first appearance, not along the drawing's
+    vertex order."""
+    rng = random.Random(31)
+    suite = random_realizer_suite(60, 9) + [gen_worstcase(5)]
+    for r in suite + [gen_random(n, n) for n in (12, 20, 30, 60)]:
+        covers = sorted(transitive_reduction(poset_from_realizer(r)))
+        lines = [f"{a} {b}" for a, b in covers]
+        lines += [f"node {x}" for x in sorted(set(r.l1) - {x for pair in covers for x in pair})]
+        rng.shuffle(lines)
+        p = parse_edge_list("\n".join(lines))
+        yield build_diagram(realizer_of(p)), p
 
 
 def test_validate_equals_the_reference_loops_on_the_suites():
@@ -437,6 +473,35 @@ def test_validate_equals_the_reference_loops_on_the_suites():
         assert_matches_reference(sp_layout(tree), sp_to_poset(tree))
     for r in [gen_worstcase(k) for k in (1, 5, 20)] + [gen_random(n, n) for n in (30, 60, 120)]:
         assert_matches_reference(build_diagram(r), poset_from_realizer(r))
+    renumbered = smooth_fails = 0
+    for d, p in edge_list_orders():
+        assert_matches_reference(d, p)
+        renumbered += tuple(q.label for q in d.scene.points if q.kind == VERTEX) != p.labels
+        smooth_fails += checks_of(d, p)["smooth"].startswith("FAIL: smooth ")
+    assert renumbered >= 30 and smooth_fails >= 3, (renumbered, smooth_fails)
+
+
+def test_validate_reports_vertex_labels_that_differ_from_the_order():
+    # the scene draws a, b, c and the order has a, b, z: reported, not raised
+    d = build_diagram(Realizer(("a", "b", "c"), ("b", "a", "c")))
+    p = poset_from_relations(["a", "b", "z"], [("a", "z")])
+    checks = checks_of(d, p)
+    assert checks["smooth"] == (
+        "FAIL: vertex labels differ from the order's: scene only ['c'], order only ['z']"
+    )
+    assert checks["visibility"] == "SKIP: vertex labels differ from the order's"
+    assert checks["segments"] == checks["planar"] == checks["degrees"] == "PASS"
+    assert not validate_diagram(d, p).ok
+    assert_matches_reference(d, p)
+    # an order with an element fewer
+    p = poset_from_relations(["a", "b"], [])
+    assert checks_of(d, p)["smooth"].endswith("scene only ['c'], order only []")
+    assert_matches_reference(d, p)
+    # a label drawn twice
+    twice = Diagram(scene_of(0, [(VERTEX, 2, 2, "a"), (VERTEX, 4, 4, "a")]), [(0, 1)])
+    p = poset_from_relations(["a", "b"], [("a", "b")])
+    assert checks_of(twice, p)["smooth"].endswith("scene only ['a'], order only ['b']")
+    assert_matches_reference(twice, p)
 
 
 def custom(points, segments, relations):
@@ -529,7 +594,7 @@ def test_smooth_equals_the_reference_on_spliced_segments():
     ids = {q.label: i for i, q in enumerate(d.scene.points)}
     (junction,) = [i for i, q in enumerate(d.scene.points) if q.kind == JUNCTION]
     down = Diagram(d.scene, np.vstack((d.segments, [(ids["c"], junction)])))
-    assert smooth_adjacency(down) - smooth_adjacency(d) == {("c", "c"), ("c", "d")}
+    assert smooth_pairs(down) - smooth_pairs(d) == {("c", "c"), ("c", "d")}
     assert_matches_reference(down, p)
     # a junction -> junction segment reversed: a cycle through junctions
     r = gen_worstcase(3)
@@ -537,7 +602,7 @@ def test_smooth_equals_the_reference_on_spliced_segments():
     kinds = [q.kind for q in d.scene.points]
     lo, hi = next((a, b) for a, b in d.segments.tolist() if kinds[a] == kinds[b] == JUNCTION)
     cycle = Diagram(d.scene, np.vstack((d.segments, [(hi, lo)])))
-    assert smooth_adjacency(cycle) > smooth_adjacency(d)
+    assert smooth_pairs(cycle) > smooth_pairs(d)
     assert_matches_reference(cycle, poset_from_realizer(r))
 
 
@@ -550,7 +615,7 @@ def test_smooth_repeats_the_pass_on_a_junction_cycle():
         [(0, 1), (1, 2), (2, 1), (2, 3)],
         [("a", "b")],
     )
-    assert smooth_adjacency(d) == reference_smooth_adjacency(d) == {("a", "b")}
+    assert smooth_pairs(d) == reference_smooth_adjacency(d) == {("a", "b")}
 
 
 @st.composite
@@ -574,7 +639,7 @@ def segment_lists(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(segment_lists())
 def test_smooth_equals_the_reference_on_arbitrary_segment_lists(d):
-    assert smooth_adjacency(d) == reference_smooth_adjacency(d)
+    assert smooth_pairs(d) == reference_smooth_adjacency(d)
 
 
 def test_visibility_equals_the_reference_on_blocked_rays():

@@ -21,7 +21,7 @@ from confluent_hasse import (
     parse_sp,
     poset_from_relations,
     realizer_of,
-    smooth_adjacency,
+    smooth_pairs,
     sp_layout,
     sp_leaves,
     sp_realizer,
@@ -282,7 +282,7 @@ def test_layout_k22_junction_and_segments():
         (lo, hi) for lo, hi in d.segments.tolist() if INVISIBLE not in (pts[lo].kind, pts[hi].kind)
     ]
     assert sorted(visible) == [(0, 4), (1, 4), (4, 2), (4, 3)]
-    assert smooth_adjacency(d) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    assert smooth_pairs(d) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
 
 
 def test_layout_k22_matches_golden_svg():
@@ -293,7 +293,7 @@ def test_layout_k22_matches_golden_svg():
 def test_layout_chain_has_no_junction():
     d = sp_layout(parse_sp("a;b;c"))
     assert d.junction_count() == 0
-    assert smooth_adjacency(d) == {("a", "b"), ("b", "c")}
+    assert smooth_pairs(d) == {("a", "b"), ("b", "c")}
 
 
 def test_layout_nested_parallel_keeps_inner_junction():
@@ -305,7 +305,7 @@ def test_layout_unique_extreme_connects_directly():
     # one maximal element below: direct fan, no junction
     d = sp_layout(parse_sp("a;(b|c)"))
     assert d.junction_count() == 0
-    assert smooth_adjacency(d) == {("a", "b"), ("a", "c")}
+    assert smooth_pairs(d) == {("a", "b"), ("a", "c")}
 
 
 @settings(max_examples=80, deadline=None)
@@ -321,7 +321,7 @@ def test_layout_segments_are_dominance_covers(t):
 @given(sp_trees())
 def test_layout_smooth_equals_covers(t):
     d = sp_layout(t)
-    assert smooth_adjacency(d) == transitive_reduction(sp_to_poset(t))
+    assert smooth_pairs(d) == transitive_reduction(sp_to_poset(t))
 
 
 @settings(max_examples=50, deadline=None)
