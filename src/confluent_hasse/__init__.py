@@ -4,8 +4,8 @@ Pipeline: recognize dimension <= 2 and extract a two-order realizer,
 embed elements on an integer grid, insert the junction points that
 complete the order to a lattice, sweep out the cover segments, and
 render the result as cubic Bezier tracks in SVG or as JSON. A linear
-time layout handles series-parallel orders directly, and brute-force
-oracles certify every construction on small instances.
+time layout handles series-parallel orders directly, and certificates
+that share no code with the construction check every drawing.
 """
 
 from .bench import gen_random, gen_random_sp, gen_worstcase, scaling_report, timed_pipeline
@@ -17,14 +17,7 @@ from .diagram import (
     validate_diagram,
 )
 from .grid import GridPoint, GridScene, insert_junctions, place_on_grid
-from .oracle import (
-    Completion,
-    Cut,
-    TooLargeForOracle,
-    dm_completion,
-    dominance_covers,
-    scene_matches_completion,
-)
+from .oracle import dominance_covers, scene_matches_completion
 from .poset import (
     CycleError,
     DuplicateLabelError,

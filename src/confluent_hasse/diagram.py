@@ -127,8 +127,19 @@ def sweep_cover_edges(s: GridScene) -> Diagram:
     measured, they visit 1.17 tree nodes per point plus segment on the
     worst-case family at index 128 and 256, and 1.5 on random
     realizers at n = 256, 1024 and 2048.
+
+    Node 0 is null and row 0 starts the sweep, so every point must lie
+    in columns and rows 1 .. side; one that does not raises
+    ``ValueError``.
     """
-    width = 2 * s.n + 2
+    side = s.side
+    if len(s.xs) and (min(s.xs.min(), s.ys.min()) < 1 or max(s.xs.max(), s.ys.max()) > side):
+        pid = int(np.flatnonzero((s.xs < 1) | (s.xs > side) | (s.ys < 1) | (s.ys > side))[0])
+        raise ValueError(
+            f"point {pid} at {(int(s.xs[pid]), int(s.ys[pid]))} lies off the grid: "
+            f"columns and rows run 1 .. {side}"
+        )
+    width = side + 1
     # the points in (row, column) order, as lists made in that order:
     # read front to back, they touch memory in order too
     order = np.argsort(s.ys * width + s.xs, kind="stable")

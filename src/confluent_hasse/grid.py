@@ -8,8 +8,9 @@ least or greatest element. The scene is four columns indexed by point
 id, x, y, kind code and label, which segments and the renderers refer
 to; this module alone builds them, each producer whole columns at once,
 and the arrays are read-only. The dominance order on the resulting
-point set is the smallest complete lattice containing the input order;
-the test suite certifies this against the cut-enumeration oracle.
+point set is the smallest complete lattice containing the input order:
+--verify certifies this at every size, and the test suite against the
+cut enumeration.
 """
 
 from __future__ import annotations

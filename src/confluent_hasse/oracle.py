@@ -1,179 +1,33 @@
 """Ground truth for the drawing, independent of the code that makes it.
 
-The completion's cuts come two ways. ``dm_completion`` enumerates
-closures of subsets (or of down-sets), exponential in n: it is the
-brute-force reference the tests compare against. ``_cut_lowers`` walks
-the cut lattice down from the top cut, one cut at a time, polynomial in
-the number of cuts: it backs ``scene_matches_completion`` and so the
-``completion`` line of --verify, under the same 20-element limit.
-Dominance covers come from a points × points integer matrix, a block of
-rows at a time, in quadratic time. A certificate that a segment set is
-exactly those covers reads prefix counts of the points instead, in
-points + segments lookups, and counts what it finds wrong: --verify
-runs it at every size, and the tests check it against the quadratic
-covers. These routines certify the fast pipeline in tests and back the
-CLI --verify mode, so none of them may share code with the
-constructions they check.
+Two certificates back the --verify checks at every size.
+``segment_faults`` certifies that a segment set is exactly the
+dominance covers of the points, from prefix counts of the points in
+points + segments lookups, and counts what it finds wrong.
+``scene_matches_completion`` certifies that the points under dominance
+are the Dedekind-MacNeille completion of the order: it rests on the
+checks ``validate_diagram`` reports, adds two of its own on the segment
+degrees and on the vertices' down-sets, and walks no cut. Dominance
+covers also come from a points x points integer matrix, a block of rows
+at a time, in quadratic time: the tests check the segment certificate
+against it, and check the completion certificate against a brute-force
+enumeration of the cuts kept with them. None of these routines may
+share code with the constructions they check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .diagram import CheckResult, Diagram, ValidationReport
+from .grid import INVISIBLE_CODE, VERTEX_CODE
 from .poset import Poset
-
-
-class TooLargeForOracle(ValueError):
-    """Instance exceeds the exponential-enumeration guard."""
 
 
 class DuplicatePointError(ValueError):
     """Two input points occupy the same grid cell."""
-
-
-@dataclass(frozen=True)
-class Cut:
-    """A pair (lower, upper) with upper = bounds-above(lower) and
-    lower = bounds-below(upper)."""
-
-    lower: frozenset[str]
-    upper: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Completion:
-    """Smallest complete lattice containing a poset, as explicit cuts.
-
-    ``poset`` is the lattice viewed as a Poset; its element labels are
-    the sorted lower sets, e.g. "{a,b}". ``cuts[i]`` corresponds to
-    ``poset.labels[i]``.
-    """
-
-    cuts: tuple[Cut, ...]
-    poset: Poset
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _down_sets(down: list[int], n: int) -> Iterator[int]:
-    """All down-sets of the order, as bitmasks (grown one minimal
-    element of the complement at a time)."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        d = stack.pop()
-        yield d
-        for x in range(n):
-            bit = 1 << x
-            if d & bit:
-                continue
-            if down[x] & ~(d | bit):
-                continue  # some strict predecessor of x is missing
-            grown = d | bit
-            if grown not in seen:
-                seen.add(grown)
-                stack.append(grown)
-
-
-def dm_completion(p: Poset, *, max_n: int = 20) -> Completion:
-    """All cuts of p, ordered by containment of the lower sets.
-
-    Enumerates closures (bounds-below of bounds-above) of candidate
-    subsets: every subset for n <= 12, down-sets only beyond that
-    (a cut's lower set is always a down-set). Guarded at ``max_n``.
-    """
-    n = p.n
-    if n > max_n:
-        raise TooLargeForOracle(f"completion oracle limited to n <= {max_n}")
-    up, down = p.up, p.down
-    full = (1 << n) - 1
-
-    def bounds_above(mask: int) -> int:
-        b = full
-        for i in _bit_indices(mask):
-            b &= up[i]
-        return b
-
-    def bounds_below(mask: int) -> int:
-        b = full
-        for i in _bit_indices(mask):
-            b &= down[i]
-        return b
-
-    candidates = range(1 << n) if n <= 12 else _down_sets(down, n)
-    cuts_by_lower: dict[int, int] = {}
-    for x in candidates:
-        b = bounds_above(x)
-        a = bounds_below(b)
-        cuts_by_lower.setdefault(a, b)
-
-    lowers = sorted(cuts_by_lower)
-    m = len(lowers)
-    leq = np.zeros((m, m), dtype=bool)
-    for i, a in enumerate(lowers):
-        for j, c in enumerate(lowers):
-            leq[i, j] = (a & ~c) == 0  # lower-set containment
-    cuts = []
-    labels = []
-    for a in lowers:
-        lower = frozenset(p.labels[i] for i in _bit_indices(a))
-        upper = frozenset(p.labels[i] for i in _bit_indices(cuts_by_lower[a]))
-        cuts.append(Cut(lower, upper))
-        labels.append("{" + ",".join(sorted(lower)) + "}")
-    return Completion(tuple(cuts), Poset(labels, leq))
-
-
-# the largest order whose completion --verify certifies
-COMPLETION_MAX_N = 20
-
-
-def _cut_lowers(p: Poset) -> set[int]:
-    """The lower sets of all cuts of p, as bitmasks over p's elements,
-    read only from ``p.up`` and ``p.down``.
-
-    A cut is a pair (A, B) with B the upper bounds of A and A the lower
-    bounds of B. The walk starts from the top cut, whose A is every
-    element, and goes down the lattice cover by cover. The lower covers
-    of a cut (A, B) are the inclusion-maximal sets among A & down[u],
-    for u maximal among the elements outside B. Each such set is the
-    lower set of a cut (the meet of (A, B) with u's principal cut), and
-    it is strictly inside A, since u, outside B, is not above all of A.
-    Every cut D below (A, B) lies in one of them: D has an upper bound
-    outside B, which lies below a maximal u outside B, so D's lower set
-    is inside A & down[u]. So every cut is reached, and each is
-    expanded once. The candidates are taken by decreasing size, so a
-    candidate is a cover exactly when no cover kept before it contains
-    it.
-    """
-    up, down = p.up, p.down
-    full = (1 << p.n) - 1
-    lowers = {full}
-    stack = [full]
-    while stack:
-        lower = stack.pop()
-        bounds = full
-        for i in _bit_indices(lower):
-            bounds &= up[i]
-        outside = full & ~bounds
-        candidates = {
-            lower & down[u] for u in _bit_indices(outside) if up[u] & outside == 1 << u
-        }
-        covers: list[int] = []
-        for c in sorted(candidates, key=int.bit_count, reverse=True):
-            if all(c & ~kept for kept in covers):
-                covers.append(c)
-                if c not in lowers:
-                    lowers.add(c)
-                    stack.append(c)
-    return lowers
 
 
 # rows of the dominance matrix that dominance_covers holds at once, and
@@ -333,43 +187,109 @@ def _prefix_counts(x, y, i, j) -> np.ndarray:
     return counts
 
 
-def scene_matches_completion(scene, p: Poset) -> bool:
-    """Certify that the dominance order on a grid scene's points is
-    order-isomorphic to the completion of p, with vertices mapped to
-    their element cuts.
+# the checks of validate_diagram that the completion certificate rests on
+PREMISES = ("segments", "planar", "degrees", "visibility")
 
-    Each point is keyed by the set of poset elements it dominates; the
-    scene matches iff those keys are exactly the completion's lower
-    sets, from the walk down the cut lattice (``_cut_lowers``), and
-    point dominance coincides with key containment. Raises
-    ``TooLargeForOracle`` above COMPLETION_MAX_N elements.
+
+def scene_matches_completion(d: Diagram, p: Poset, report: ValidationReport) -> CheckResult:
+    """The ``completion`` check: whether the diagram's points, under
+    dominance, are the Dedekind-MacNeille completion of p with each
+    vertex at its element's principal cut, and the segments are its
+    covers. ``report`` is ``validate_diagram(d, p)``.
+
+    SKIP, naming the first of PREMISES that did not pass. Otherwise
+    PASS exactly when, with Q the points under dominance and the
+    degrees counted over the segments,
+
+    (c) one point has in-degree 0 and one has out-degree 0; no junction
+        or invisible bound has in- or out-degree 1; and every invisible
+        bound has in- or out-degree 0;
+    (d) the vertices below each vertex, by dominance, are its down-set
+        in p (``p.down``). A Fenwick tree of int masks over the
+        vertices' y ranks, filled in (x, y) order, gives each vertex's
+        set on its turn.
+
+    Else FAIL, naming the fault. The cost is two ``bincount`` calls and
+    O(n log n) operations on n-bit masks, for n vertices.
+
+    Proof that PASS holds exactly for the completion. Sound:
+    ``segments`` makes the points distinct and the segments Q's covers,
+    each once, so degrees count lower and upper covers. By (c), Q has a
+    least point 0 and a greatest point 1, and no invisible bound lies
+    strictly between them. Every cover rises in v = x + y, so the
+    drawn segments, those with no invisible end, are an upward drawing,
+    and ``planar`` makes it planar. An upper cover a of an invisible 0
+    has in-degree 1, so it is no junction (``degrees``) and no bound
+    (c): a vertex, minimal in p by (d), whose open ray down the rotated
+    frame holds no point (such a point lies below a, so it is 0) and
+    meets no drawn segment (``visibility``). The rays below distinct
+    covers of 0 are disjoint, since two points on one vertical line are
+    comparable, and they miss the rays above the lower covers of 1 for
+    the same reason. So 0 and 1 can be drawn far below and above along
+    the rays, and Q's Hasse diagram is upward planar. A finite bounded
+    poset with an upward planar diagram is a lattice (Kelly & Rival,
+    "Planar lattices", Canad. J. Math. 27, 1975). Its join-irreducibles
+    have in-degree 1 and its meet-irreducibles out-degree 1, so by (c)
+    and ``degrees`` they are vertices, and the vertices are join-dense
+    and meet-dense in Q. By (d) they form a copy of p, and a finite
+    lattice in which a copy of p is join-dense and meet-dense is p's
+    completion, each element at its principal cut (Davey & Priestley,
+    *Introduction to Lattices and Order*, 2nd ed., ch. 7). Without the
+    last clause of (c), two invisible points above a and b and below c
+    and d, in the order a, b < c, d, would draw no segment and pass the
+    rest.
+
+    Complete: if Q is the completion and the segments are its covers,
+    with junctions at the cuts other than the elements and the added
+    bounds, then two crossing covers a < b and c < d would give a < d
+    and c < b through the crossing point, so the join of a and c would
+    be both b and d; and the lower end of a segment through the ray
+    below a minimal vertex would lie below that vertex, so it would be
+    the invisible 0. So ``planar`` and ``visibility`` pass. A cut that
+    is no element is neither join- nor meet-irreducible, so junctions
+    have degrees 2 and more, and the bound 0 is added only when p has
+    two minimal elements or more, which are its upper covers, as the
+    bound 1 is only above two maximal elements or more. So (c) and (d)
+    hold.
     """
-    if p.n > COMPLETION_MAX_N:
-        raise TooLargeForOracle(f"completion oracle limited to n <= {COMPLETION_MAX_N}")
-    cut_lowers = _cut_lowers(p)
-    xs, ys, kinds, labels = scene.xs.tolist(), scene.ys.tolist(), scene.kinds, scene.labels
-    ids = range(len(kinds))
-    if len(ids) != len(cut_lowers):
-        return False
-    label_bit = {lab: 1 << i for i, lab in enumerate(p.labels)}
-    verts = [v for v in ids if kinds[v] == "vertex"]
-    keys = []
-    for q in ids:
-        key = 0
-        for v in verts:
-            if xs[v] <= xs[q] and ys[v] <= ys[q]:
-                key |= label_bit[labels[v]]
-        keys.append(key)
-    if set(keys) != cut_lowers or len(set(keys)) != len(keys):
-        return False
-    for i in ids:
-        for j in ids:
-            dominated = xs[i] <= xs[j] and ys[i] <= ys[j]
-            if dominated != ((keys[i] & ~keys[j]) == 0):
-                return False
-    # vertices must key to their own element cut
-    for v, key in zip(ids, keys):
-        if kinds[v] == "vertex":
-            if key != p.down[p.index(labels[v])]:
-                return False
-    return True
+    passed = {c.name for c in report.checks if c.status == "PASS"}
+    for name in PREMISES:
+        if name not in passed:
+            return CheckResult("completion", "SKIP", f"{name} did not pass")
+    s = d.scene
+    outdeg, indeg = (np.bincount(d.segments[:, k], minlength=len(s.xs)) for k in (0, 1))
+    bottoms, tops = np.count_nonzero(indeg == 0), np.count_nonzero(outdeg == 0)
+    if bottoms != 1 or tops != 1:
+        detail = f"{bottoms} points with no lower cover, {tops} with no upper cover"
+        return CheckResult("completion", "FAIL", detail)
+    added = s.codes != VERTEX_CODE
+    irreducible = np.flatnonzero(added & ((indeg == 1) | (outdeg == 1))).tolist()
+    if irreducible:
+        detail = f"added points with one lower or one upper cover: {irreducible}"
+        return CheckResult("completion", "FAIL", detail)
+    inner = np.flatnonzero((s.codes == INVISIBLE_CODE) & (indeg > 0) & (outdeg > 0)).tolist()
+    if inner:
+        detail = f"invisible bounds that are neither least nor greatest: {inner}"
+        return CheckResult("completion", "FAIL", detail)
+
+    vertices = np.flatnonzero(s.codes == VERTEX_CODE)
+    xs, ys = s.xs[vertices], s.ys[vertices]
+    turn = np.lexsort((ys, xs))
+    rank = np.unique(ys, return_inverse=True)[1] + 1
+    tree = [0] * (len(vertices) + 1)
+    labels = [s.labels[v] for v in vertices[turn].tolist()]
+    for label, r in zip(labels, rank[turn].tolist()):
+        element = p.index(label)
+        i = r
+        while i < len(tree):
+            tree[i] |= 1 << element
+            i += i & -i
+        below = 0
+        i = r
+        while i:
+            below |= tree[i]
+            i -= i & -i
+        if below != p.down[element]:
+            detail = f"the vertices below {label!r} are not its down-set in the order"
+            return CheckResult("completion", "FAIL", detail)
+    return CheckResult("completion", "PASS")

@@ -130,8 +130,7 @@ class Poset:
             return self.up == other.up
         if set(self.labels) != set(other.labels):
             return False
-        perm = [other.index(lab) for lab in self.labels]
-        return bool((self.leq == other.leq[np.ix_(perm, perm)]).all())
+        return renumbered(other.up, list(map(other.index, self.labels))) == self.up
 
     __hash__ = None  # type: ignore[assignment]
 

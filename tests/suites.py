@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -18,15 +19,15 @@ from confluent_hasse import (
     SpLeaf,
     SpParallel,
     SpSeries,
-    TooLargeForOracle,
-    dm_completion,
     gen_random,
+    scene_matches_completion,
     transitive_reduction,
+    validate_diagram,
 )
-from confluent_hasse.diagram import Segment, ValidationReport
+from confluent_hasse.diagram import CheckResult, Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, KINDS, VERTEX, bound_points
-from confluent_hasse.oracle import Completion, DuplicatePointError
-from confluent_hasse.poset import Extremes
+from confluent_hasse.oracle import DuplicatePointError
+from confluent_hasse.poset import Extremes, bits
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import (
     PARALLEL,
@@ -233,7 +234,7 @@ def reference_orientation(p: Poset) -> list[int] | None:
             while queue:
                 u, v = queue.popleft()
                 shared_tail = rem[u] & ~rem[v] & ~(1 << v)
-                for w in _bits(shared_tail):
+                for w in bits(shared_tail):
                     # orienting u->v forces u->w (w incomparable to u,
                     # comparable to v)
                     if (succ[w] >> u) & 1:
@@ -243,7 +244,7 @@ def reference_orientation(p: Poset) -> list[int] | None:
                         cls.append((u, w))
                         queue.append((u, w))
                 shared_head = rem[v] & ~rem[u] & ~(1 << u)
-                for w in _bits(shared_head):
+                for w in bits(shared_head):
                     # orienting u->v forces w->v (w incomparable to v,
                     # comparable to u)
                     if (succ[v] >> w) & 1:
@@ -257,13 +258,6 @@ def reference_orientation(p: Poset) -> list[int] | None:
                 rem[u] &= ~(1 << v)
                 rem[v] &= ~(1 << u)
     return succ
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def reference_to_json(d: Diagram) -> str:
@@ -963,6 +957,196 @@ def _reference_sp_leaves(t: SpTree) -> list[str]:
     return [node.label for node in _reference_postorder(t) if isinstance(node, SpLeaf)]
 
 
+# --- the completion by brute force: the cuts enumerated from subsets
+# or down-sets, the walk down the cut lattice, and the scene check
+# built on it, the references that oracle.scene_matches_completion is
+# compared with
+
+
+class TooLargeForOracle(ValueError):
+    """Instance exceeds the exponential-enumeration guard."""
+
+
+# the largest order the completion references take
+COMPLETION_MAX_N = 20
+
+
+@dataclass(frozen=True)
+class Cut:
+    """A pair (lower, upper) with upper = bounds-above(lower) and
+    lower = bounds-below(upper)."""
+
+    lower: frozenset[str]
+    upper: frozenset[str]
+
+
+@dataclass(frozen=True)
+class Completion:
+    """Smallest complete lattice containing a poset, as explicit cuts.
+
+    ``poset`` is the lattice viewed as a Poset; its element labels are
+    the sorted lower sets, e.g. "{a,b}". ``cuts[i]`` corresponds to
+    ``poset.labels[i]``.
+    """
+
+    cuts: tuple[Cut, ...]
+    poset: Poset
+
+
+def _down_sets(down: list[int], n: int) -> Iterator[int]:
+    """All down-sets of the order, as bitmasks (grown one minimal
+    element of the complement at a time)."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        yield d
+        for x in range(n):
+            bit = 1 << x
+            if d & bit:
+                continue
+            if down[x] & ~(d | bit):
+                continue  # some strict predecessor of x is missing
+            grown = d | bit
+            if grown not in seen:
+                seen.add(grown)
+                stack.append(grown)
+
+
+def dm_completion(p: Poset, *, max_n: int = COMPLETION_MAX_N) -> Completion:
+    """All cuts of p, ordered by containment of the lower sets.
+
+    Enumerates closures (bounds-below of bounds-above) of candidate
+    subsets: every subset for n <= 12, down-sets only beyond that
+    (a cut's lower set is always a down-set). Guarded at ``max_n``.
+    """
+    n = p.n
+    if n > max_n:
+        raise TooLargeForOracle(f"completion oracle limited to n <= {max_n}")
+    up, down = p.up, p.down
+    full = (1 << n) - 1
+
+    def bounds_above(mask: int) -> int:
+        b = full
+        for i in bits(mask):
+            b &= up[i]
+        return b
+
+    def bounds_below(mask: int) -> int:
+        b = full
+        for i in bits(mask):
+            b &= down[i]
+        return b
+
+    candidates = range(1 << n) if n <= 12 else _down_sets(down, n)
+    cuts_by_lower: dict[int, int] = {}
+    for x in candidates:
+        b = bounds_above(x)
+        a = bounds_below(b)
+        cuts_by_lower.setdefault(a, b)
+
+    lowers = sorted(cuts_by_lower)
+    m = len(lowers)
+    leq = np.zeros((m, m), dtype=bool)
+    for i, a in enumerate(lowers):
+        for j, c in enumerate(lowers):
+            leq[i, j] = (a & ~c) == 0  # lower-set containment
+    cuts = []
+    labels = []
+    for a in lowers:
+        lower = frozenset(p.labels[i] for i in bits(a))
+        upper = frozenset(p.labels[i] for i in bits(cuts_by_lower[a]))
+        cuts.append(Cut(lower, upper))
+        labels.append("{" + ",".join(sorted(lower)) + "}")
+    return Completion(tuple(cuts), Poset(labels, leq))
+
+
+def cut_lowers(p: Poset) -> set[int]:
+    """The lower sets of all cuts of p, as bitmasks over p's elements,
+    read only from ``p.up`` and ``p.down``.
+
+    A cut is a pair (A, B) with B the upper bounds of A and A the lower
+    bounds of B. The walk starts from the top cut, whose A is every
+    element, and goes down the lattice cover by cover. The lower covers
+    of a cut (A, B) are the inclusion-maximal sets among A & down[u],
+    for u maximal among the elements outside B. Each such set is the
+    lower set of a cut (the meet of (A, B) with u's principal cut), and
+    it is strictly inside A, since u, outside B, is not above all of A.
+    Every cut D below (A, B) lies in one of them: D has an upper bound
+    outside B, which lies below a maximal u outside B, so D's lower set
+    is inside A & down[u]. So every cut is reached, and each is
+    expanded once. The candidates are taken by decreasing size, so a
+    candidate is a cover exactly when no cover kept before it contains
+    it.
+    """
+    up, down = p.up, p.down
+    full = (1 << p.n) - 1
+    lowers = {full}
+    stack = [full]
+    while stack:
+        lower = stack.pop()
+        bounds = full
+        for i in bits(lower):
+            bounds &= up[i]
+        outside = full & ~bounds
+        candidates = {lower & down[u] for u in bits(outside) if up[u] & outside == 1 << u}
+        covers: list[int] = []
+        for c in sorted(candidates, key=int.bit_count, reverse=True):
+            if all(c & ~kept for kept in covers):
+                covers.append(c)
+                if c not in lowers:
+                    lowers.add(c)
+                    stack.append(c)
+    return lowers
+
+
+def reference_scene_matches_completion(scene: GridScene, p: Poset) -> bool:
+    """Whether the dominance order on a grid scene's points is
+    order-isomorphic to the completion of p, with vertices mapped to
+    their element cuts; segments are not read.
+
+    Each point is keyed by the set of poset elements it dominates; the
+    scene matches iff those keys are exactly the completion's lower
+    sets, from the walk down the cut lattice (``cut_lowers``), and
+    point dominance coincides with key containment, in O(points²).
+    Raises ``TooLargeForOracle`` above COMPLETION_MAX_N elements.
+    """
+    if p.n > COMPLETION_MAX_N:
+        raise TooLargeForOracle(f"completion oracle limited to n <= {COMPLETION_MAX_N}")
+    lowers = cut_lowers(p)
+    xs, ys, kinds, labels = scene.xs.tolist(), scene.ys.tolist(), scene.kinds, scene.labels
+    ids = range(len(kinds))
+    if len(ids) != len(lowers):
+        return False
+    label_bit = {lab: 1 << i for i, lab in enumerate(p.labels)}
+    verts = [v for v in ids if kinds[v] == VERTEX]
+    keys = []
+    for q in ids:
+        key = 0
+        for v in verts:
+            if xs[v] <= xs[q] and ys[v] <= ys[q]:
+                key |= label_bit[labels[v]]
+        keys.append(key)
+    if set(keys) != lowers or len(set(keys)) != len(keys):
+        return False
+    for i in ids:
+        for j in ids:
+            dominated = xs[i] <= xs[j] and ys[i] <= ys[j]
+            if dominated != ((keys[i] & ~keys[j]) == 0):
+                return False
+    # vertices must key to their own element cut
+    for v, key in zip(ids, keys):
+        if kinds[v] == VERTEX:
+            if key != p.down[p.index(labels[v])]:
+                return False
+    return True
+
+
+def completion_check(d: Diagram, p: Poset) -> CheckResult:
+    """The ``completion`` line that --verify reports for the diagram."""
+    return scene_matches_completion(d, p, validate_diagram(d, p))
+
+
 # --- brute-force order oracles that only the tests call: the lattice
 # test, linear extensions and the exhaustive dimension-two test, and the
 # element cut of a completion
@@ -989,7 +1173,7 @@ def linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield acc
             return
-        for x in _bits(remaining):
+        for x in bits(remaining):
             if pred[x] & remaining == 0:
                 yield from rec(remaining & ~(1 << x), acc + (x,))
 
@@ -1029,7 +1213,7 @@ def order_dimension_le2(p: Poset, *, max_n: int = 7) -> bool:
         ok = True
         for x in range(n):
             fx = forced[x]
-            for y in _bits(fx):
+            for y in bits(fx):
                 if forced[y] & ~fx:
                     ok = False
                     break
@@ -1055,7 +1239,7 @@ def is_lattice(p: Poset) -> bool:
 
     def has_extreme(common: int, bounds: list[int]) -> bool:
         # true iff some member of `common` bounds all the others
-        for x in _bits(common):
+        for x in bits(common):
             if common & ~bounds[x] == 0:
                 return True
         return False

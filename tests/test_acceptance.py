@@ -13,7 +13,6 @@ from confluent_hasse import (
     DimensionExceedsTwo,
     bezier_controls,
     build_diagram,
-    dm_completion,
     dominance_covers,
     gen_random,
     gen_random_sp,
@@ -21,7 +20,6 @@ from confluent_hasse import (
     parse_sp,
     poset_from_realizer,
     realizer_of,
-    scene_matches_completion,
     smooth_pairs,
     sp_layout,
     sp_to_poset,
@@ -35,11 +33,14 @@ from confluent_hasse.cli import EXIT_DIMENSION, EXIT_OK, run
 from confluent_hasse.grid import INVISIBLE, JUNCTION, insert_junctions, place_on_grid
 from suites import (
     all_sp_trees,
+    completion_check,
+    dm_completion,
     forced_smooth_pairs,
     hulls_intersect,
     order_dimension_le2,
     random_poset,
     random_realizer_suite,
+    reference_scene_matches_completion,
     sp_text,
 )
 
@@ -83,15 +84,17 @@ def medium_suite():
 
 
 def test_criterion_1_completion_equivalence(realizer_suite, sp_suite):
+    # the brute-force reference and the certificate --verify runs
     t0 = time.time()
     bad = 0
-    for r, p, diagram in realizer_suite:
-        if not scene_matches_completion(diagram.scene, p):
+    cases = [(p, diagram) for _r, p, diagram in realizer_suite]
+    for _tree, p, sp_diag, general in sp_suite:
+        cases += [(p, sp_diag), (p, general)]
+    for p, diagram in cases:
+        if not reference_scene_matches_completion(diagram.scene, p):
             bad += 1
-    for tree, p, sp_diag, general in sp_suite:
-        for diagram in (sp_diag, general):
-            if not scene_matches_completion(diagram.scene, p):
-                bad += 1
+        elif completion_check(diagram, p).status != "PASS":
+            bad += 1
     total = len(realizer_suite) + len(sp_suite)
     ok = bad == 0
     report(1, "completion equivalence", ok, f"{total} instances, {time.time()-t0:.1f}s")

@@ -2,7 +2,6 @@ import pytest
 
 from confluent_hasse import (
     build_diagram,
-    dm_completion,
     gen_random,
     gen_worstcase,
     poset_from_realizer,
@@ -10,6 +9,7 @@ from confluent_hasse import (
     verify_realizer,
 )
 from confluent_hasse.bench import CSV_HEADER
+from suites import dm_completion
 
 
 def test_gen_random_empty():

@@ -490,13 +490,47 @@ def test_deeply_nested_sp_input(tmp_path, capsys):
     assert "expected ')'" in capsys.readouterr().err
 
 
-def test_verify_reports_skip_beyond_the_completion_oracle(tmp_path, capsys):
+def test_verify_passes_completion_above_20_elements(tmp_path, capsys):
+    # the certificate has no size limit; the brute-force references of
+    # the tests stop at 20 elements
     chain = " ".join(f"e{i}" for i in range(21))
     src = write(tmp_path, "chain.txt", f"{chain}\n{chain}\n")
     assert run([src, "--input-format", "realizer", "--verify", "--emit", "json"]) == EXIT_OK
     err = capsys.readouterr().err
-    assert "SKIP completion: instance exceeds oracle size limit" in err
-    assert "PASS" in err and "FAIL" not in err and "WARN" not in err
+    assert err.endswith("PASS completion\n")
+    assert "FAIL" not in err and "SKIP" not in err
+
+
+def test_verify_skips_completion_when_a_check_it_rests_on_fails(tmp_path, capsys, monkeypatch):
+    # k22 drawn without its junction: the sweep's covers of the points
+    # left are a -> c, a -> d, b -> c and b -> d, and two of them cross.
+    # Every other check passes, and the vertices' dominance is still the
+    # order, so the completion line rests on planar alone
+    from confluent_hasse import bench
+    from confluent_hasse.diagram import sweep_cover_edges
+    from confluent_hasse.grid import GridScene, JUNCTION_CODE
+
+    drawn = bench.timed_pipeline
+
+    def without_junctions(r):
+        d, times = drawn(r)
+        s = d.scene
+        keep = s.codes != JUNCTION_CODE
+        labels = [lab for lab, k in zip(s.labels, keep.tolist()) if k]
+        scene = GridScene(s.n, s.xs[keep], s.ys[keep], s.codes[keep], labels)
+        return sweep_cover_edges(scene), times
+
+    monkeypatch.setattr(bench, "timed_pipeline", without_junctions)
+    src = write(tmp_path, "k22.edges", K22_EDGES)
+    assert run([src, "--verify", "--emit", "json"]) == EXIT_VERIFY
+    assert capsys.readouterr().err == (
+        "PASS segments\n"
+        "PASS smooth\n"
+        "FAIL planar: 1 crossing pairs\n"
+        "PASS degrees\n"
+        "PASS visibility\n"
+        "SKIP completion: planar did not pass\n"
+    )
 
 
 def test_stdout_gets_utf8_bytes_whatever_its_encoding(tmp_path):

@@ -202,6 +202,17 @@ def sweep_cases():
         yield f"soup{seed}", point_soup(seed)
 
 
+@pytest.mark.parametrize("x, y", [(0, 3), (3, 0), (10, 3), (3, 10)])
+def test_sweep_rejects_a_point_off_the_grid(x, y):
+    # columns and rows run 1 .. side = 9; node 0 of the sweep's tree is
+    # null and its row 0 starts the sweep, so a point there once gave
+    # wrong segments without an error
+    s = scene_of(4, [(VERTEX, 2, 2, "a"), (JUNCTION, x, y), (JUNCTION, 11, 11)])
+    named = rf"^point 1 at \({x}, {y}\) lies off the grid: columns and rows run 1 \.\. 9$"
+    with pytest.raises(ValueError, match=named):
+        sweep_cover_edges(s)
+
+
 def test_sweep_equals_the_reference_sweep_in_order():
     for name, s in sweep_cases():
         got, ref = sweep_cover_edges(s).segments, reference_sweep_cover_edges(s).segments

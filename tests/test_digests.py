@@ -51,15 +51,11 @@ def test_output_matches_the_stored_digest(tmp_path, capsys, key):
     assert {"exit": rc, "sha256": sha} == DIGESTS[key]
 
 
-# the completion line of the items above the oracle's 20 elements
-COMPLETION_SKIP = "SKIP completion: instance exceeds oracle size limit"
-
-
-def _report(smooth="PASS smooth", *, completion="PASS completion"):
-    """The full stderr of one --verify run: segments, planar, degrees
-    and visibility pass on every item."""
-    lines = ("PASS segments", smooth, "PASS planar", "PASS degrees", "PASS visibility", completion)
-    return "\n".join(lines) + "\n"
+def _report(smooth="PASS smooth"):
+    """The full stderr of one --verify run: segments, planar, degrees,
+    visibility and completion pass on every item."""
+    lines = (smooth, "PASS planar", "PASS degrees", "PASS visibility", "PASS completion")
+    return "PASS segments\n" + "\n".join(lines) + "\n"
 
 
 # (smooth pairs, covers) of the items whose smooth check fails
@@ -98,24 +94,18 @@ SMOOTH_FAILS = {
 }
 
 # exit code and stderr of every verify-mixed item, recorded before the
-# checks became whole-array passes
+# checks became whole-array passes; completion, once skipped above 20
+# elements, passes on all of them
 VERIFY_REPORTS = {
     **{f"verify-worst/k{k}": (0, _report()) for k in (1, 2, 3, 4)},
     "verify-random/n12/s2": (0, _report()),
     **{
-        key: (
-            3,
-            _report(
-                f"FAIL smooth: smooth {smooth} pairs vs covers {covers}",
-                # the completion oracle runs up to 20 elements
-                completion="PASS completion" if "/n128/" not in key else COMPLETION_SKIP,
-            ),
-        )
+        key: (3, _report(f"FAIL smooth: smooth {smooth} pairs vs covers {covers}"))
         for key, (smooth, covers) in SMOOTH_FAILS.items()
     },
     # segments runs at 1,219 points and at 2,595, where it once skipped
-    "verify-worst/k32": (0, _report(completion=COMPLETION_SKIP)),
-    "verify-worst/k48": (0, _report(completion=COMPLETION_SKIP)),
+    "verify-worst/k32": (0, _report()),
+    "verify-worst/k48": (0, _report()),
 }
 
 

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from confluent_hasse import (
     Realizer,
-    dm_completion,
     gen_random,
     gen_worstcase,
     insert_junctions,
     place_on_grid,
     poset_from_realizer,
-    scene_matches_completion,
 )
 from confluent_hasse.grid import (
     INVISIBLE,
@@ -25,9 +23,11 @@ from confluent_hasse.grid import (
 )
 from confluent_hasse.sp import parse_sp, sp_layout
 from suites import (
+    dm_completion,
     of_kind,
     random_realizer_suite,
     reference_insert_junctions,
+    reference_scene_matches_completion,
     scene_of,
     vertex_dominance_poset,
 )
@@ -115,7 +115,7 @@ def test_scene_is_completion_of_the_order(n, seed):
     r = gen_random(n, seed)
     s = insert_junctions(place_on_grid(r))
     p = poset_from_realizer(r)
-    assert scene_matches_completion(s, p)
+    assert reference_scene_matches_completion(s, p)
     comp = dm_completion(p)
     invis = len(of_kind(s, INVISIBLE))
     assert len(of_kind(s, JUNCTION)) == len(comp.cuts) - n - invis

@@ -8,32 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confluent_hasse import (
+    Diagram,
     GridScene,
     Poset,
     Realizer,
-    TooLargeForOracle,
     build_diagram,
-    dm_completion,
     dominance_covers,
     gen_random,
     gen_worstcase,
     poset_from_realizer,
     poset_from_relations,
-    scene_matches_completion,
+    realizer_of,
     sp_layout,
     sp_to_poset,
+    sweep_cover_edges,
     transitive_reduction,
+    validate_diagram,
 )
-from confluent_hasse.grid import JUNCTION_CODE
-from confluent_hasse.oracle import (
-    COMPLETION_MAX_N,
-    ROW_BLOCK,
-    DuplicatePointError,
-    _cut_lowers,
-    segment_faults,
-)
+from confluent_hasse.grid import INVISIBLE_CODE, JUNCTION_CODE, VERTEX_CODE
+from confluent_hasse.oracle import ROW_BLOCK, DuplicatePointError, segment_faults
 from suites import (
+    COMPLETION_MAX_N,
+    TooLargeForOracle,
     all_sp_trees,
+    completion_check,
+    cut_lowers,
+    dm_completion,
     element_cut_index,
     is_lattice,
     linear_extensions,
@@ -41,7 +41,9 @@ from suites import (
     random_poset,
     random_realizer_suite,
     reference_dominance_covers,
+    reference_scene_matches_completion,
     reference_segment_faults,
+    scene_of,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -166,7 +168,7 @@ def test_cut_walk_equals_the_enumeration_on_the_suites():
     orders += list(verify_random_orders())
     assert max(p.n for p in orders) == COMPLETION_MAX_N
     for p in orders:
-        assert _cut_lowers(p) == completion_lowers(p), p.labels
+        assert cut_lowers(p) == completion_lowers(p), p.labels
 
 
 def test_cut_walk_equals_the_enumeration_on_random_orders():
@@ -177,21 +179,21 @@ def test_cut_walk_equals_the_enumeration_on_random_orders():
             orders += [random_poset(n, seed, density) for seed in range(3)]
     assert sum(not order_dimension_le2(p) for p in orders if p.n <= 7) >= 2
     for p in orders:
-        assert _cut_lowers(p) == completion_lowers(p), (p.labels, p.up)
+        assert cut_lowers(p) == completion_lowers(p), (p.labels, p.up)
 
 
 def test_cut_walk_on_chains_antichains_and_the_empty_order():
     empty = poset_from_relations([], [])
-    assert _cut_lowers(empty) == completion_lowers(empty) == {0}
+    assert cut_lowers(empty) == completion_lowers(empty) == {0}
     for n in range(1, COMPLETION_MAX_N + 1):
         labels = [f"e{i:02d}" for i in range(n)]
         chain = poset_from_relations(labels, list(zip(labels, labels[1:])))
-        assert _cut_lowers(chain) == completion_lowers(chain)
-        assert len(_cut_lowers(chain)) == n
+        assert cut_lowers(chain) == completion_lowers(chain)
+        assert len(cut_lowers(chain)) == n
         antichain = poset_from_relations(labels, [])
         # the empty set, each element and all of them; one cut for n = 1
         expected = {(1 << n) - 1} | {1 << i for i in range(n)} | ({0} if n > 1 else set())
-        assert _cut_lowers(antichain) == expected
+        assert cut_lowers(antichain) == expected
         if n <= 14:
             assert completion_lowers(antichain) == expected
 
@@ -200,44 +202,138 @@ def dominance(s):
     return (s.xs[:, None] <= s.xs[None, :]) & (s.ys[:, None] <= s.ys[None, :])
 
 
+def moved_point(s, j, x, y):
+    xs, ys = s.xs.copy(), s.ys.copy()
+    xs[j], ys[j] = x, y
+    return GridScene(s.n, xs, ys, s.codes, s.labels)
+
+
+def dropped_point(s, j):
+    keep = np.arange(len(s.xs)) != j
+    labels = s.labels[:j] + s.labels[j + 1 :]
+    return GridScene(s.n, s.xs[keep], s.ys[keep], s.codes[keep], labels)
+
+
+def completion_passes(d, p):
+    """Whether --verify's completion line PASSes on the diagram."""
+    return completion_check(d, p).status == "PASS"
+
+
 def test_completion_fails_a_scene_with_a_junction_dropped_or_moved():
     # a move passes exactly when it leaves the dominance order on the
-    # points as it was: the keys, and so the cuts, are read off it
+    # points as it was: the keys, and so the cuts, are read off it. The
+    # certificate gets the moved scene with the segments the sweep
+    # finds for it, so each move stays on the sweep's grid
     for r in (gen_worstcase(2), gen_random(8, 5), gen_random(9, 3)):
         s, p = build_diagram(r).scene, poset_from_realizer(r)
-        assert scene_matches_completion(s, p)
+        assert reference_scene_matches_completion(s, p)
+        assert completion_passes(sweep_cover_edges(s), p)
         junctions = np.flatnonzero(s.codes == JUNCTION_CODE).tolist()
         assert junctions
         taken = set(zip(s.xs.tolist(), s.ys.tolist()))
         for j in junctions:
-            dropped = GridScene(
-                s.n,
-                np.delete(s.xs, j),
-                np.delete(s.ys, j),
-                np.delete(s.codes, j),
-                s.labels[:j] + s.labels[j + 1 :],
-            )
-            assert not scene_matches_completion(dropped, p)
+            dropped = dropped_point(s, j)
+            assert not reference_scene_matches_completion(dropped, p)
+            assert not completion_passes(sweep_cover_edges(dropped), p)
             failed = 0
-            for x in range(s.side + 1):
-                for y in range(s.side + 1):
+            for x in range(1, s.side + 1):
+                for y in range(1, s.side + 1):
                     if (x, y) in taken:
                         continue
-                    xs, ys = s.xs.copy(), s.ys.copy()
-                    xs[j], ys[j] = x, y
-                    moved = GridScene(s.n, xs, ys, s.codes, s.labels)
+                    moved = moved_point(s, j, x, y)
                     same = np.array_equal(dominance(moved), dominance(s))
-                    assert scene_matches_completion(moved, p) == same, (j, x, y)
+                    assert reference_scene_matches_completion(moved, p) == same, (j, x, y)
+                    assert completion_passes(sweep_cover_edges(moved), p) == same, (j, x, y)
                     failed += not same
             assert failed
 
 
-def test_completion_limit():
-    r = gen_random(COMPLETION_MAX_N, 0)
-    assert scene_matches_completion(build_diagram(r).scene, poset_from_realizer(r))
+def test_certificate_passes_at_20_21_and_1024_elements():
+    # no size limit: the reference stops at COMPLETION_MAX_N, the
+    # certificate does not
+    for n in (COMPLETION_MAX_N, COMPLETION_MAX_N + 1, 1024):
+        r = gen_random(n, 0)
+        assert completion_check(build_diagram(r), poset_from_realizer(r)).status == "PASS", n
     r = gen_random(COMPLETION_MAX_N + 1, 0)
     with pytest.raises(TooLargeForOracle):
-        scene_matches_completion(build_diagram(r).scene, poset_from_realizer(r))
+        reference_scene_matches_completion(build_diagram(r).scene, poset_from_realizer(r))
+
+
+def test_completion_fails_invisible_points_between_the_bounds():
+    # a, b < c, d with two invisible points above a and b and below c
+    # and d: every segment has an invisible end, so planar, degrees and
+    # visibility have nothing to reject, and the vertices' dominance is
+    # the order. Only the rule that an invisible point is the least or
+    # the greatest one rejects it
+    p = k22()
+    points = [("invisible", 1, 1), ("vertex", 2, 4, "a"), ("vertex", 4, 2, "b")]
+    points += [("invisible", 5, 6), ("invisible", 6, 5)]
+    points += [("vertex", 7, 8, "c"), ("vertex", 8, 7, "d"), ("invisible", 9, 9)]
+    s = scene_of(4, points)
+    d = sweep_cover_edges(s)
+    statuses = [c.status for c in validate_diagram(d, p).checks]
+    assert statuses == ["PASS", "FAIL", "PASS", "PASS", "PASS"]  # smooth fails
+    check = completion_check(d, p)
+    detail = "invisible bounds that are neither least nor greatest: [3, 4]"
+    assert (check.status, check.detail) == ("FAIL", detail)
+    assert not reference_scene_matches_completion(s, p)
+
+
+def diagram_is_the_completion(d, p):
+    """The reference verdict on a diagram: its points are the
+    completion (the reference scene check) and its segments are their
+    dominance covers, each once (the quadratic cover oracle)."""
+    points = list(zip(d.scene.xs.tolist(), d.scene.ys.tolist()))
+    rows = [(points[a], points[b]) for a, b in d.segments.tolist()]
+    covers = len(set(points)) == len(points) and len(set(rows)) == len(rows)
+    covers = covers and set(rows) == dominance_covers(points)
+    return covers and reference_scene_matches_completion(d.scene, p)
+
+
+def diagrams_near(d, rng):
+    """Diagrams near d, one of each where d has the points: a junction
+    dropped, a junction, a vertex and a bound each moved to a free cell,
+    all four with the segments the sweep finds; then two vertex labels
+    swapped, a segment dropped and a segment spliced between two points,
+    with the other columns as they are."""
+    s = d.scene
+    cells = range(1, s.side + 1)
+    free = sorted({(x, y) for x in cells for y in cells} - set(zip(s.xs.tolist(), s.ys.tolist())))
+    junctions, vertices, bounds = (
+        np.flatnonzero(s.codes == code).tolist()
+        for code in (JUNCTION_CODE, VERTEX_CODE, INVISIBLE_CODE)
+    )
+    if junctions:
+        yield sweep_cover_edges(dropped_point(s, rng.choice(junctions)))
+    for ids in (junctions, vertices, bounds):
+        if ids and free:
+            yield sweep_cover_edges(moved_point(s, rng.choice(ids), *rng.choice(free)))
+    if len(vertices) >= 2:
+        a, b = rng.sample(vertices, 2)
+        labels = list(s.labels)
+        labels[a], labels[b] = labels[b], labels[a]
+        yield Diagram(GridScene(s.n, s.xs, s.ys, s.codes, labels), d.segments)
+    if len(d.segments):
+        yield Diagram(s, np.delete(d.segments, rng.randrange(len(d.segments)), axis=0))
+    if len(s.xs) >= 2:
+        yield Diagram(s, np.vstack((d.segments, [rng.sample(range(len(s.xs)), 2)])))
+
+
+def test_certificate_agrees_with_the_reference_on_the_suites_and_mutations():
+    orders = [(poset_from_realizer(r), build_diagram(r)) for r in random_realizer_suite(200, 9)]
+    orders += [(sp_to_poset(t), sp_layout(t)) for t in all_sp_trees(6)]
+    orders += [(poset_from_realizer(r), build_diagram(r)) for r in map(gen_worstcase, range(1, 5))]
+    orders += [(p, build_diagram(realizer_of(p))) for p in verify_random_orders()]
+    assert max(p.n for p, _ in orders) == COMPLETION_MAX_N
+    rng = random.Random(32)
+    verdicts = {True: 0, False: 0}
+    for i, (p, d) in enumerate(orders):
+        assert completion_passes(d, p) and diagram_is_the_completion(d, p), i
+        for k, near in enumerate(diagrams_near(d, rng)):
+            expected = diagram_is_the_completion(near, p)
+            assert completion_passes(near, p) == expected, (i, k)
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_dominance_covers_chain_and_incomparable():

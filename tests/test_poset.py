@@ -37,6 +37,27 @@ def k22():
     )
 
 
+def test_equality_across_label_orders_unpacks_no_matrix():
+    # a chain of 5,000 given in two label orders: the masks are
+    # renumbered a block of rows at a time, and no n x n matrix (25 MB)
+    # is unpacked
+    import tracemalloc
+
+    labels = [f"e{i:04d}" for i in range(5000)]
+    chain = list(zip(labels, labels[1:]))
+    p = poset_from_relations(labels, chain)
+    q = poset_from_relations(labels[::-1], chain)
+    other = poset_from_relations(labels[::-1], chain[1:])
+    tracemalloc.start()
+    try:
+        same, differ = p == q, p == other
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same and not differ
+    assert peak < 25_000_000
+
+
 def test_antichain_relation_is_diagonal():
     p = poset_from_relations(["a", "b", "c"], [])
     assert (p.leq == np.eye(3, dtype=bool)).all()
