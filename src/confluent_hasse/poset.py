@@ -3,17 +3,16 @@ up-set and its down-set.
 
 Elements are identified by unique string labels and numbered in label
 order; bit j of ``up[i]`` holds exactly when element i is less than or
-equal to element j, and bit j of ``down[i]`` when j <= i. Each factory
-makes the masks directly: closure ORs them along the input pairs, by
-strongly connected components in reverse topological order for the
+equal to element j, and bit j of ``down[i]`` when j <= i. The one
+constructor, ``Poset(labels, up, down)``, takes these masks, and each
+factory makes them directly: closure ORs them along the input pairs,
+by strongly connected components in reverse topological order for the
 up-sets and in topological order for the down-sets, and the
 intersection of two linear orders takes suffix ORs along each. The
 extremes are compares of one mask per element, and the reduction walks
-each up-set from its lowest bit, one cover at a time. This module is
-the only one that converts the masks to and from a bool matrix: the
-``Poset(labels, leq)`` constructor packs one, ``leq`` unpacks one for
-reference code, and ``mask_blocks`` unpacks masks a block of rows at a
-time.
+each up-set from its lowest bit, one cover at a time. A bool matrix
+appears only inside ``renumbered``, which unpacks the masks a block of
+rows at a time to permute their bits.
 """
 
 from __future__ import annotations
@@ -46,72 +45,49 @@ class Extremes(NamedTuple):
 class Poset:
     """Immutable finite poset over labelled elements.
 
-    ``up`` and ``down`` hold the order as one int bitmask per element.
-    The constructor takes it as an n x n bool matrix instead,
-    ``leq[i, j]`` when element i <= element j: it trusts the matrix to
-    be transitive (the factory functions below always close their
-    input) but verifies shape, reflexivity and antisymmetry, which are
-    cheap. ``leq`` is a read-only matrix view of the masks, built on
-    first read.
+    ``up`` and ``down`` hold the order as one int bitmask per element,
+    in label order: bit j of ``up[i]`` when element i <= element j, and
+    bit j of ``down[i]`` when j <= i. The constructor trusts the masks
+    to be transitive, and ``down`` to be the transpose of ``up`` (the
+    factory functions below always close their input), but verifies
+    what is cheap: one mask of each kind per label, each holding its
+    own element's bit and none at or past n, and antisymmetry.
     """
 
-    __slots__ = ("labels", "up", "down", "_index", "_leq")
+    __slots__ = ("labels", "up", "down", "_index")
 
-    def __init__(self, labels: Iterable[str], leq: np.ndarray):
-        self._set_labels(labels)
-        mat = np.array(leq, dtype=bool)
-        n = len(self.labels)
-        if mat.shape != (n, n):
-            raise ValueError(f"relation matrix must be {n}x{n}, got {mat.shape}")
-        if n and not mat.diagonal().all():
-            raise ValueError("relation must be reflexive")
-        self.up = _masks_of_rows(mat)
-        self.down = _masks_of_rows(mat.T)
-        self._check_antisymmetric()
-        mat.setflags(write=False)
-        self._leq = mat
-
-    @classmethod
-    def _of_masks(cls, labels: Iterable[str], up: list[int], down: list[int]) -> Poset:
-        """The poset of reflexive, transitive up-set and down-set masks,
-        down the transpose of up; antisymmetry is checked."""
-        p = object.__new__(cls)
-        p._set_labels(labels)
-        p.up, p.down, p._leq = up, down, None
-        p._check_antisymmetric()
-        return p
-
-    def _set_labels(self, labels: Iterable[str]) -> None:
+    def __init__(self, labels: Iterable[str], up: Sequence[int], down: Sequence[int]):
         self.labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
+        n = len(self.labels)
+        if len(self._index) != n:
             raise DuplicateLabelError("duplicate element labels")
-
-    def _check_antisymmetric(self) -> None:
-        """Raise CycleError naming the first pair (a, b), a != b, in
-        label order with a <= b and b <= a. Bit i is in both masks of
-        element i, so another is there exactly when the AND has more."""
-        for a, (u, d) in enumerate(zip(self.up, self.down)):
-            if (u & d).bit_count() > 1:
-                both = u & d & ~(1 << a)
+        if len(up) != n or len(down) != n:
+            raise ValueError(
+                f"need {n} up-set and {n} down-set masks, got {len(up)} and {len(down)}"
+            )
+        for i, (u, d) in enumerate(zip(up, down)):
+            both = u & d
+            if u >> n or d >> n or not both >> i & 1:
+                raise ValueError(
+                    f"the masks of {self.labels[i]!r} must hold its own bit and none from {n} on"
+                )
+            if both.bit_count() > 1:
+                # bit i is in both masks, so another is an element b
+                # with i <= b and b <= i
+                both ^= 1 << i
                 b = (both & -both).bit_length() - 1
                 raise CycleError(
-                    f"antisymmetry violated: {self.labels[a]!r} and {self.labels[b]!r}"
+                    f"antisymmetry violated: {self.labels[i]!r} and {self.labels[b]!r}"
                 )
+        # copies: the caller's lists may change later, and __eq__
+        # compares lists
+        self.up = list(up)
+        self.down = list(down)
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def leq(self) -> np.ndarray:
-        """The order as a read-only n x n bool matrix: ``leq[i, j]``
-        holds exactly when element i <= element j."""
-        if self._leq is None:
-            mat = masks_to_rows(self.up, self.n)
-            mat.setflags(write=False)
-            self._leq = mat
-        return self._leq
 
     def index(self, label: str) -> int:
         try:
@@ -153,15 +129,8 @@ def masks_to_rows(masks: list[int], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
-# rows of masks that mask_blocks unpacks at once
+# rows of masks that renumbered unpacks at once
 MASK_ROW_BLOCK = 1024
-
-
-def mask_blocks(masks: list[int], n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The masks as a bool matrix with n columns, MASK_ROW_BLOCK rows at
-    a time: (index of the block's first row, its rows)."""
-    for top in range(0, len(masks), MASK_ROW_BLOCK):
-        yield top, masks_to_rows(masks[top : top + MASK_ROW_BLOCK], n)
 
 
 def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -253,15 +222,6 @@ def up_sets(first: Sequence[int], second: Sequence[int]) -> list[int]:
     return up
 
 
-def intersection_order(labels: Sequence[str], second: Sequence[int]) -> Poset:
-    """The intersection of the label order with a second linear order,
-    given as indices into labels from bottom to top. The label order is
-    then a linear extension. The down-sets are the up-sets of the two
-    orders reversed."""
-    first = range(len(labels))
-    return Poset._of_masks(labels, up_sets(first, second), up_sets(first[::-1], second[::-1]))
-
-
 def poset_from_relations(
     labels: Sequence[str], pairs: Iterable[tuple[str, str]]
 ) -> Poset:
@@ -283,15 +243,19 @@ def poset_from_relations(
         if b not in index:
             raise UnknownLabelError(f"unknown element {b!r}")
         edges.append((index[a], index[b]))
-    return Poset._of_masks(labels, *_closure(len(index), edges))
+    return Poset(labels, *_closure(len(index), edges))
 
 
 def renumbered(masks: list[int], order: Sequence[int]) -> list[int]:
     """The masks of a relation with element order[i] renamed i: entry i
     is ``masks[order[i]]`` with bit order[j] moved to bit j. The masks
-    are unpacked MASK_ROW_BLOCK rows at a time (``mask_blocks``)."""
-    blocks = mask_blocks([masks[i] for i in order], len(order))
-    return [m for _, rows in blocks for m in _masks_of_rows(rows[:, order])]
+    are unpacked to bool rows MASK_ROW_BLOCK at a time."""
+    n = len(order)
+    out: list[int] = []
+    for top in range(0, n, MASK_ROW_BLOCK):
+        rows = masks_to_rows([masks[i] for i in order[top : top + MASK_ROW_BLOCK]], n)
+        out += _masks_of_rows(rows[:, order])
+    return out
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -391,4 +355,4 @@ def parse_edge_list(text: str) -> Poset:
             raise ValueError(
                 f"line {lineno}: expected 'u v' or 'node u', got {line!r}"
             )
-    return Poset._of_masks(index, *_closure(len(index), pairs))
+    return Poset(index, *_closure(len(index), pairs))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import Poset, intersection_order, up_sets
+from .poset import Poset, bits, up_sets
 
 
 class MismatchedElementsError(ValueError):
@@ -57,9 +57,13 @@ class Realizer:
 
 def poset_from_realizer(r: Realizer) -> Poset:
     """Intersection order: a <= b iff a precedes-or-equals b in both.
-    Its elements are numbered along l1."""
+    Its elements are numbered along l1, which is then a linear
+    extension; the down-sets are the up-sets of the two orders
+    reversed."""
     index = {lab: i for i, lab in enumerate(r.l1)}
-    return intersection_order(r.l1, [index[lab] for lab in r.l2])
+    first = range(r.n)
+    second = [index[lab] for lab in r.l2]
+    return Poset(r.l1, up_sets(first, second), up_sets(first[::-1], second[::-1]))
 
 
 def verify_realizer(p: Poset, r: Realizer) -> bool:
@@ -147,7 +151,7 @@ def _force_level(
         new = rem[x] & ~keep & ~out[x]
         if new:
             out[x] |= new
-            ws = list(_bits(new))
+            ws = list(bits(new))
             next_out.setdefault(x, []).extend(ws)
             bit = 1 << x
             for w in ws:
@@ -156,13 +160,6 @@ def _force_level(
                     next_into[w].append(x)
                 else:
                     next_into[w] = [x]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def realizer_of(p: Poset) -> Realizer:

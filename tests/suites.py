@@ -27,7 +27,7 @@ from confluent_hasse import (
 from confluent_hasse.diagram import CheckResult, Segment, ValidationReport
 from confluent_hasse.grid import INVISIBLE, JUNCTION, KINDS, VERTEX, bound_points
 from confluent_hasse.oracle import DuplicatePointError
-from confluent_hasse.poset import Extremes, bits
+from confluent_hasse.poset import Extremes, _masks_of_rows, bits, masks_to_rows
 from confluent_hasse.render import CANVAS_SCALE, JUNCTION_RADIUS, NODE_RADIUS
 from confluent_hasse.sp import (
     PARALLEL,
@@ -143,7 +143,23 @@ def vertex_dominance_poset(s: GridScene) -> Poset:
     xs = np.array([v.x for v in verts])
     ys = np.array([v.y for v in verts])
     leq = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
-    return Poset([v.label for v in verts], leq)
+    return poset_of_matrix([v.label for v in verts], leq)
+
+
+def poset_of_matrix(labels: Sequence[str], leq: np.ndarray) -> Poset:
+    """The poset of an n x n bool matrix, ``leq[i, j]`` when element i
+    <= element j: the rows packed as its up-set masks and the columns
+    as its down-set masks. The matrix must be transitive; the
+    constructor rejects a wrong shape, a missing diagonal entry and a
+    cycle."""
+    mat = np.asarray(leq, dtype=bool)
+    return Poset(labels, _masks_of_rows(mat), _masks_of_rows(mat.T))
+
+
+def leq_of(p: Poset) -> np.ndarray:
+    """The order as an n x n bool matrix: ``leq[i, j]`` holds exactly
+    when element i <= element j."""
+    return masks_to_rows(p.up, p.n)
 
 
 def random_poset(n: int, seed: int, density: float = 0.3) -> Poset:
@@ -158,7 +174,7 @@ def random_poset(n: int, seed: int, density: float = 0.3) -> Poset:
     # transitive closure
     for k in range(n):
         mat |= np.outer(mat[:, k], mat[k, :])
-    return Poset(labels, mat)
+    return poset_of_matrix(labels, mat)
 
 
 def forced_smooth_pairs(p: Poset) -> frozenset[tuple[str, str]]:
@@ -212,11 +228,12 @@ def reference_orientation(p: Poset) -> list[int] | None:
     package never imports it.
     """
     n = p.n
+    leq = leq_of(p)
     rem = []  # adjacency of the not-yet-oriented incomparability graph
     for i in range(n):
         mask = 0
         for j in range(n):
-            if i != j and not p.leq[i, j] and not p.leq[j, i]:
+            if i != j and not leq[i, j] and not leq[j, i]:
                 mask |= 1 << j
         rem.append(mask)
 
@@ -526,7 +543,7 @@ def reference_transitive_reduction(p: Poset) -> frozenset[tuple[str, str]]:
     length two joins, from one float32 matrix product over the strict
     order. The cubic product that ``poset.transitive_reduction``
     replaced with a walk over its bitsets; test-only."""
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
+    strict = leq_of(p) & ~np.eye(p.n, dtype=bool)
     # counts paths of length two through the strict order; the counts
     # are at most n, and float32 holds every integer below 2**24 exactly
     assert p.n < 1 << 24
@@ -539,14 +556,15 @@ def reference_extremes(p: Poset) -> Extremes:
     """One loop over the elements per query: the minimal, maximal,
     least and greatest elements ``poset.extremes`` must match.
     Test-only."""
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
+    leq = leq_of(p)
+    strict = leq & ~np.eye(p.n, dtype=bool)
     minimal = frozenset(p.labels[i] for i in range(p.n) if not strict[:, i].any())
     maximal = frozenset(p.labels[i] for i in range(p.n) if not strict[i, :].any())
     least = greatest = None
     for i in range(p.n):
-        if p.leq[i, :].all():
+        if leq[i, :].all():
             least = p.labels[i]
-        if p.leq[:, i].all():
+        if leq[:, i].all():
             greatest = p.labels[i]
     return Extremes(minimal, maximal, least, greatest)
 
@@ -1058,7 +1076,7 @@ def dm_completion(p: Poset, *, max_n: int = COMPLETION_MAX_N) -> Completion:
         upper = frozenset(p.labels[i] for i in bits(cuts_by_lower[a]))
         cuts.append(Cut(lower, upper))
         labels.append("{" + ",".join(sorted(lower)) + "}")
-    return Completion(tuple(cuts), Poset(labels, leq))
+    return Completion(tuple(cuts), poset_of_matrix(labels, leq))
 
 
 def cut_lowers(p: Poset) -> set[int]:
@@ -1163,10 +1181,11 @@ def element_cut_index(completion: Completion, label: str) -> int:
 def linear_extensions(p: Poset) -> Iterator[tuple[int, ...]]:
     """All linear extensions, as tuples of element indices."""
     n = p.n
+    leq = leq_of(p)
     pred = [0] * n
     for i in range(n):
         for j in range(n):
-            if i != j and p.leq[j, i]:
+            if i != j and leq[j, i]:
                 pred[i] |= 1 << j
 
     def rec(remaining: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -1193,15 +1212,16 @@ def order_dimension_le2(p: Poset, *, max_n: int = 7) -> bool:
         raise TooLargeForOracle(f"dimension oracle limited to n <= {max_n}")
     if n <= 2:
         return True
+    leq = leq_of(p)
     succ = [0] * n
     inc = [0] * n
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            if p.leq[i, j]:
+            if leq[i, j]:
                 succ[i] |= 1 << j
-            elif not p.leq[j, i]:
+            elif not leq[j, i]:
                 inc[i] |= 1 << j
 
     for ext in linear_extensions(p):
@@ -1229,11 +1249,12 @@ def is_lattice(p: Poset) -> bool:
     n = p.n
     if n == 0:
         return False
+    leq = leq_of(p)
     up = [0] * n
     down = [0] * n
     for i in range(n):
         for j in range(n):
-            if p.leq[i, j]:
+            if leq[i, j]:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
 

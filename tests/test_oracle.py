@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from confluent_hasse import (
     Diagram,
     GridScene,
-    Poset,
     Realizer,
     build_diagram,
     dominance_covers,
@@ -36,8 +35,10 @@ from suites import (
     dm_completion,
     element_cut_index,
     is_lattice,
+    leq_of,
     linear_extensions,
     order_dimension_le2,
+    poset_of_matrix,
     random_poset,
     random_realizer_suite,
     reference_dominance_covers,
@@ -96,8 +97,9 @@ def test_downset_enumeration_matches_full_enumeration():
     via_downsets = {tuple(sorted(c.lower)) for c in dm_completion(p).cuts}
 
     n = p.n
-    up = [sum(1 << j for j in range(n) if p.leq[i, j]) for i in range(n)]
-    down = [sum(1 << i for i in range(n) if p.leq[i, j]) for j in range(n)]
+    leq = leq_of(p)
+    up = [sum(1 << j for j in range(n) if leq[i, j]) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if leq[i, j]) for j in range(n)]
     full = (1 << n) - 1
 
     def fold(mask, table):
@@ -141,9 +143,9 @@ def test_completion_has_no_proper_lattice_subset_containing_elements():
         for k in range(len(extra)):
             for keep in combinations(extra, k):
                 chosen = sorted(element_idx | set(keep))
-                sub = Poset(
+                sub = poset_of_matrix(
                     [full.labels[i] for i in chosen],
-                    full.leq[np.ix_(chosen, chosen)],
+                    leq_of(full)[np.ix_(chosen, chosen)],
                 )
                 assert not is_lattice(sub) or len(chosen) == len(comp.cuts)
 
@@ -373,7 +375,7 @@ def test_dominance_covers_agree_with_poset_reduction(points):
     xs = np.array([x for x, _ in points]).reshape(-1, 1)
     ys = np.array([y for _, y in points]).reshape(-1, 1)
     leq = (xs <= xs.T) & (ys <= ys.T)
-    p = Poset(labels, leq)
+    p = poset_of_matrix(labels, leq)
     via_reduction = {
         (points[p.index(a)], points[p.index(b)])
         for a, b in transitive_reduction(p)

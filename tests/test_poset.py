@@ -23,6 +23,8 @@ from confluent_hasse import poset
 from confluent_hasse.poset import _closure, masks_to_rows
 from suites import (
     all_sp_trees,
+    leq_of,
+    poset_of_matrix,
     random_poset,
     random_realizer_suite,
     reference_extremes,
@@ -60,7 +62,7 @@ def test_equality_across_label_orders_unpacks_no_matrix():
 
 def test_antichain_relation_is_diagonal():
     p = poset_from_relations(["a", "b", "c"], [])
-    assert (p.leq == np.eye(3, dtype=bool)).all()
+    assert (leq_of(p) == np.eye(3, dtype=bool)).all()
 
 
 def test_chain_closure_infers_transitivity():
@@ -128,7 +130,7 @@ def test_closure_matches_the_reference_closure():
             with pytest.raises(CycleError, match=f"^antisymmetry violated: 'v{a}' and 'v{b}'$"):
                 parse_edge_list("\n".join(lines))
         else:
-            assert (parse_edge_list("\n".join(lines)).leq == expected).all()
+            assert (leq_of(parse_edge_list("\n".join(lines))) == expected).all()
 
         seen["cyclic"] += bool(sym.any())
         seen["self-loop"] += any(a == b for a, b in pairs)
@@ -141,7 +143,7 @@ def relabelled(p: Poset, rng: random.Random) -> Poset:
     """The same order with its elements numbered in a shuffled order."""
     perm = list(range(p.n))
     rng.shuffle(perm)
-    return Poset([p.labels[i] for i in perm], p.leq[np.ix_(perm, perm)])
+    return poset_of_matrix([p.labels[i] for i in perm], leq_of(p)[np.ix_(perm, perm)])
 
 
 def shuffled_edge_list(p: Poset, rng: random.Random) -> str:
@@ -165,14 +167,46 @@ def test_masks_are_reflexive_and_down_is_the_transpose_of_up():
     orders += [random_poset(n, seed) for n in range(10) for seed in range(3)]
     orders += [parse_edge_list(shuffled_edge_list(p, rng)) for p in orders[::3]]
     orders += [poset_from_relations(["a", "b", "c"], [("a", "b"), ("b", "c")])]
-    orders += [poset_from_relations([], []), Poset([], np.zeros((0, 0), bool))]
+    orders += [poset_from_relations([], []), poset_of_matrix([], np.zeros((0, 0), bool))]
     for p in orders:
         assert len(p.up) == len(p.down) == p.n
         assert all(u >> i & 1 for i, u in enumerate(p.up)), p
         assert (masks_to_rows(p.down, p.n) == masks_to_rows(p.up, p.n).T).all(), p
-        # the matrix view and the matrix constructor agree with the masks
-        assert (p.leq == masks_to_rows(p.up, p.n)).all()
-        assert Poset(p.labels, p.leq).up == p.up and Poset(p.labels, p.leq).down == p.down
+        # the matrix view agrees with holds, the matrix packs back to
+        # the same masks, and the constructor takes every factory's masks
+        leq = leq_of(p)
+        assert all(leq[i, j] == p.holds(a, b) for i, a in enumerate(p.labels)
+                   for j, b in enumerate(p.labels)), p
+        q = poset_of_matrix(p.labels, leq)
+        assert q.up == p.up and q.down == p.down, p
+        assert Poset(p.labels, p.up, p.down) == p, p
+
+
+def test_constructor_rejects_malformed_masks():
+    labels = ["a", "b", "c"]
+    up, down = [0b111, 0b110, 0b100], [0b001, 0b011, 0b111]  # a < b < c
+    assert Poset(labels, up, down) == poset_from_relations(labels, [("a", "b"), ("b", "c")])
+    malformed = [
+        ("need 3 up-set and 3 down-set masks, got 2 and 3", up[:2], down),
+        ("need 3 up-set and 3 down-set masks, got 3 and 2", up, down[:2]),
+        ("need 3 up-set and 3 down-set masks, got 4 and 4", up + [0b1000], down + [0b1000]),
+        ("masks of 'b' must hold its own bit", [0b111, 0b100, 0b100], down),
+        ("masks of 'a' must hold its own bit", up, [0b000, 0b011, 0b111]),
+        ("masks of 'c' must hold its own bit and none from 3 on", [0b111, 0b110, 0b1100], down),
+        ("masks of 'a' must hold its own bit and none from 3 on", up, [0b1001, 0b011, 0b111]),
+        ("masks of 'a' must hold its own bit and none from 3 on", [-1, 0b110, 0b100], down),
+    ]
+    for message, bad_up, bad_down in malformed:
+        with pytest.raises(ValueError, match=message) as info:
+            Poset(labels, bad_up, bad_down)
+        assert info.type is ValueError
+    # b <= c and c <= b: the first pair in label order is named
+    with pytest.raises(CycleError, match="^antisymmetry violated: 'b' and 'c'$"):
+        Poset(labels, [0b111, 0b110, 0b110], [0b001, 0b111, 0b111])
+    with pytest.raises(CycleError, match="^antisymmetry violated: 'a' and 'b'$"):
+        Poset(["a", "b"], [0b11, 0b11], [0b11, 0b11])
+    with pytest.raises(DuplicateLabelError):
+        Poset(["a", "a"], [0b01, 0b10], [0b01, 0b10])
 
 
 def test_duplicate_and_unknown_labels():

@@ -27,7 +27,14 @@ from confluent_hasse import (
 )
 from confluent_hasse.realizer import _forced_orientation
 from confluent_hasse.sp import sp_realizer, sp_to_poset
-from suites import all_sp_trees, order_dimension_le2, random_poset, reference_orientation
+from suites import (
+    all_sp_trees,
+    leq_of,
+    order_dimension_le2,
+    poset_of_matrix,
+    random_poset,
+    reference_orientation,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -84,9 +91,9 @@ def test_k22_realizer_round_trips():
 def _disjoint_union(first: Poset, second: Poset) -> Poset:
     n1, n2 = first.n, second.n
     leq = np.zeros((n1 + n2, n1 + n2), dtype=bool)
-    leq[:n1, :n1] = first.leq
-    leq[n1:, n1:] = second.leq
-    return Poset(first.labels + second.labels, leq)
+    leq[:n1, :n1] = leq_of(first)
+    leq[n1:, n1:] = leq_of(second)
+    return poset_of_matrix(first.labels + second.labels, leq)
 
 
 def test_standard_example_is_rejected():
@@ -124,7 +131,7 @@ def _relabelled(p: Poset, seed: int) -> Poset:
     """The same order with its elements in a seeded shuffled index order."""
     perm = list(range(p.n))
     random.Random(seed).shuffle(perm)
-    return Poset([p.labels[i] for i in perm], p.leq[np.ix_(perm, perm)])
+    return poset_of_matrix([p.labels[i] for i in perm], leq_of(p)[np.ix_(perm, perm)])
 
 
 def test_orientation_matches_reference_loop():
